@@ -209,7 +209,15 @@ impl Drop for Executor {
     /// dropped without completing — callers that need completion call
     /// [`Executor::wait_idle`] first.
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Raised under the queue lock: a worker checks the flag and starts
+        // waiting without releasing that lock in between, so it either sees
+        // the flag or is already waiting when the notification goes out.
+        // Raised outside it, both could land between the worker's check and
+        // its wait, and the join below would never return.
+        {
+            let _ready = lock(&self.shared.ready);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.work_available.notify_all();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
@@ -630,6 +638,23 @@ impl<T> Future for RecvFuture<'_, T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn dropping_an_executor_always_stops_its_idle_workers() {
+        // A worker that has just found the queue empty and the shutdown flag
+        // clear is about to wait; the flag and the wake-up must not slip in
+        // between, or the drop joins a thread that sleeps forever. Each round
+        // drops an executor right as its worker goes idle.
+        for _ in 0..20_000 {
+            let executor = Executor::new(1);
+            let (tx, rx) = std::sync::mpsc::channel();
+            executor.spawn(async move {
+                let _ = tx.send(());
+            });
+            rx.recv().unwrap();
+            drop(executor);
+        }
+    }
 
     #[test]
     fn block_on_returns_the_output() {

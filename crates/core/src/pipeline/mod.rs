@@ -955,17 +955,28 @@ mod tests {
     #[test]
     fn malformed_tiles_are_skipped_not_fatal() {
         let mut tasks = tasks_of(&small_dataset());
-        tasks.push(ParseTask {
-            tile_id: 999,
-            first_text: "this is not a polygon file".into(),
-            second_text: String::new(),
-        });
+        let tiles = tasks.len();
+        // Not a record at all, and records declaring vertex counts
+        // (2^64 - 1, 3e9) that must never be allocated.
+        for (tile_id, bad) in [
+            (999, "this is not a polygon file"),
+            (1000, "7 18446744073709551615 0 0"),
+            (1001, "7 3000000000 0 0 1 0"),
+        ] {
+            tasks.push(ParseTask {
+                tile_id,
+                first_text: bad.into(),
+                second_text: String::new(),
+            });
+        }
         let pipeline = Pipeline::new(PipelineConfig {
             enable_migration: false,
             ..PipelineConfig::default()
         });
         let report = pipeline.run(tasks);
         assert!(report.candidate_pairs > 0);
+        // Each malformed tile went through as an empty one.
+        assert_eq!(report.tiles, tiles + 3);
     }
 
     #[test]

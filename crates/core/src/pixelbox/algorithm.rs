@@ -8,7 +8,7 @@
 //! converts into simulated cycles and which tests use to verify algorithmic
 //! claims (e.g. that sampling boxes reduce per-pixel work, Figure 8).
 
-use super::position::{box_position, BoxPosition};
+use super::position::{box_position, cell_position, grid_dims, BoxPosition, HoverMarks};
 use super::{PairAreas, PolygonPair, Variant};
 use sccg_geometry::edge_table::{overlap_len_in, span_len_in};
 use sccg_geometry::{EdgeTable, Rect, RectilinearPolygon};
@@ -393,9 +393,10 @@ fn sampling_box_scan(
     let mut next = Some(*initial);
     trace.stack_pushes += 1;
 
-    // Sub-box grid dimensions: as square as possible for the requested fanout.
-    let cols = (fanout as f64).sqrt().ceil() as u32;
-    let rows = fanout.div_ceil(cols);
+    let (cols, rows) = grid_dims(fanout);
+    let (mut hover_p, mut hover_q) = (HoverMarks::default(), HoverMarks::default());
+    // The scanline kernel's edge tables; the per-pixel oracle has none.
+    let tables = cache.as_ref().map(|cache| (cache.p, cache.q));
 
     while let Some(sampling_box) = next.take().or_else(|| stack.pop()) {
         trace.max_stack_depth = trace.max_stack_depth.max(stack.len() as u64 + 1);
@@ -421,15 +422,28 @@ fn sampling_box_scan(
             trace.pixelized_boxes += 1;
             continue;
         }
-        // Partition phase (Algorithm 1, lines 30–39).
+        // Partition phase (Algorithm 1, lines 30–39). The scanline kernel
+        // rasterises each polygon's boundary onto the grid once and reads
+        // uniform cells off the edge tables; the per-pixel oracle keeps the
+        // per-cell edge walks. The trace charges the per-cell walks either
+        // way.
         trace.partitions += 1;
+        if tables.is_some() {
+            hover_p.mark(&sampling_box, cols, rows, &pair.p);
+            hover_q.mark(&sampling_box, cols, rows, &pair.q);
+        }
         for idx in 0..cols * rows {
             let sub = sampling_box.subdivide(cols, rows, idx);
             if sub.is_empty() {
                 continue;
             }
-            let pos_p = box_position(&sub, &pair.p);
-            let pos_q = box_position(&sub, &pair.q);
+            let (pos_p, pos_q) = match tables {
+                Some((table_p, table_q)) => (
+                    cell_position(&sub, hover_p.get(idx), &pair.p.mbr(), table_p),
+                    cell_position(&sub, hover_q.get(idx), &pair.q.mbr(), table_q),
+                ),
+                None => (box_position(&sub, &pair.p), box_position(&sub, &pair.q)),
+            };
             trace.box_tests += 2;
             trace.box_edge_ops += edges.total();
 
@@ -584,6 +598,44 @@ mod tests {
                     let fast = compute_pair(&pair, threshold, 16, variant);
                     let brute = compute_pair_reference(&pair, threshold, 16, variant);
                     assert_eq!(fast, brute, "variant {variant:?} T={threshold}");
+                }
+            }
+        }
+        // The GPU fanout on pairs big enough to partition, where the two
+        // kernels classify the sub-boxes differently (grid rasterisation
+        // against per-cell edge walks): the serving workloads' big nuclei
+        // and an L pair whose sub-boxes are partitioned again.
+        let nuclei = sccg_datagen::generate_tile_pair(&sccg_datagen::TileSpec {
+            width: 256,
+            height: 256,
+            target_polygons: 1,
+            nucleus: sccg_datagen::NucleusParams {
+                radius_x: 32,
+                radius_y: 32,
+                boundary_jitter: 1,
+            },
+            dropout: 0.0,
+            seed: 5,
+            ..sccg_datagen::TileSpec::default()
+        });
+        let big = [
+            (l_shape(0, 96), l_shape(10, 96)),
+            (
+                nuclei.first[0].polygon.clone(),
+                nuclei.second[0].polygon.clone(),
+            ),
+        ];
+        for (p, q) in big {
+            for variant in [Variant::NoSep, Variant::Full] {
+                for (threshold, fanout) in [(64u32, 64u32), (2048, 64), (2048, 128), (512, 4)] {
+                    let pair = pair(p.clone(), q.clone());
+                    let fast = compute_pair(&pair, threshold, fanout, variant);
+                    let brute = compute_pair_reference(&pair, threshold, fanout, variant);
+                    assert_eq!(
+                        fast, brute,
+                        "variant {variant:?} T={threshold} fanout={fanout}"
+                    );
+                    assert!(fast.1.partitions > 0, "T={threshold} fanout={fanout}");
                 }
             }
         }

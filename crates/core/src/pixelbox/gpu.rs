@@ -211,9 +211,7 @@ fn charge_pair(
                 addresses.push(tid * stride + field * if stride == 1 { lanes_u32 } else { 1 });
             }
             // One push per partition round per field.
-            for _ in 0..trace.partitions {
-                block.shared_access(&addresses);
-            }
+            block.shared_access_many(&addresses, trace.partitions);
         }
         // Position tests write/read the flag column and pop boxes.
         block.shared_access_uniform(trace.stack_pushes.div_ceil(lanes) * 5);

@@ -1,6 +1,6 @@
 //! The sampling-box position predicate (Lemma 1 of the paper).
 
-use sccg_geometry::{Rect, RectilinearPolygon};
+use sccg_geometry::{EdgeTable, Rect, RectilinearPolygon};
 
 /// Position of a sampling box relative to one polygon (§3.2, Figure 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,9 +84,250 @@ pub fn boundary_intersects_interior(sampling_box: &Rect, poly: &RectilinearPolyg
     false
 }
 
+/// Columns and rows of the grid a sampling box is partitioned into: as square
+/// as possible for the requested fanout, cells in row-major order (the
+/// `cols`, `rows` of [`Rect::subdivide`]).
+pub(super) fn grid_dims(fanout: u32) -> (u32, u32) {
+    let cols = (fanout as f64).sqrt().ceil() as u32;
+    (cols, fanout.div_ceil(cols))
+}
+
+/// The hover marks of one partition grid for one polygon: bit `idx` is set
+/// when an edge of the polygon passes through the open interior of the
+/// row-major cell `idx`. Grids of up to 64 cells (every fanout up to the
+/// default GPU block size) live in one inline word, so marking them never
+/// allocates.
+#[derive(Debug, Default)]
+pub(super) struct HoverMarks {
+    first: u64,
+    rest: Vec<u64>,
+}
+
+impl HoverMarks {
+    #[inline]
+    fn set(&mut self, idx: u32) {
+        match idx / 64 {
+            0 => self.first |= 1 << idx,
+            word => self.rest[word as usize - 1] |= 1 << (idx % 64),
+        }
+    }
+
+    /// Whether cell `idx` was marked.
+    #[inline]
+    pub(super) fn get(&self, idx: u32) -> bool {
+        let word = match idx / 64 {
+            0 => self.first,
+            word => self.rest[word as usize - 1],
+        };
+        word >> (idx % 64) & 1 == 1
+    }
+
+    /// Rasterises `poly`'s boundary onto the `cols × rows` partition grid of
+    /// `sampling_box` (the cells of [`Rect::subdivide`]): one walk along the
+    /// chain marks every cell for which [`boundary_intersects_interior`]
+    /// holds, in O(edges + cells the boundary passes) instead of
+    /// O(edges × cells).
+    ///
+    /// A vertical edge passes through the open interior of the cells of one
+    /// grid column — the one its x lies strictly inside — on the grid rows
+    /// its y-span overlaps; a horizontal edge likewise with the axes
+    /// swapped. An edge on a grid line, or outside the box, marks nothing.
+    pub(super) fn mark(
+        &mut self,
+        sampling_box: &Rect,
+        cols: u32,
+        rows: u32,
+        poly: &RectilinearPolygon,
+    ) {
+        self.first = 0;
+        self.rest.clear();
+        self.rest
+            .resize(((cols * rows) as usize).saturating_sub(1) / 64, 0);
+        if !sampling_box.intersects(&poly.mbr()) {
+            return;
+        }
+        // Every cell but the clipped trailing ones has the first cell's size.
+        let first = sampling_box.subdivide(cols, rows, 0);
+        let x_axis = GridAxis {
+            min: i64::from(sampling_box.min_x),
+            max: i64::from(sampling_box.max_x),
+            size: first.width(),
+            stride: 1,
+        };
+        let y_axis = GridAxis {
+            min: i64::from(sampling_box.min_y),
+            max: i64::from(sampling_box.max_y),
+            size: first.height(),
+            stride: cols,
+        };
+        // Closed chain: each vertex ends the edge its predecessor starts, and
+        // an edge moves along one axis only.
+        let vertices = poly.vertices();
+        let mut a = vertices[vertices.len() - 1];
+        let mut x = x_axis.place(x_axis.origin(), a.x);
+        let mut y = y_axis.place(y_axis.origin(), a.y);
+        // Whether `a` lies strictly inside its cell on both axes *and* that
+        // cell is marked. The edge that brought the chain there marked it,
+        // so an edge that stays inside the cell has nothing to add: on big
+        // cells that is nearly every edge. False before the first edge, whose
+        // cell the chain only enters when it closes.
+        let mut settled = false;
+        for &b in vertices {
+            if a.x == b.x {
+                let to = i64::from(b.y);
+                if settled && y.start < to && to < y.end {
+                    y.at = to;
+                } else {
+                    settled = self.cross(&y_axis, &mut y, b.y, &x_axis, x);
+                }
+            } else {
+                let to = i64::from(b.x);
+                if settled && x.start < to && to < x.end {
+                    x.at = to;
+                } else {
+                    settled = self.cross(&x_axis, &mut x, b.x, &y_axis, y);
+                }
+            }
+            a = b;
+        }
+    }
+
+    /// Moves `moving` to coordinate `to` along its axis and marks the cells
+    /// the edge passes, on the grid line `fixed` of the other axis. Returns
+    /// whether the edge's end lies strictly inside a cell it marked.
+    #[inline]
+    fn cross(
+        &mut self,
+        along: &GridAxis,
+        moving: &mut AxisPlace,
+        to: i32,
+        across: &GridAxis,
+        fixed: AxisPlace,
+    ) -> bool {
+        let from = *moving;
+        *moving = along.place(from, to);
+        if !fixed.strictly_inside() {
+            return false;
+        }
+        for cell in GridAxis::cells_between(from, *moving) {
+            self.set(cell * along.stride + fixed.cell * across.stride);
+        }
+        moving.strictly_inside()
+    }
+}
+
+/// One axis of a partition grid: the box's extent `[min, max)` cut into
+/// cells of `size` pixels, the last one clipped to `max`; stepping one cell
+/// along the axis moves `stride` cells in row-major order.
+struct GridAxis {
+    min: i64,
+    max: i64,
+    size: i64,
+    stride: u32,
+}
+
+/// Where a coordinate, clamped to the box, falls on a [`GridAxis`]: in the
+/// cell `cell`, which extends over `[start, end)`. A chain's consecutive
+/// vertices lie in the same or a nearby cell, so a place is carried from
+/// vertex to vertex by stepping, without a division.
+#[derive(Clone, Copy)]
+struct AxisPlace {
+    at: i64,
+    cell: u32,
+    start: i64,
+    end: i64,
+}
+
+impl AxisPlace {
+    /// Whether the grid line at this place runs through its cell's open
+    /// extent: not along a cell border and not outside the box (a coordinate
+    /// clamped to the box's upper border sits on `end`).
+    #[inline]
+    fn strictly_inside(&self) -> bool {
+        self.start < self.at && self.at < self.end
+    }
+}
+
+impl GridAxis {
+    fn origin(&self) -> AxisPlace {
+        AxisPlace {
+            at: self.min,
+            cell: 0,
+            start: self.min,
+            end: (self.min + self.size).min(self.max),
+        }
+    }
+
+    /// The place of coordinate `to`, stepping cell by cell from `from`.
+    #[inline]
+    fn place(&self, from: AxisPlace, to: i32) -> AxisPlace {
+        let mut place = AxisPlace {
+            at: i64::from(to).clamp(self.min, self.max),
+            ..from
+        };
+        while place.at >= place.start + self.size {
+            place.cell += 1;
+            place.start += self.size;
+        }
+        while place.at < place.start {
+            place.cell -= 1;
+            place.start -= self.size;
+        }
+        place.end = (place.start + self.size).min(self.max);
+        place
+    }
+
+    /// The cells whose open extent overlaps the span between two places:
+    /// none when clamping collapsed the span onto one border of the box.
+    /// Which end is the upper one is as good as random along a jittered
+    /// boundary, so it is taken by `min`/`max` and not by a branch: the span
+    /// ends in its upper end's cell, or the cell before when that end lies
+    /// on the cell's lower border, and the lower end's own count never
+    /// exceeds that.
+    #[inline]
+    fn cells_between(a: AxisPlace, b: AxisPlace) -> std::ops::Range<u32> {
+        let first = a.cell.min(b.cell);
+        if a.at == b.at {
+            return first..first;
+        }
+        let end = |place: AxisPlace| place.cell + u32::from(place.at > place.start);
+        first..end(a).max(end(b))
+    }
+}
+
+/// [`box_position`] of one partition-grid cell, from the grid's
+/// [`HoverMarks`] and the polygon's edge table instead of two edge walks: a
+/// marked cell hovers, and an unmarked cell that meets the MBR is uniform, so
+/// its centre pixel's crossing parity — the number of the centre row's
+/// crossings to the right of the centre, read from `table` — decides it.
+#[inline]
+pub(super) fn cell_position(
+    cell: &Rect,
+    hovers: bool,
+    mbr: &Rect,
+    table: &EdgeTable,
+) -> BoxPosition {
+    if hovers {
+        return BoxPosition::Hover;
+    }
+    if !cell.intersects(mbr) {
+        return BoxPosition::Outside;
+    }
+    let (cx, cy) = cell.center_pixel();
+    let crossings = table.row_crossings(cy);
+    let to_the_right = crossings.len() - crossings.partition_point(|&x| x <= cx);
+    if to_the_right % 2 == 1 {
+        BoxPosition::Inside
+    } else {
+        BoxPosition::Outside
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use sccg_datagen::{generate_tile_pair, NucleusParams, TileSpec};
     use sccg_geometry::{raster, Point};
 
     fn l_shape() -> RectilinearPolygon {
@@ -99,6 +340,91 @@ mod tests {
             Point::new(0, 8),
         ])
         .unwrap()
+    }
+
+    /// A datagen nucleus and its re-segmentation, as the serving workloads
+    /// pair them.
+    fn nuclei(radius: u32, seed: u64) -> [RectilinearPolygon; 2] {
+        let tile = generate_tile_pair(&TileSpec {
+            width: 8 * radius,
+            height: 8 * radius,
+            target_polygons: 1,
+            nucleus: NucleusParams {
+                radius_x: radius,
+                radius_y: radius,
+                boundary_jitter: 1,
+            },
+            dropout: 0.0,
+            seed,
+            ..TileSpec::default()
+        });
+        [
+            tile.first[0].polygon.clone(),
+            tile.second[0].polygon.clone(),
+        ]
+    }
+
+    /// Classifies every non-empty cell of `parent`'s grid both ways and
+    /// returns how many cells were compared.
+    fn assert_grid_equals_per_cell(parent: &Rect, fanout: u32, poly: &RectilinearPolygon) -> u32 {
+        let (cols, rows) = grid_dims(fanout);
+        let mut marks = HoverMarks::default();
+        marks.mark(parent, cols, rows, poly);
+        let mut compared = 0;
+        for idx in 0..cols * rows {
+            let cell = parent.subdivide(cols, rows, idx);
+            if cell.is_empty() {
+                continue;
+            }
+            let by_grid = cell_position(&cell, marks.get(idx), &poly.mbr(), poly.edge_table());
+            let by_cell = box_position(&cell, poly);
+            assert_eq!(
+                by_grid, by_cell,
+                "cell {idx} = {cell:?} of {parent:?} at fanout {fanout}"
+            );
+            compared += 1;
+        }
+        compared
+    }
+
+    proptest! {
+        #[test]
+        fn grid_classification_equals_per_cell_box_position(
+            seed in 0u64..1 << 40,
+            picks in prop::collection::vec(0u32..1 << 16, 4),
+            shift in (-9i32..10, -9i32..10),
+        ) {
+            let mut compared = 0;
+            for radius in [6u32, 32] {
+                let [p, q] = nuclei(radius, seed);
+                let joint = p.mbr().union(&q.mbr());
+                // The scan's own parents: the joint MBR, then sub-boxes of
+                // sub-boxes, whose polygons stick out on every side; and a
+                // box that only partly covers the pair.
+                let mut parents = vec![joint];
+                for (depth, fanout) in [(0, 16u32), (1, 4)] {
+                    let (cols, rows) = grid_dims(fanout);
+                    let sub = parents[depth].subdivide(cols, rows, picks[depth] % fanout);
+                    if !sub.is_empty() {
+                        parents.push(sub);
+                    }
+                }
+                parents.push(Rect::new(
+                    joint.min_x + shift.0,
+                    joint.min_y + shift.1,
+                    joint.max_x + shift.0 - (picks[2] % radius) as i32,
+                    joint.max_y + shift.1 - (picks[3] % radius) as i32,
+                ));
+                for parent in &parents {
+                    for fanout in [4u32, 16, 64, 128] {
+                        for poly in [&p, &q] {
+                            compared += assert_grid_equals_per_cell(parent, fanout, poly);
+                        }
+                    }
+                }
+            }
+            prop_assert!(compared > 1500, "only {} cells compared", compared);
+        }
     }
 
     #[test]

@@ -15,11 +15,18 @@
 //! Construction buckets the vertical edges into *slabs*: maximal y-ranges
 //! within which the set of crossing edges (and therefore the sorted crossing
 //! list) is constant. The slab boundaries are the distinct edge endpoints, so
-//! a polygon with `E` edges has at most `E` slabs and the table costs
-//! O(E²) space in the worst case — negligible for segmentation boundaries,
-//! which have tens of vertices. A row query is a binary search over slabs
-//! plus a borrowed slice, and repeated queries for consecutive rows hit the
-//! same slab.
+//! a polygon with `E` edges has at most `E` slabs and the table holds one
+//! crossing per (edge, slab it spans) pair: O(E²) in the worst case (a comb),
+//! about 2 per row for a segmentation boundary. The build is a counting sort
+//! and costs O(E + table): endpoints are marked in a bitmap over the
+//! polygon's y-extent (up to 512 rows; taller polygons sort and
+//! binary-search their endpoints instead, O(E log E)), so the boundaries
+//! come out in order and an endpoint's slab index is a popcount; crossings
+//! are counted per slab, the counts prefix-summed into offsets, each edge's
+//! x dealt into the slabs it spans, and each slab's handful of crossings
+//! sorted in place. No pass scans all edges per slab. A row query is a
+//! binary search over slabs plus a borrowed slice, and repeated queries for
+//! consecutive rows hit the same slab.
 //!
 //! The interval helpers ([`span_len_in`], [`overlap_len_in`]) are the
 //! arithmetic core of the PixelBox pixelization fast path: per row, the
@@ -60,6 +67,14 @@
 //! the run length instead of re-deriving it row by row.
 
 use crate::point::Point;
+
+/// Words of the slab-boundary bitmap [`EdgeTable::from_vertices`] keeps on
+/// its stack: one cache line.
+const BITMAP_WORDS: usize = 8;
+
+/// Widest y-extent (in rows, exclusive) whose boundaries fit the bitmap;
+/// taller polygons sort their endpoints instead.
+const BITMAP_ROWS: usize = 64 * BITMAP_WORDS;
 
 /// Precomputed scanline decomposition of one rectilinear polygon: for every
 /// pixel row, the sorted x coordinates at which a `+x` ray from that row
@@ -104,34 +119,86 @@ impl EdgeTable {
             };
         }
 
-        let mut slab_ys: Vec<i32> = edges.iter().flat_map(|&(_, lo, hi)| [lo, hi]).collect();
-        slab_ys.sort_unstable();
-        slab_ys.dedup();
+        // Slab boundaries are the distinct edge endpoints. Mark them in a
+        // bitmap over the y-extent: the set bits in order are `slab_ys`, and
+        // the number of set bits below an endpoint is its slab index. The
+        // wrapping difference is exact because the extent is below 2^32.
+        let min_y = edges.iter().map(|e| e.1).min().expect("non-empty");
+        let max_y = edges.iter().map(|e| e.2).max().expect("non-empty");
+        let extent = max_y.wrapping_sub(min_y) as u32 as usize;
+        let mut bitmap = [0u64; BITMAP_WORDS];
+        let mut word_rank = [0u32; BITMAP_WORDS];
+        let in_bitmap = extent < BITMAP_ROWS;
+        let mut slab_ys: Vec<i32>;
+        if in_bitmap {
+            let words = extent / 64 + 1;
+            for &(_, lo, hi) in &edges {
+                for y in [lo, hi] {
+                    let bit = y.wrapping_sub(min_y) as u32 as usize;
+                    bitmap[bit / 64] |= 1 << (bit % 64);
+                }
+            }
+            let mut rank = 0u32;
+            for (below, word) in word_rank.iter_mut().zip(&bitmap[..words]) {
+                *below = rank;
+                rank += word.count_ones();
+            }
+            slab_ys = Vec::with_capacity(rank as usize);
+            for (w, &word) in bitmap[..words].iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    let bit = w * 64 + rest.trailing_zeros() as usize;
+                    slab_ys.push(min_y.wrapping_add(bit as i32));
+                    rest &= rest - 1;
+                }
+            }
+        } else {
+            slab_ys = edges.iter().flat_map(|&(_, lo, hi)| [lo, hi]).collect();
+            slab_ys.sort_unstable();
+            slab_ys.dedup();
+        }
+        let slab_of = |y: i32| -> usize {
+            if in_bitmap {
+                let bit = y.wrapping_sub(min_y) as u32 as usize;
+                let below = bitmap[bit / 64] & ((1 << (bit % 64)) - 1);
+                (word_rank[bit / 64] + below.count_ones()) as usize
+            } else {
+                slab_ys
+                    .binary_search(&y)
+                    .expect("every endpoint is a boundary")
+            }
+        };
 
+        // An edge spanning rows [lo, hi) crosses exactly the slabs between
+        // its endpoints' indices: boundaries include every endpoint, so a
+        // span cannot start or end strictly inside a slab. Count the
+        // crossings per slab, prefix-sum the counts into `offsets`, then deal
+        // each edge's x into the slabs it spans.
         let slabs = slab_ys.len() - 1;
-        let mut offsets: Vec<u32> = Vec::with_capacity(slabs + 1);
-        let mut xs: Vec<i32> = Vec::new();
-        offsets.push(0);
-        let mut slab_xs: Vec<i32> = Vec::new();
-        for &row in &slab_ys[..slabs] {
-            slab_xs.clear();
-            // An edge spanning rows [lo, hi) crosses every row of this slab
-            // exactly when it crosses the slab's first row: slab boundaries
-            // include every edge endpoint, so spans cannot start or end
-            // strictly inside a slab.
-            slab_xs.extend(
-                edges
-                    .iter()
-                    .filter(|&&(_, lo, hi)| lo <= row && row < hi)
-                    .map(|&(x, _, _)| x),
-            );
-            slab_xs.sort_unstable();
+        let mut offsets = vec![0u32; slabs + 1];
+        for &(_, lo, hi) in &edges {
+            for count in &mut offsets[slab_of(lo) + 1..=slab_of(hi)] {
+                *count += 1;
+            }
+        }
+        for slab in 0..slabs {
+            offsets[slab + 1] += offsets[slab];
+        }
+        let mut xs = vec![0i32; offsets[slabs] as usize];
+        let mut cursor = offsets[..slabs].to_vec();
+        for &(x, lo, hi) in &edges {
+            for next in &mut cursor[slab_of(lo)..slab_of(hi)] {
+                xs[*next as usize] = x;
+                *next += 1;
+            }
+        }
+        for slab in offsets.windows(2) {
+            let slab_xs = &mut xs[slab[0] as usize..slab[1] as usize];
             debug_assert!(
                 slab_xs.len().is_multiple_of(2),
                 "closed chain must cross each row an even number of times"
             );
-            xs.extend_from_slice(&slab_xs);
-            offsets.push(xs.len() as u32);
+            slab_xs.sort_unstable();
         }
         EdgeTable {
             slab_ys,
@@ -433,6 +500,7 @@ mod tests {
     use super::*;
     use crate::polygon::RectilinearPolygon;
     use crate::rect::Rect;
+    use proptest::prelude::*;
 
     fn l_shape() -> RectilinearPolygon {
         RectilinearPolygon::new(vec![
@@ -467,6 +535,142 @@ mod tests {
 
     fn table(poly: &RectilinearPolygon) -> EdgeTable {
         EdgeTable::from_vertices(poly.vertices())
+    }
+
+    /// The builder [`EdgeTable::from_vertices`] replaced, kept as the
+    /// differential reference: scan every edge once per slab and
+    /// comparison-sort the endpoints and every slab.
+    fn from_vertices_reference(vertices: &[Point]) -> EdgeTable {
+        let n = vertices.len();
+        let mut edges: Vec<(i32, i32, i32)> = Vec::new();
+        for i in 0..n {
+            let a = vertices[i];
+            let b = vertices[(i + 1) % n];
+            if a.x == b.x && a.y != b.y {
+                edges.push((a.x, a.y.min(b.y), a.y.max(b.y)));
+            }
+        }
+        let mut slab_ys: Vec<i32> = edges.iter().flat_map(|&(_, lo, hi)| [lo, hi]).collect();
+        slab_ys.sort_unstable();
+        slab_ys.dedup();
+        let mut offsets = vec![0u32];
+        let mut xs: Vec<i32> = Vec::new();
+        for &row in &slab_ys[..slab_ys.len().saturating_sub(1)] {
+            let mut slab_xs: Vec<i32> = edges
+                .iter()
+                .filter(|&&(_, lo, hi)| lo <= row && row < hi)
+                .map(|&(x, _, _)| x)
+                .collect();
+            slab_xs.sort_unstable();
+            xs.extend_from_slice(&slab_xs);
+            offsets.push(xs.len() as u32);
+        }
+        EdgeTable {
+            slab_ys,
+            offsets,
+            xs,
+        }
+    }
+
+    /// A skyline: a flat base along `y = oy` with one column per
+    /// `(width, height)` above it, so rows cross many edges and equal
+    /// heights leave coincident endpoints behind.
+    fn skyline(ox: i32, oy: i32, columns: &[(i32, i32)]) -> RectilinearPolygon {
+        let mut vertices = vec![Point::new(ox, oy)];
+        let mut x = ox;
+        for &(w, h) in columns {
+            vertices.push(Point::new(x, oy + h));
+            x += w;
+            vertices.push(Point::new(x, oy + h));
+        }
+        vertices.push(Point::new(x, oy));
+        RectilinearPolygon::canonicalize(vertices).expect("skyline is valid")
+    }
+
+    /// Skylines whose heights reach `max_height`, anchored at `(ox, oy)`.
+    fn skylines(
+        origin: impl Strategy<Value = (i32, i32)>,
+        max_height: i32,
+    ) -> impl Strategy<Value = RectilinearPolygon> {
+        (
+            origin,
+            prop::collection::vec((1i32..5, 1i32..=max_height), 2usize..40),
+        )
+            .prop_map(|((ox, oy), columns)| skyline(ox, oy, &columns))
+    }
+
+    const TALL: i32 = 3 * BITMAP_ROWS as i32;
+
+    proptest! {
+        #[test]
+        fn counting_build_equals_reference_within_the_bitmap(
+            poly in skylines((-40i32..40, -40i32..40), 70),
+        ) {
+            prop_assert!(poly.mbr().height() < BITMAP_ROWS as i64);
+            prop_assert_eq!(table(&poly), from_vertices_reference(poly.vertices()));
+        }
+
+        #[test]
+        fn counting_build_equals_reference_past_the_bitmap(
+            poly in skylines((-40i32..40, -2 * TALL..40), TALL),
+        ) {
+            prop_assert_eq!(table(&poly), from_vertices_reference(poly.vertices()));
+        }
+
+        #[test]
+        fn counting_build_equals_reference_at_the_coordinate_limits(
+            low in skylines((i32::MIN..i32::MIN + 9, i32::MIN..i32::MIN + 9), TALL),
+            high in skylines(
+                (i32::MAX - 200..i32::MAX - 190, i32::MAX - TALL - 9..i32::MAX - TALL),
+                TALL,
+            ),
+            short in skylines((i32::MAX - 200..i32::MAX - 190, i32::MAX - 80..i32::MAX - 70), 70),
+        ) {
+            for poly in [low, high, short] {
+                prop_assert_eq!(table(&poly), from_vertices_reference(poly.vertices()));
+            }
+        }
+    }
+
+    #[test]
+    fn counting_build_spans_the_whole_coordinate_range() {
+        // y-extent 2^32 - 1: `hi - lo` overflows i32, the wrapping
+        // difference does not.
+        let poly = RectilinearPolygon::new(vec![
+            Point::new(-3, i32::MIN),
+            Point::new(5, i32::MIN),
+            Point::new(5, 7),
+            Point::new(2, 7),
+            Point::new(2, i32::MAX),
+            Point::new(-3, i32::MAX),
+        ])
+        .unwrap();
+        let built = table(&poly);
+        assert_eq!(built, from_vertices_reference(poly.vertices()));
+        assert_eq!(built.row_crossings(i32::MIN), &[-3, 5]);
+        assert_eq!(built.row_crossings(i32::MAX - 1), &[-3, 2]);
+    }
+
+    #[test]
+    fn counting_build_keeps_coincident_vertical_edges() {
+        // The chain runs up x = 4 over rows [0, 5) and again over rows
+        // [1, 3): those rows cross x = 4 twice, and both crossings stay.
+        let vertices = [
+            Point::new(0, 0),
+            Point::new(4, 0),
+            Point::new(4, 5),
+            Point::new(9, 5),
+            Point::new(9, 1),
+            Point::new(4, 1),
+            Point::new(4, 3),
+            Point::new(7, 3),
+            Point::new(7, 8),
+            Point::new(0, 8),
+        ];
+        let built = EdgeTable::from_vertices(&vertices);
+        assert_eq!(built, from_vertices_reference(&vertices));
+        assert_eq!(built.row_crossings(1), &[0, 4, 4, 9]);
+        assert_eq!(EdgeTable::from_vertices(&[]), from_vertices_reference(&[]));
     }
 
     #[test]

@@ -73,8 +73,14 @@ pub fn parse_record(line: &str, line_no: usize) -> Result<PolygonRecord> {
     let count = tokens.next_u64().ok_or_else(|| GeometryError::Parse {
         line: line_no,
         message: "missing vertex count".into(),
-    })? as usize;
-    let mut vertices = Vec::with_capacity(count);
+    })?;
+    // The count is the line's own claim, never a size to reserve: a vertex
+    // takes at least four bytes (" x y"), so what is left of the line bounds
+    // how many can follow, and a count past that fails below on the first
+    // coordinate the line does not have.
+    let can_hold = tokens.rest.len() / 4;
+    let mut vertices =
+        Vec::with_capacity(can_hold.min(usize::try_from(count).unwrap_or(usize::MAX)));
     for i in 0..count {
         let x = tokens.next_i32().ok_or_else(|| GeometryError::Parse {
             line: line_no,
@@ -243,6 +249,20 @@ mod tests {
         // Diagonal edge.
         let err = parse_polygon_file("1 4 0 0 2 1 2 2 0 2\n").unwrap_err();
         assert!(matches!(err, GeometryError::Parse { line: 1, .. }));
+    }
+
+    #[test]
+    fn declared_vertex_counts_are_never_allocated() {
+        // A count the line cannot hold is a typed error on the first missing
+        // coordinate, not a capacity-overflow panic or a 24 GB reservation.
+        for line in ["7 18446744073709551615 0 0", "7 3000000000 0 0 1 0"] {
+            match parse_polygon_file(line) {
+                Err(GeometryError::Parse { line: 1, message }) => {
+                    assert!(message.contains("missing x coordinate"), "{message}")
+                }
+                other => panic!("{line:?}: unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]

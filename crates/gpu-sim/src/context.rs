@@ -114,18 +114,22 @@ impl BlockContext {
     /// accesses mapping to the same bank but *different* word addresses are
     /// serialized (identical addresses broadcast for free).
     pub fn shared_access(&mut self, word_addresses: &[u32]) {
+        self.shared_access_many(word_addresses, 1);
+    }
+
+    /// Issues `count` repetitions of one shared-memory access pattern.
+    /// Equivalent to calling [`BlockContext::shared_access`] `count` times
+    /// with the same addresses, with the conflict analysis done once —
+    /// kernels use it for a push repeated once per partition round.
+    pub fn shared_access_many(&mut self, word_addresses: &[u32], count: u64) {
+        if count == 0 {
+            return;
+        }
         for warp in word_addresses.chunks(self.warp_size as usize) {
-            let mut per_bank: Vec<Vec<u32>> = vec![Vec::new(); self.banks as usize];
-            for &addr in warp {
-                let bank = (addr % self.banks) as usize;
-                if !per_bank[bank].contains(&addr) {
-                    per_bank[bank].push(addr);
-                }
-            }
-            let degree = per_bank.iter().map(Vec::len).max().unwrap_or(0).max(1) as u64;
-            self.shared_accesses += warp.len() as u64;
-            self.bank_conflicts += degree - 1;
-            self.memory_stall_cycles += self.shared_latency * degree;
+            let degree = conflict_degree(warp, self.banks);
+            self.shared_accesses += warp.len() as u64 * count;
+            self.bank_conflicts += (degree - 1) * count;
+            self.memory_stall_cycles += self.shared_latency * degree * count;
         }
     }
 
@@ -218,6 +222,33 @@ impl BlockContext {
     pub fn block_cycles(&self) -> u64 {
         self.compute_cycles + self.memory_stall_cycles
     }
+}
+
+/// The serialization degree of one warp's shared-memory access: the largest
+/// number of distinct word addresses that fall in one bank (at least 1).
+///
+/// Lanes are keyed by `(bank, address)` and sorted, so each bank's distinct
+/// addresses form one run. Warps of up to `STACK_LANES` lanes — every real
+/// device — are analysed in a stack buffer without allocating.
+fn conflict_degree(warp: &[u32], banks: u32) -> u64 {
+    const STACK_LANES: usize = 64;
+    let mut stack = [0u64; STACK_LANES];
+    let mut heap = Vec::new();
+    let keys = match stack.get_mut(..warp.len()) {
+        Some(keys) => keys,
+        None => {
+            heap.resize(warp.len(), 0);
+            &mut heap[..]
+        }
+    };
+    for (key, &addr) in keys.iter_mut().zip(warp) {
+        *key = u64::from(addr % banks) << 32 | u64::from(addr);
+    }
+    keys.sort_unstable();
+    keys.chunk_by(|a, b| a >> 32 == b >> 32)
+        .map(|bank| 1 + bank.windows(2).filter(|pair| pair[0] != pair[1]).count() as u64)
+        .max()
+        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -321,6 +352,53 @@ mod tests {
         let mut none = ctx(64);
         none.global_access_many(8, true, 0);
         assert_eq!(none.global_transactions, 0);
+    }
+
+    #[test]
+    fn aggregated_shared_access_matches_repeated_calls() {
+        // Conflict-free, an 8-way strided conflict, a broadcast, duplicates
+        // inside a conflicting bank, a ragged last warp, and a warp wider
+        // than the stack buffer.
+        let patterns: Vec<(u32, Vec<u32>)> = vec![
+            (32, (0..64).collect()),
+            (32, (0..64).map(|tid| tid * 8).collect()),
+            (32, vec![7; 64]),
+            (32, vec![0, 32, 32, 64, 1, 33, 5, 5]),
+            (32, (0..45).map(|tid| tid * 3 + 1).collect()),
+            (96, (0..96).map(|tid| tid % 7 * 32 + tid % 3).collect()),
+        ];
+        for (warp_size, addresses) in patterns {
+            let fresh = || BlockContext::new(0, addresses.len() as u32, warp_size, 32, 2, 400);
+            let mut repeated = fresh();
+            for _ in 0..7 {
+                repeated.shared_access(&addresses);
+            }
+            let mut aggregated = fresh();
+            aggregated.shared_access_many(&addresses, 7);
+            assert_eq!(repeated.shared_accesses, aggregated.shared_accesses);
+            assert_eq!(repeated.bank_conflicts, aggregated.bank_conflicts);
+            assert_eq!(repeated.memory_stall_cycles, aggregated.memory_stall_cycles);
+            // And the conflict analysis is the per-bank distinct-address
+            // count it replaced.
+            let by_definition: u64 = addresses
+                .chunks(warp_size as usize)
+                .map(|warp| {
+                    let distinct_in = |bank: u32| {
+                        let mut hits: Vec<u32> =
+                            warp.iter().copied().filter(|a| a % 32 == bank).collect();
+                        hits.sort_unstable();
+                        hits.dedup();
+                        hits.len() as u64
+                    };
+                    (0..32).map(distinct_in).max().unwrap().max(1) - 1
+                })
+                .sum();
+            assert_eq!(by_definition * 7, repeated.bank_conflicts);
+        }
+        let mut none = ctx(64);
+        none.shared_access_many(&[0, 1, 2], 0);
+        assert_eq!(none.shared_accesses, 0);
+        assert_eq!(none.memory_stall_cycles, 0);
     }
 
     #[test]

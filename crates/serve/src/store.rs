@@ -352,20 +352,26 @@ impl SlideStore {
 
         let file_id = spill.next_file.fetch_add(1, Ordering::Relaxed);
         let path = spill.dir.join(format!("slide-{file_id:06}.sccgt"));
-        let mut writer = SlideFileWriter::create_with_faults(&path, spill.faults.clone())?;
+        let writer = SlideFileWriter::create_with_faults(&path, spill.faults.clone())?;
         // The streaming seam: a bounded channel keeps at most a couple of
         // parsed tiles in flight between this thread and the writer task.
         let (tile_tx, tile_rx) = channel::<Vec<PolygonRecord>>(2);
         let (done_tx, done_rx) = crossbeam::channel::bounded(1);
         spill.executor.spawn(async move {
-            let result = loop {
-                match tile_rx.recv().await {
-                    Some(records) => {
-                        if let Err(error) = writer.append_tile(&records) {
-                            break Err(error);
+            // The writer lives in this block only: a failed write drops it,
+            // and with it the partial file, *before* the result is sent, so
+            // the caller never returns an error while the partial exists.
+            let result = {
+                let mut writer = writer;
+                loop {
+                    match tile_rx.recv().await {
+                        Some(records) => {
+                            if let Err(error) = writer.append_tile(&records) {
+                                break Err(error);
+                            }
                         }
+                        None => break writer.finish(),
                     }
-                    None => break writer.finish(),
                 }
             };
             let _ = done_tx.send(result);
@@ -640,6 +646,15 @@ mod tests {
     use super::*;
     use sccg_geometry::text::write_polygon_file;
 
+    /// Tile texts registration must refuse with a typed error: not a record
+    /// at all, and records declaring vertex counts (2^64 - 1, 3e9) that
+    /// must never be allocated.
+    const MALFORMED_TILES: [&str; 3] = [
+        "not a polygon",
+        "7 18446744073709551615 0 0",
+        "7 3000000000 0 0 1 0",
+    ];
+
     fn record() -> PolygonRecord {
         parse_polygon_file("0 4 0 0 10 0 10 10 0 10")
             .unwrap()
@@ -710,12 +725,14 @@ mod tests {
             .register_slide_text("parsed", std::slice::from_ref(&good))
             .unwrap();
         assert_eq!(store.tile_count(id).unwrap(), 1);
-        let err = store
-            .register_slide_text("broken", &[good, "not a polygon".to_string()])
-            .unwrap_err();
-        assert!(matches!(err, SccgError::Parse { .. }), "{err:?}");
-        // The failed registration left no partial slide behind.
-        assert_eq!(store.len(), 1);
+        for bad in MALFORMED_TILES {
+            let err = store
+                .register_slide_text("broken", &[good.clone(), bad.to_string()])
+                .unwrap_err();
+            assert!(matches!(err, SccgError::Parse { .. }), "{bad:?}: {err:?}");
+            // The failed registration left no partial slide behind.
+            assert_eq!(store.len(), 1);
+        }
     }
 
     #[test]
@@ -773,17 +790,19 @@ mod tests {
     fn failed_streaming_registration_leaves_nothing_behind() {
         let dir = spill_dir("abort");
         let store = SlideStore::with_spill(&dir, 4).unwrap();
-        let err = store
-            .register_slide_streaming(
-                "broken",
-                vec![write_polygon_file(&[record()]), "not a polygon".to_string()],
-            )
-            .unwrap_err();
-        assert!(matches!(err, SccgError::Parse { .. }), "{err:?}");
-        assert_eq!(store.len(), 0);
-        // The partial slide file was deleted.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
+        for bad in MALFORMED_TILES {
+            let err = store
+                .register_slide_streaming(
+                    "broken",
+                    vec![write_polygon_file(&[record()]), bad.to_string()],
+                )
+                .unwrap_err();
+            assert!(matches!(err, SccgError::Parse { .. }), "{bad:?}: {err:?}");
+            assert_eq!(store.len(), 0);
+            // The partial slide file was deleted.
+            let leftovers: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+            assert!(leftovers.is_empty(), "{bad:?}: {leftovers:?}");
+        }
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }

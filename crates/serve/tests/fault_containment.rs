@@ -238,47 +238,55 @@ fn tile_texts(count: u64) -> Vec<String> {
         .collect()
 }
 
-/// The PR's crash-safety acceptance test: an injected write failure at
-/// *every* successive write operation of a streaming registration leaves no
-/// registry entry, no final slide file, and no partial temp file behind.
+/// The crash-safety acceptance test: an injected write failure at *every*
+/// successive write operation of a streaming registration leaves no registry
+/// entry, no final slide file, and no partial temp file behind. The error
+/// crosses from the writer task to the caller, so each failing operation is
+/// tried many times: a clean-up that merely races the return passes most
+/// single attempts.
 #[test]
 fn write_failure_at_any_op_leaves_no_registry_entry_and_no_file() {
+    const ATTEMPTS_PER_OP: usize = 40;
     let dir = fault_dir("crash-safety");
     let texts = tile_texts(3);
-    let mut op = 0u64;
-    loop {
-        assert!(op < 64, "write-op space should have been exhausted by now");
-        let injector = Arc::new(FaultInjector::new(FaultPlan::new(0).fail_write_op(op)));
-        let store = SlideStore::with_spill_and_faults(&dir, 2, Some(injector)).unwrap();
-        match store.register_slide_streaming("victim", texts.clone()) {
-            Err(err) => {
-                assert!(matches!(err, SccgError::Storage { .. }), "op {op}: {err:?}");
-                assert_eq!(store.len(), 0, "op {op}: no registry entry");
-                let leftovers: Vec<_> = std::fs::read_dir(&dir)
-                    .unwrap()
-                    .map(|e| e.unwrap().path())
-                    .collect();
-                assert!(
-                    leftovers.is_empty(),
-                    "op {op}: neither a final nor a partial file may survive: {leftovers:?}"
-                );
-                op += 1;
-            }
-            Ok(id) => {
-                // `op` is past the registration's last write: it succeeded,
-                // the file is complete, and every tile reads back.
-                assert!(op >= texts.len() as u64, "op {op} cannot succeed early");
-                let info = store.slide(id).unwrap();
-                assert!(info.on_disk);
-                assert_eq!(info.tiles, texts.len());
-                for (index, text) in texts.iter().enumerate() {
-                    let fetched = store.tile(TileId { slide: id, index }).unwrap();
-                    assert_eq!(&write_polygon_file(&fetched), text);
+    let mut completed = false;
+    'ops: for op in 0..64u64 {
+        for attempt in 0..ATTEMPTS_PER_OP {
+            let injector = Arc::new(FaultInjector::new(FaultPlan::new(0).fail_write_op(op)));
+            let store = SlideStore::with_spill_and_faults(&dir, 2, Some(injector)).unwrap();
+            match store.register_slide_streaming("victim", texts.clone()) {
+                Err(err) => {
+                    assert!(matches!(err, SccgError::Storage { .. }), "op {op}: {err:?}");
+                    assert_eq!(store.len(), 0, "op {op}: no registry entry");
+                    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+                        .unwrap()
+                        .map(|e| e.unwrap().path())
+                        .collect();
+                    assert!(
+                        leftovers.is_empty(),
+                        "op {op}, attempt {attempt}: neither a final nor a partial file may \
+                         survive: {leftovers:?}"
+                    );
                 }
-                break;
+                Ok(id) => {
+                    // `op` is past the registration's last write: it succeeded,
+                    // the file is complete, and every tile reads back.
+                    assert_eq!(attempt, 0, "op {op} failed before and must fail again");
+                    assert!(op >= texts.len() as u64, "op {op} cannot succeed early");
+                    let info = store.slide(id).unwrap();
+                    assert!(info.on_disk);
+                    assert_eq!(info.tiles, texts.len());
+                    for (index, text) in texts.iter().enumerate() {
+                        let fetched = store.tile(TileId { slide: id, index }).unwrap();
+                        assert_eq!(&write_polygon_file(&fetched), text);
+                    }
+                    completed = true;
+                    break 'ops;
+                }
             }
         }
     }
+    assert!(completed, "write-op space should have been exhausted by 64");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
