@@ -1,134 +1,80 @@
-//! Regenerates every table and figure of the paper's evaluation section,
-//! plus demos of the serving layer (`serve`), the out-of-core slide storage
-//! (`store`), the locality-aware shard scheduler (`locality`), the
-//! fault-injection chaos smoke (`chaos`), the bounded-memory streaming
-//! executor (`stream`), and the JSON perf baseline (`bench`, which writes
-//! `BENCH_pixelbox.json`).
+//! Regenerates every table and figure of the paper's evaluation section (§5):
+//! Figures 2 and 7–12 and Table 1.
 //!
 //! ```text
 //! cargo run -p sccg-bench --release --bin reproduce -- all
 //! cargo run -p sccg-bench --release --bin reproduce -- fig8 fig10 table1
-//! cargo run -p sccg-bench --release --bin reproduce -- serve store stream bench
 //! ```
 //!
-//! Each experiment prints the same rows/series the paper reports. Absolute
-//! numbers differ from the paper (the GPU is simulated and the data sets are
-//! synthetic); the *shapes* — who wins, by roughly what factor, where the
-//! crossovers fall — are the reproduction target (see EXPERIMENTS.md).
+//! With no arguments every experiment runs; an unknown name prints the valid
+//! ones and exits with code 2. Each experiment prints the same rows/series
+//! the paper reports. Absolute numbers differ from the paper (the GPU is
+//! simulated and the data sets are synthetic); the *shapes* — who wins, by
+//! roughly what factor, where the crossovers fall — are the reproduction
+//! target, asserted by `tests/experiment_shapes.rs`.
 
 use sccg::pipeline::model::{HybridSplitMode, PipelineModel, PlatformConfig, Scheme};
-use sccg::pipeline::{ParseTask, Pipeline, PipelineConfig, PipelineReport};
 use sccg::pixelbox::{
-    AggregationDevice, ComputeBackend, CpuBackend, GpuBackend, HybridBackend, OptimizationFlags,
-    PixelBoxConfig, Variant,
+    ComputeBackend, CpuBackend, GpuBackend, HybridBackend, OptimizationFlags, PixelBoxConfig,
+    Variant,
 };
-use sccg::EngineConfig;
 use sccg_bench::{dataset_tile_stats, representative_pairs, study_datasets, system_dataset};
 use sccg_clip::pair_areas;
 use sccg_datagen::generate_tile_pair;
 use sccg_gpu_sim::{Device, DeviceConfig};
 use sccg_sdbms::{execute_cross_comparison, PolygonTable, QueryPlan};
-use sccg_serve::{
-    json, ComparisonService, PlacementPolicy, QueryPriority, QueryRequest, QueryResponse,
-    ServiceConfig, SlideStore,
-};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Every experiment, by command-line name, in the order `all` runs them.
+const EXPERIMENTS: [(&str, fn()); 8] = [
+    ("fig2", figure2),
+    ("fig7", figure7),
+    ("fig8", figure8),
+    ("fig9", figure9),
+    ("fig10", figure10),
+    ("table1", table1),
+    ("fig11", figure11),
+    ("fig12", figure12),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let all = args.is_empty() || args.iter().any(|a| a == "all");
-    let want = |name: &str| all || args.iter().any(|a| a == name);
+    let selected = match select(&args) {
+        Ok(selected) => selected,
+        Err(unknown) => {
+            let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+            eprintln!(
+                "reproduce: unknown experiment `{unknown}`; valid names: {} all",
+                names.join(" ")
+            );
+            std::process::exit(2);
+        }
+    };
 
     println!("SCCG reproduction — regenerating paper tables and figures");
     println!("==========================================================");
-
-    if want("fig2") {
-        figure2();
-    }
-    if want("fig7") {
-        figure7();
-    }
-    if want("fig8") {
-        figure8();
-    }
-    if want("fig9") {
-        figure9();
-    }
-    if want("fig10") {
-        figure10();
-    }
-    if want("table1") {
-        table1();
-    }
-    if want("fig11") {
-        figure11();
-    }
-    if want("fig12") {
-        figure12();
-    }
-    if want("serve") {
-        serve();
-    }
-    if want("store") {
-        store_smoke();
-    }
-    if want("locality") {
-        locality();
-    }
-    if want("chaos") {
-        chaos();
-    }
-    if want("stream") {
-        stream();
-    }
-    if want("bench") {
-        bench_baseline();
-    }
-    // Deliberately not part of `all`: the gate reads what `bench` appended,
-    // so CI runs it as a separate step right after the bench step.
-    if args.iter().any(|a| a == "trajectory-gate") {
-        trajectory_gate();
+    for (name, run) in EXPERIMENTS {
+        if selected.contains(&name) {
+            run();
+        }
     }
 }
 
-/// Checks the latest `BENCH_trajectory.json` entry against the best recorded
-/// rates (see [`sccg_bench::trajectory::check_gate`]) and exits non-zero on a
-/// regression.
-fn trajectory_gate() {
-    use sccg_bench::trajectory::{check_gate, read_trajectory, TRAJECTORY_PATH};
-
-    println!("\n[Gate] perf trajectory ({TRAJECTORY_PATH})");
-    let entries = match read_trajectory(std::path::Path::new(TRAJECTORY_PATH)) {
-        Ok(entries) => entries,
-        Err(err) => {
-            eprintln!("  FAIL: {err}");
-            std::process::exit(1);
-        }
-    };
-    match check_gate(&entries) {
-        Ok(lines) => {
-            let latest = entries
-                .iter()
-                .rev()
-                .find(|e| !e.substrates.is_empty())
-                .expect("gate passed on a trajectory with bench entries");
-            println!(
-                "  latest entry \"{}\" vs {} recorded entr{}:",
-                latest.label,
-                entries.len(),
-                if entries.len() == 1 { "y" } else { "ies" }
-            );
-            for line in lines {
-                println!("  {line}");
-            }
-            println!("  gate passed");
-        }
-        Err(err) => {
-            eprintln!("  FAIL: {err}");
-            std::process::exit(1);
-        }
+/// The experiment names `args` selects, in run order: every experiment when
+/// `args` is empty or contains `all`, otherwise the named ones. The first
+/// argument that is neither an experiment name nor `all` is the error.
+fn select(args: &[String]) -> Result<Vec<&'static str>, String> {
+    let known = |arg: &str| arg == "all" || EXPERIMENTS.iter().any(|(name, _)| *name == arg);
+    if let Some(unknown) = args.iter().find(|arg| !known(arg)) {
+        return Err(unknown.clone());
     }
+    let all = args.is_empty() || args.iter().any(|arg| arg == "all");
+    Ok(EXPERIMENTS
+        .iter()
+        .map(|(name, _)| *name)
+        .filter(|name| all || args.iter().any(|arg| arg == name))
+        .collect())
 }
 
 fn gpu_backend() -> GpuBackend {
@@ -368,1114 +314,6 @@ fn table1() {
     );
 }
 
-/// Serving-layer demo: a `SlideStore` + `ComparisonService` answering
-/// concurrent mixed-device whole-slide queries, with response caching,
-/// admission control and pooled hybrid split telemetry exported as JSON —
-/// then the same service fronted by the wire protocol: a loopback
-/// `WireServer` driven by the load generator (≥4 concurrent clients),
-/// streamed responses checked bit-identical to the in-process fold, and the
-/// measured qps/p50/p99 appended to `BENCH_trajectory.json`.
-fn serve() {
-    println!("\n[Serve] SlideStore + ComparisonService (sharded engine pool)");
-    let dataset = sccg_datagen::generate_dataset(&sccg_datagen::DatasetSpec {
-        name: "serve-demo".into(),
-        tiles: 12,
-        polygons_per_tile: 80,
-        tile_size: 512,
-        seed: 12,
-        nucleus_radius: 6,
-    });
-    let store = SlideStore::new();
-    let first = store.register_slide(
-        "serve-demo-algo-a",
-        dataset.tiles.iter().map(|t| t.first.clone()).collect(),
-    );
-    let second = store.register_slide(
-        "serve-demo-algo-b",
-        dataset.tiles.iter().map(|t| t.second.clone()).collect(),
-    );
-
-    let bound = 2;
-    let service = Arc::new(
-        ComparisonService::new(
-            store,
-            ServiceConfig::default()
-                .with_engines(vec![
-                    EngineConfig::default(),
-                    EngineConfig::default().with_device(AggregationDevice::Cpu),
-                    EngineConfig::default().with_device(AggregationDevice::Hybrid),
-                    EngineConfig::default().with_device(AggregationDevice::Hybrid),
-                ])
-                .with_max_in_flight(bound),
-        )
-        .expect("service starts"),
-    );
-    println!(
-        "  engine pool {:?}, admission bound {bound}, {} tiles per slide",
-        service.engine_devices(),
-        dataset.tiles.len()
-    );
-
-    // Concurrent mixed-device queries: unrestricted, CPU-pinned,
-    // hybrid-pinned, and a high-priority tile subset.
-    let started = Instant::now();
-    let responses: Vec<QueryResponse> = std::thread::scope(|scope| {
-        let requests = vec![
-            ("any-device ", QueryRequest::new(first, second)),
-            (
-                "cpu-pinned ",
-                QueryRequest::new(first, second).on_device(AggregationDevice::Cpu),
-            ),
-            (
-                "hybrid     ",
-                QueryRequest::new(first, second).on_device(AggregationDevice::Hybrid),
-            ),
-            (
-                "subset/high",
-                QueryRequest::new(first, second)
-                    .tiles(vec![0, 1, 2, 3])
-                    .priority(QueryPriority::High),
-            ),
-        ];
-        let handles: Vec<_> = requests
-            .into_iter()
-            .map(|(label, request)| {
-                let service = &service;
-                scope.spawn(move || (label, service.submit(request).unwrap().wait().unwrap()))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| {
-                let (label, response) = handle.join().expect("query thread");
-                println!(
-                    "  {label}  J' {:.6}  {:>2} shards  backends {:?}",
-                    response.similarity(),
-                    response.shards,
-                    response.backends_used()
-                );
-                response
-            })
-            .collect()
-    });
-    println!(
-        "  {} concurrent queries in {:.3} s",
-        responses.len(),
-        started.elapsed().as_secs_f64()
-    );
-    assert_eq!(
-        responses[0].summary, responses[1].summary,
-        "sharding and device choice never change the answer"
-    );
-
-    // Resubmission: served from the cache, no backend work.
-    let batches_before = service.stats().backend_batches;
-    let repeat = service
-        .submit(QueryRequest::new(first, second))
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert!(repeat.cache_hit && service.stats().backend_batches == batches_before);
-    println!("  resubmission: cache hit (backend batches still {batches_before})");
-
-    let stats = service.stats();
-    println!("  stats: {}", json::stats_to_json(&stats));
-    println!("  response: {}", json::response_to_json(&repeat));
-    if let Some(trace) = service.split_trace() {
-        println!(
-            "  pooled split trace ({} hybrid batches): {}",
-            trace.len(),
-            json::split_trace_to_json(&trace)
-        );
-    }
-
-    // The same service fronted by the framed wire protocol over loopback:
-    // the load generator drives concurrent streaming clients, and every
-    // decoded response must be bit-identical to the in-process fold above
-    // (floats travel as IEEE-754 bit patterns, so this is exact equality).
-    use sccg_net::{LoadGenConfig, NetConfig, WireRequestSpec, WireResponse, WireServer};
-    println!("\n[Serve] Wire front-end: loopback WireServer + load generator");
-    let server = WireServer::start(Arc::clone(&service), "127.0.0.1:0", NetConfig::default())
-        .expect("wire server starts");
-    let clients = 4usize;
-    let queries_per_client = 6usize;
-    let load = LoadGenConfig::new(vec![WireRequestSpec::new(first, second)])
-        .with_clients(clients)
-        .with_queries_per_client(queries_per_client);
-    let report = sccg_net::run_loadgen(server.local_addr(), &load).expect("load run completes");
-
-    let baseline = {
-        let mut wire = WireResponse::of_response(&repeat);
-        wire.cache_hit = false;
-        wire
-    };
-    for outcome in &report.outcomes {
-        let mut over_wire = outcome.outcome.response.clone();
-        over_wire.cache_hit = false;
-        assert_eq!(
-            over_wire, baseline,
-            "streamed wire response must be bit-identical to the in-process response"
-        );
-    }
-    println!(
-        "  {} clients x {} streaming queries over {}: all {} responses bit-identical \
-         ({} tile frames streamed)",
-        clients,
-        queries_per_client,
-        server.local_addr(),
-        report.queries,
-        report.tile_frames
-    );
-    println!(
-        "  {{\"wire_loadgen\": {{\"clients\": {clients}, \"queries\": {}, \"qps\": {:.1}, \
-         \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"mean_ms\": {:.3}, \"max_ms\": {:.3}}}}}",
-        report.queries, report.qps, report.p50_ms, report.p99_ms, report.mean_ms, report.max_ms
-    );
-
-    // Track the serving-layer numbers alongside the bench trajectory; the
-    // perf gate knows to skip serve-only entries when judging substrates.
-    use sccg_bench::trajectory::{append_entry, ServeMetrics, TrajectoryEntry, TRAJECTORY_PATH};
-    let unix_seconds = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let entries = append_entry(
-        std::path::Path::new(TRAJECTORY_PATH),
-        TrajectoryEntry {
-            label: "serve".to_string(),
-            unix_seconds,
-            substrates: Vec::new(),
-            pixelize_dense_speedup: 0.0,
-            serve: Some(ServeMetrics {
-                clients: clients as u64,
-                queries: report.queries as u64,
-                qps: report.qps,
-                p50_ms: report.p50_ms,
-                p99_ms: report.p99_ms,
-            }),
-            store: None,
-            locality: None,
-            chaos: None,
-        },
-    )
-    .expect("append serve metrics to BENCH_trajectory.json");
-    println!(
-        "  appended serve metrics to {TRAJECTORY_PATH} ({} entries)",
-        entries.len()
-    );
-}
-
-/// `store`: out-of-core storage smoke. Streams a dataset larger than the
-/// pager's residency bound onto disk through `SlideStore::with_spill`, runs
-/// a whole-slide query against it and against an in-memory twin of the same
-/// tiles, and asserts the answers are bit-identical while peak residency
-/// stayed within the bound — the paper's bounded-buffer discipline (§4.1)
-/// applied to storage. Then measures cold-read (every fetch decodes its
-/// block from disk) and warm-read (working set within the bound) tile rates
-/// against a standalone pager and appends them to `BENCH_trajectory.json`;
-/// the perf gate skips store-only entries just as it skips serve-only ones.
-fn store_smoke() {
-    use sccg_bench::trajectory::{append_entry, StoreMetrics, TrajectoryEntry, TRAJECTORY_PATH};
-    use sccg_geometry::text::write_polygon_file;
-    use sccg_store::{SlideFileWriter, TileStorage};
-
-    println!("\n[Store] Out-of-core slide storage (columnar tile format + demand pager)");
-    const TILES: u32 = 24;
-    const RESIDENCY_BOUND: usize = 6;
-    let dataset = sccg_datagen::generate_dataset(&sccg_datagen::DatasetSpec {
-        name: "store-smoke".into(),
-        tiles: TILES,
-        polygons_per_tile: 64,
-        tile_size: 512,
-        seed: 77,
-        nucleus_radius: 6,
-    });
-    let first_texts: Vec<String> = dataset
-        .tiles
-        .iter()
-        .map(|t| write_polygon_file(&t.first))
-        .collect();
-    let second_texts: Vec<String> = dataset
-        .tiles
-        .iter()
-        .map(|t| write_polygon_file(&t.second))
-        .collect();
-
-    // The in-memory twin: the classic whole-slide-resident registration.
-    let memory_store = SlideStore::new();
-    let mem_first = memory_store
-        .register_slide_text("store-smoke-a", &first_texts)
-        .expect("register in-memory slide");
-    let mem_second = memory_store
-        .register_slide_text("store-smoke-b", &second_texts)
-        .expect("register in-memory slide");
-
-    // The out-of-core path: registration streams tile-by-tile onto disk
-    // (never holding the whole slide), queries fault tiles back in through a
-    // pager bounded well below the slide size.
-    let dir = std::env::temp_dir().join(format!("sccg-store-smoke-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let disk_store = SlideStore::with_spill(&dir, RESIDENCY_BOUND).expect("create spill dir");
-    let disk_first = disk_store
-        .register_slide_streaming("store-smoke-a", first_texts)
-        .expect("stream slide to disk");
-    let disk_second = disk_store
-        .register_slide_streaming("store-smoke-b", second_texts)
-        .expect("stream slide to disk");
-    let registered = disk_store.storage_stats();
-    println!(
-        "  {} tiles/slide streamed to disk ({} bytes across {} files), residency bound \
-         {RESIDENCY_BOUND} tiles/slide",
-        TILES, registered.bytes_on_disk, registered.disk_slides
-    );
-    assert!(
-        TILES as usize > RESIDENCY_BOUND,
-        "the smoke must page: dataset no larger than the residency bound"
-    );
-
-    let memory_service =
-        ComparisonService::new(memory_store, ServiceConfig::default()).expect("service starts");
-    let disk_service = ComparisonService::new(disk_store.clone(), ServiceConfig::default())
-        .expect("service starts");
-    let mem = memory_service
-        .submit(QueryRequest::new(mem_first, mem_second))
-        .unwrap()
-        .wait()
-        .expect("in-memory query");
-    let disk = disk_service
-        .submit(QueryRequest::new(disk_first, disk_second))
-        .unwrap()
-        .wait()
-        .expect("disk-backed query");
-    assert_eq!(
-        mem.summary, disk.summary,
-        "disk-backed whole-slide query must be bit-identical to the in-memory path"
-    );
-    assert_eq!(mem.tiles.len(), disk.tiles.len());
-    for (m, d) in mem.tiles.iter().zip(&disk.tiles) {
-        assert_eq!(m.tile, d.tile);
-        assert_eq!(m.summary, d.summary, "tile {} diverged", m.tile);
-        assert_eq!(m.candidate_pairs, d.candidate_pairs);
-    }
-    let storage = disk_service.store().storage_stats();
-    assert!(
-        storage.peak_resident_tiles <= 2 * RESIDENCY_BOUND,
-        "peak residency {} exceeded the bound {}",
-        storage.peak_resident_tiles,
-        2 * RESIDENCY_BOUND
-    );
-    println!(
-        "  whole-slide query: J' {:.6} — bit-identical to the in-memory path; peak resident \
-         {} tiles (bound {} across both slides), pager hit rate {:.3}",
-        disk.similarity(),
-        storage.peak_resident_tiles,
-        2 * RESIDENCY_BOUND,
-        storage.pager_hit_rate
-    );
-
-    // Cold vs warm read rates against a standalone pager over one slide:
-    // a full sequential scan misses every fetch (the scan is longer than the
-    // bound), then repeated passes over a bound-sized working set hit.
-    let rates_path = dir.join("rates.sccgt");
-    let mut writer = SlideFileWriter::create(&rates_path).expect("create rates slide");
-    for tile in &dataset.tiles {
-        writer.append_tile(&tile.first).expect("append tile");
-    }
-    let file = writer.finish().expect("finish rates slide");
-    let pager = TileStorage::new(file, RESIDENCY_BOUND);
-
-    let started = Instant::now();
-    for tile in 0..pager.tile_count() {
-        pager.fetch(tile).expect("cold fetch");
-    }
-    let cold_seconds = started.elapsed().as_secs_f64();
-    let cold_tiles_per_sec = pager.tile_count() as f64 / cold_seconds;
-
-    const WARM_PASSES: usize = 64;
-    let working_set = RESIDENCY_BOUND.min(pager.tile_count());
-    for tile in 0..working_set {
-        pager.fetch(tile).expect("prime fetch"); // fault the working set in
-    }
-    let started = Instant::now();
-    for _ in 0..WARM_PASSES {
-        for tile in 0..working_set {
-            pager.fetch(tile).expect("warm fetch");
-        }
-    }
-    let warm_seconds = started.elapsed().as_secs_f64();
-    let warm_tiles_per_sec = (WARM_PASSES * working_set) as f64 / warm_seconds;
-    let pager_stats = pager.stats();
-    assert!(pager_stats.peak_resident <= RESIDENCY_BOUND);
-    println!(
-        "  cold read {cold_tiles_per_sec:10.0} tiles/s   warm read {warm_tiles_per_sec:10.0} \
-         tiles/s   pager hit rate {:.3} ({} hits / {} misses)",
-        pager_stats.hit_rate, pager_stats.hits, pager_stats.misses
-    );
-
-    let unix_seconds = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let entries = append_entry(
-        std::path::Path::new(TRAJECTORY_PATH),
-        TrajectoryEntry {
-            label: "store".to_string(),
-            unix_seconds,
-            substrates: Vec::new(),
-            pixelize_dense_speedup: 0.0,
-            serve: None,
-            store: Some(StoreMetrics {
-                cold_tiles_per_sec,
-                warm_tiles_per_sec,
-                pager_hit_rate: pager_stats.hit_rate,
-            }),
-            locality: None,
-            chaos: None,
-        },
-    )
-    .expect("append store metrics to BENCH_trajectory.json");
-    println!(
-        "  appended store metrics to {TRAJECTORY_PATH} ({} entries)",
-        entries.len()
-    );
-
-    drop(disk_service);
-    drop(pager);
-    drop(disk_store);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `locality`: locality-aware scheduling smoke. Runs the identical
-/// disk-backed whole-slide workload under both placement policies — the
-/// historical round-robin dispatch and the residency-aware default — for
-/// several repeated query rounds, checks every paged response bit-identical
-/// to an in-memory twin (placement can reorder work but never change the
-/// answer), and asserts the residency-aware run faulted *fewer* tiles from
-/// disk: resident-first ordering turns the start of each round into pager
-/// hits, and the background prefetcher overlaps upcoming faults with
-/// compute. The miss gap and the scheduler counters are appended to
-/// `BENCH_trajectory.json` as a `locality` entry (empty substrates, so the
-/// perf gate skips it just as it skips serve- and store-only entries).
-fn locality() {
-    use sccg_bench::trajectory::{append_entry, LocalityMetrics, TrajectoryEntry, TRAJECTORY_PATH};
-    use sccg_geometry::text::write_polygon_file;
-
-    println!("\n[Locality] Residency-aware shard placement vs the round-robin baseline");
-    const TILES: u32 = 12;
-    const RESIDENCY_BOUND: usize = 4;
-    const ROUNDS: usize = 4;
-    let dataset = sccg_datagen::generate_dataset(&sccg_datagen::DatasetSpec {
-        name: "locality-smoke".into(),
-        tiles: TILES,
-        polygons_per_tile: 48,
-        tile_size: 512,
-        seed: 91,
-        nucleus_radius: 6,
-    });
-    let first_texts: Vec<String> = dataset
-        .tiles
-        .iter()
-        .map(|t| write_polygon_file(&t.first))
-        .collect();
-    let second_texts: Vec<String> = dataset
-        .tiles
-        .iter()
-        .map(|t| write_polygon_file(&t.second))
-        .collect();
-
-    // Both runs share this config: one CPU engine so dispatch order is the
-    // only degree of freedom, a second executor thread so the prefetcher can
-    // overlap with the worker, and no response cache so every round actually
-    // recomputes (and therefore re-pages) the slide pair.
-    let config = |policy: PlacementPolicy| {
-        ServiceConfig::default()
-            .with_engines(vec![
-                EngineConfig::default().with_device(AggregationDevice::Cpu)
-            ])
-            .with_executor_threads(2)
-            .with_cache_capacity(0)
-            .with_placement(policy)
-    };
-
-    // The in-memory twin: the answer every paged round must reproduce.
-    let memory_store = SlideStore::new();
-    let mem_first = memory_store
-        .register_slide_text("locality-a", &first_texts)
-        .expect("register in-memory slide");
-    let mem_second = memory_store
-        .register_slide_text("locality-b", &second_texts)
-        .expect("register in-memory slide");
-    let memory_service = ComparisonService::new(memory_store, config(PlacementPolicy::RoundRobin))
-        .expect("service starts");
-    let baseline = memory_service
-        .submit(QueryRequest::new(mem_first, mem_second))
-        .unwrap()
-        .wait()
-        .expect("in-memory query");
-
-    // One disk-backed run per policy: same tiles, same residency bound, same
-    // repeated whole-slide query — only the placement differs.
-    let run = |policy: PlacementPolicy| {
-        let dir =
-            std::env::temp_dir().join(format!("sccg-locality-{}-{:?}", std::process::id(), policy));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = SlideStore::with_spill(&dir, RESIDENCY_BOUND).expect("create spill dir");
-        let first = store
-            .register_slide_streaming("locality-a", first_texts.clone())
-            .expect("stream slide to disk");
-        let second = store
-            .register_slide_streaming("locality-b", second_texts.clone())
-            .expect("stream slide to disk");
-        let service = ComparisonService::new(store, config(policy)).expect("service starts");
-        let mut responses = Vec::new();
-        for _ in 0..ROUNDS {
-            responses.push(
-                service
-                    .submit(QueryRequest::new(first, second))
-                    .unwrap()
-                    .wait()
-                    .expect("disk-backed query"),
-            );
-        }
-        let stats = service.stats();
-        let storage = service.store().storage_stats();
-        drop(service);
-        let _ = std::fs::remove_dir_all(&dir);
-        (responses, stats, storage)
-    };
-    let (rr_responses, rr_stats, rr_storage) = run(PlacementPolicy::RoundRobin);
-    let (ra_responses, ra_stats, ra_storage) = run(PlacementPolicy::ResidencyAware);
-
-    for (label, responses) in [
-        ("round-robin", &rr_responses),
-        ("residency-aware", &ra_responses),
-    ] {
-        for (round, response) in responses.iter().enumerate() {
-            assert_eq!(
-                response.summary, baseline.summary,
-                "{label} round {round} diverged from the in-memory twin"
-            );
-            assert_eq!(response.tiles.len(), baseline.tiles.len());
-            for (paged, mem) in response.tiles.iter().zip(&baseline.tiles) {
-                assert_eq!(paged.tile, mem.tile);
-                assert_eq!(paged.summary, mem.summary, "tile {} diverged", mem.tile);
-                assert_eq!(paged.candidate_pairs, mem.candidate_pairs);
-            }
-        }
-    }
-    println!(
-        "  {ROUNDS} whole-slide rounds per policy, {TILES} tiles/slide, residency bound \
-         {RESIDENCY_BOUND}: all responses bit-identical to the in-memory twin"
-    );
-    println!(
-        "  round-robin      {:4} pager misses  ({} hits)",
-        rr_storage.pager_misses, rr_storage.pager_hits
-    );
-    println!(
-        "  residency-aware  {:4} pager misses  ({} hits, {} faults avoided, {} affinity hits, \
-         prefetch {} issued / {} used / {} wasted)",
-        ra_storage.pager_misses,
-        ra_storage.pager_hits,
-        ra_stats.scheduler.faults_avoided,
-        ra_stats.scheduler.affinity_hits,
-        ra_stats.scheduler.prefetch_issued,
-        ra_stats.scheduler.prefetch_used,
-        ra_stats.scheduler.prefetch_wasted
-    );
-    println!("  stats: {}", json::stats_to_json(&ra_stats));
-    assert!(
-        ra_storage.pager_misses < rr_storage.pager_misses,
-        "residency-aware placement must fault fewer tiles than round-robin ({} vs {})",
-        ra_storage.pager_misses,
-        rr_storage.pager_misses
-    );
-    assert!(
-        ra_stats.scheduler.faults_avoided > 0,
-        "resident-first ordering must dispatch some shards without touching disk"
-    );
-    assert!(
-        ra_stats.scheduler.affinity_hits > 0,
-        "some shards must land on the engine holding their tiles resident"
-    );
-    assert!(
-        ra_stats.scheduler.prefetch_issued > 0,
-        "the background prefetcher must have faulted tiles ahead of demand"
-    );
-    assert_eq!(rr_stats.scheduler.policy, "round-robin");
-    assert_eq!(ra_stats.scheduler.policy, "residency-aware");
-
-    let unix_seconds = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let entries = append_entry(
-        std::path::Path::new(TRAJECTORY_PATH),
-        TrajectoryEntry {
-            label: "locality".to_string(),
-            unix_seconds,
-            substrates: Vec::new(),
-            pixelize_dense_speedup: 0.0,
-            serve: None,
-            store: None,
-            locality: Some(LocalityMetrics {
-                policy: ra_stats.scheduler.policy.clone(),
-                affinity_hits: ra_stats.scheduler.affinity_hits,
-                prefetch_issued: ra_stats.scheduler.prefetch_issued,
-                residency_aware_pager_misses: ra_storage.pager_misses,
-                round_robin_pager_misses: rr_storage.pager_misses,
-            }),
-            chaos: None,
-        },
-    )
-    .expect("append locality metrics to BENCH_trajectory.json");
-    println!(
-        "  appended locality metrics to {TRAJECTORY_PATH} ({} entries)",
-        entries.len()
-    );
-}
-
-/// `chaos`: the fault-injection smoke. Runs a disk-backed multi-client
-/// wire workload under a seeded [`sccg::FaultPlan`] that kills an engine
-/// worker mid-query, corrupts one tile on disk, charges virtual latency on
-/// another, and resets one client's connection mid-stream — and asserts the
-/// failure-containment contract end to end: every completed response is
-/// bit-identical to a fault-free twin (engine attribution aside — a
-/// re-dispatched shard legitimately moves engines), every failure is typed
-/// (never a hang past its deadline), at least one shard was re-dispatched to
-/// a survivor, and the corrupted tile trips the pager's circuit breaker.
-/// The counters are appended to `BENCH_trajectory.json` as a `chaos` entry
-/// (empty substrates, so the perf gate skips it).
-fn chaos() {
-    use sccg::{FaultInjector, FaultPlan, SccgError};
-    use sccg_bench::trajectory::{append_entry, ChaosMetrics, TrajectoryEntry, TRAJECTORY_PATH};
-    use sccg_geometry::text::write_polygon_file;
-    use sccg_net::{ClientConfig, NetConfig, WireClient, WireError, WireRequestSpec, WireResponse};
-    use std::time::Duration;
-
-    println!("\n[Chaos] Fault-injection smoke: wire workload under a seeded fault plan");
-    const TILES: u32 = 8;
-    const RESIDENCY_BOUND: usize = 3;
-    const CORRUPT_TILE: u64 = 7;
-    const SLOW_TILE: u64 = 2;
-    const CLIENTS: usize = 3;
-    const QUERIES_PER_CLIENT: usize = 4;
-    const HEALTHY_TILE_COUNT: usize = (TILES - 1) as usize;
-    let dataset = sccg_datagen::generate_dataset(&sccg_datagen::DatasetSpec {
-        name: "chaos-smoke".into(),
-        tiles: TILES,
-        polygons_per_tile: 48,
-        tile_size: 512,
-        seed: 1212,
-        nucleus_radius: 6,
-    });
-    let first_texts: Vec<String> = dataset
-        .tiles
-        .iter()
-        .map(|t| write_polygon_file(&t.first))
-        .collect();
-    let second_texts: Vec<String> = dataset
-        .tiles
-        .iter()
-        .map(|t| write_polygon_file(&t.second))
-        .collect();
-    // The main workload stays off the corrupted tile; dedicated probes hit it.
-    let healthy_tiles: Vec<u64> = (0..u64::from(TILES))
-        .filter(|&t| t != CORRUPT_TILE)
-        .collect();
-
-    // The fault-free twin: an in-memory service computing the expected
-    // response for the healthy-tile subset, bit-for-bit.
-    let engines = || {
-        vec![
-            EngineConfig::default().with_device(AggregationDevice::Cpu),
-            EngineConfig::default().with_device(AggregationDevice::Cpu),
-        ]
-    };
-    let twin_store = SlideStore::new();
-    let twin_first = twin_store
-        .register_slide_text("chaos-a", &first_texts)
-        .expect("register twin slide");
-    let twin_second = twin_store
-        .register_slide_text("chaos-b", &second_texts)
-        .expect("register twin slide");
-    let twin = ComparisonService::new(twin_store, ServiceConfig::default().with_engines(engines()))
-        .expect("twin service starts");
-    let expected = twin
-        .submit(
-            QueryRequest::new(twin_first, twin_second)
-                .tiles(healthy_tiles.iter().map(|&t| t as usize).collect()),
-        )
-        .unwrap()
-        .wait()
-        .expect("fault-free twin query");
-    let expected = WireResponse::of_response(&expected);
-
-    // The seeded plan, shared by storage, serving and wire layers: worker 0
-    // dies on its first popped shard, tile 7 corrupts on every disk read,
-    // tile 2 charges virtual latency, and the server connection of wire
-    // client 3 (one of the workload clients below) drops after two frames —
-    // mid-stream of its first streaming query.
-    let plan = FaultPlan::new(42)
-        .kill_engine(0, 1)
-        .corrupt_tile(CORRUPT_TILE)
-        .slow_read(SLOW_TILE, 1_500_000)
-        .reset_connection(3, 2);
-    let injector = Arc::new(FaultInjector::new(plan));
-    println!(
-        "  plan: {}",
-        injector.plan().to_text().trim_end().replace('\n', "; ")
-    );
-
-    let dir = std::env::temp_dir().join(format!("sccg-chaos-smoke-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store =
-        SlideStore::with_spill_and_faults(&dir, RESIDENCY_BOUND, Some(Arc::clone(&injector)))
-            .expect("create spill dir");
-    let first = store
-        .register_slide_streaming("chaos-a", first_texts)
-        .expect("stream slide to disk");
-    let second = store
-        .register_slide_streaming("chaos-b", second_texts)
-        .expect("stream slide to disk");
-    let service = Arc::new(
-        ComparisonService::new(
-            store,
-            ServiceConfig::default()
-                .with_engines(engines())
-                .with_failure_threshold(1)
-                .with_revival_cooldown(Duration::from_secs(3600))
-                .with_cache_capacity(0)
-                .with_faults(Arc::clone(&injector)),
-        )
-        .expect("chaos service starts"),
-    );
-    let server = sccg_net::WireServer::start(
-        Arc::clone(&service),
-        "127.0.0.1:0",
-        NetConfig::default().with_faults(Arc::clone(&injector)),
-    )
-    .expect("wire server starts");
-    let addr = server.local_addr();
-
-    // Only the engine/backend attribution may differ from the twin: a
-    // re-dispatched shard legitimately completes on a different engine.
-    let assert_identical = |label: &str, got: &WireResponse| {
-        assert_eq!(got.summary, expected.summary, "{label}: summary diverged");
-        assert_eq!(got.tiles.len(), expected.tiles.len(), "{label}: tile count");
-        for (g, w) in got.tiles.iter().zip(&expected.tiles) {
-            assert_eq!(g.tile, w.tile, "{label}: tile order");
-            assert_eq!(
-                g.candidate_pairs, w.candidate_pairs,
-                "{label}: tile {}",
-                g.tile
-            );
-            assert_eq!(g.summary, w.summary, "{label}: tile {} summary", g.tile);
-        }
-    };
-    let healthy_spec = || {
-        let mut spec = WireRequestSpec::new(first, second);
-        spec.tiles = Some(healthy_tiles.clone());
-        spec
-    };
-
-    // Probe 1 — deadlines: an already-expired deadline fails typed through
-    // the wire (server answers wire code 12), and never hangs.
-    let mut probe = WireClient::connect(addr, ClientConfig::default()).expect("probe connects");
-    let mut spec = healthy_spec();
-    spec.deadline_ms = Some(0);
-    let started = Instant::now();
-    let err = probe
-        .query_blocking(&spec)
-        .expect_err("deadline already expired");
-    let waited = started.elapsed();
-    assert!(
-        matches!(err, WireError::DeadlineExceeded { deadline_ms: 0, .. }),
-        "expected the typed deadline failure, got {err:?}"
-    );
-    assert!(
-        waited < Duration::from_secs(5),
-        "deadline wait took {waited:?}"
-    );
-    println!(
-        "  deadline 0 ms: typed DeadlineExceeded in {:.0} ms, no hang",
-        waited.as_secs_f64() * 1e3
-    );
-
-    // Probe 2 — corruption: every read of the corrupted tile fails with the
-    // typed storage error over the wire, and the third consecutive failure
-    // trips the pager's circuit breaker (the tile is quarantined).
-    for round in 0..4 {
-        let mut spec = WireRequestSpec::new(first, second);
-        spec.tiles = Some(vec![CORRUPT_TILE]);
-        let err = probe.query_blocking(&spec).expect_err("corrupted tile");
-        assert!(
-            matches!(&err, WireError::Remote(SccgError::Storage { .. })),
-            "round {round}: expected a typed storage error, got {err:?}"
-        );
-    }
-    let quarantined = service.store().storage_stats().quarantined_tiles;
-    assert!(quarantined >= 1, "the corrupted tile must be quarantined");
-    println!(
-        "  corrupted tile {CORRUPT_TILE}: 4 typed storage failures over the wire, {} tile(s) \
-         quarantined by the circuit breaker",
-        quarantined
-    );
-    drop(probe);
-
-    // The workload: concurrent streaming clients over the healthy tiles.
-    // One of them is scheduled to lose its connection mid-stream; the typed
-    // ResetMidStream error is the signal to retry on a fresh connection.
-    let started = Instant::now();
-    let (completed, retried): (u64, u64) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|_| {
-                let assert_identical = &assert_identical;
-                let healthy_spec = &healthy_spec;
-                scope.spawn(move || {
-                    let mut client =
-                        WireClient::connect(addr, ClientConfig::default()).expect("connects");
-                    let mut completed = 0u64;
-                    let mut retried = 0u64;
-                    for _ in 0..QUERIES_PER_CLIENT {
-                        match client.query_streaming(&healthy_spec(), |_, _| {}) {
-                            Ok(outcome) => {
-                                assert_identical("workload", &outcome.response);
-                                completed += 1;
-                            }
-                            Err(WireError::ResetMidStream { tiles_received, .. }) => {
-                                assert!(tiles_received < HEALTHY_TILE_COUNT);
-                                // Retry on a fresh connection: the query is
-                                // idempotent, the result must not change.
-                                client = WireClient::connect(addr, ClientConfig::default())
-                                    .expect("reconnects after reset");
-                                let outcome = client
-                                    .query_streaming(&healthy_spec(), |_, _| {})
-                                    .expect("retry after reset succeeds");
-                                assert_identical("retry-after-reset", &outcome.response);
-                                completed += 1;
-                                retried += 1;
-                            }
-                            Err(other) => panic!("workload query failed: {other}"),
-                        }
-                    }
-                    (completed, retried)
-                })
-            })
-            .collect();
-        handles.into_iter().fold((0, 0), |(c, r), handle| {
-            let (hc, hr) = handle.join().expect("workload client thread");
-            (c + hc, r + hr)
-        })
-    });
-    let elapsed = started.elapsed().as_secs_f64();
-    let total_queries = (CLIENTS * QUERIES_PER_CLIENT) as u64;
-    assert_eq!(
-        completed, total_queries,
-        "every workload query must resolve"
-    );
-    let qps = completed as f64 / elapsed;
-
-    // The injected engine kill fires on worker 0's first popped shard —
-    // virtually always during the workload above. Top up with in-process
-    // rounds until it has, so the re-dispatch assertions are deterministic.
-    let mut rounds = 0;
-    while service.stats().redispatches == 0 {
-        rounds += 1;
-        assert!(rounds <= 50, "worker 0 never popped a shard");
-        let response = service
-            .submit(
-                QueryRequest::new(first, second)
-                    .tiles(healthy_tiles.iter().map(|&t| t as usize).collect()),
-            )
-            .unwrap()
-            .wait()
-            .expect("top-up round must survive the kill");
-        assert_identical("top-up", &WireResponse::of_response(&response));
-    }
-
-    let stats = service.stats();
-    let fault_stats = injector.stats();
-    assert_eq!(fault_stats.engine_kills, 1, "the scheduled kill fired once");
-    assert!(
-        stats.redispatches >= 1,
-        "the killed shard was re-dispatched"
-    );
-    assert!(!stats.engines[0].alive, "threshold 1: one kill is death");
-    assert!(stats.engines[1].alive, "the survivor carried the workload");
-    assert_eq!(
-        fault_stats.connection_resets, 1,
-        "the scheduled reset fired once"
-    );
-    assert_eq!(retried, 1, "exactly one client retried after the reset");
-    assert!(
-        injector.virtual_delay_nanos() > 0,
-        "slow reads charge virtual latency (no real sleeps)"
-    );
-    println!(
-        "  {CLIENTS} clients x {QUERIES_PER_CLIENT} streaming queries: all {completed} responses \
-         bit-identical to the fault-free twin ({retried} retried after an injected reset)"
-    );
-    println!(
-        "  engine 0 killed mid-shard and marked dead, {} shard(s) re-dispatched to the \
-         survivor; {} ns of virtual slow-read latency charged",
-        stats.redispatches,
-        injector.virtual_delay_nanos()
-    );
-    println!("  stats: {}", json::stats_to_json(&stats));
-
-    let unix_seconds = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let entries = append_entry(
-        std::path::Path::new(TRAJECTORY_PATH),
-        TrajectoryEntry {
-            label: "chaos".to_string(),
-            unix_seconds,
-            substrates: Vec::new(),
-            pixelize_dense_speedup: 0.0,
-            serve: None,
-            store: None,
-            locality: None,
-            chaos: Some(ChaosMetrics {
-                queries: total_queries + retried + 5, // probes: 1 deadline + 4 corrupt
-                completed,
-                redispatches: stats.redispatches,
-                engine_kills: fault_stats.engine_kills,
-                connection_resets: fault_stats.connection_resets,
-                quarantined_tiles: quarantined as u64,
-                qps,
-            }),
-        },
-    )
-    .expect("append chaos metrics to BENCH_trajectory.json");
-    println!(
-        "  appended chaos metrics to {TRAJECTORY_PATH} ({} entries)",
-        entries.len()
-    );
-
-    drop(server);
-    drop(service);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Streaming-executor smoke: a large synthetic slide flows through
-/// [`Pipeline::run_streaming`] with a deliberately tiny buffer, tiles
-/// generated lazily so the full task list never exists in memory, and the
-/// observed in-flight high-water mark is checked against the O(capacity)
-/// analytic bound.
-fn stream() {
-    println!("\n[Stream] Bounded-memory streaming executor (async pipeline)");
-    let tiles = 512u32;
-    let config = PipelineConfig::default()
-        .with_buffer_capacity(4)
-        .with_parser_workers(2)
-        .with_migration(true);
-    let bound = PipelineReport::in_flight_bound(&config);
-    let pipeline = Pipeline::new(config);
-
-    let started = Instant::now();
-    // The iterator is the "slide reader": each tile pair is synthesized on
-    // demand, pulled only when the pipeline's bounded input buffer has room.
-    let report = pipeline.run_streaming((0..tiles).map(|tile_id| {
-        let tile = generate_tile_pair(&sccg_datagen::TileSpec {
-            target_polygons: 48,
-            width: 512,
-            height: 512,
-            seed: 9000 + u64::from(tile_id),
-            ..Default::default()
-        });
-        ParseTask::from_tile_pair(&tile)
-    }));
-    let seconds = started.elapsed().as_secs_f64();
-
-    println!(
-        "  {tiles} tiles streamed in {seconds:.3} s  J' {:.6}  {} candidate pairs",
-        report.similarity(),
-        report.candidate_pairs
-    );
-    println!(
-        "  peak in-flight tiles {} (bound {bound}, dataset {tiles}) — memory is O(buffer), \
-         not O(dataset)",
-        report.peak_in_flight_tiles
-    );
-    println!(
-        "  migrated to CPU {}  migrated to GPU parser {}",
-        report.migrated_to_cpu, report.migrated_to_gpu
-    );
-    assert_eq!(report.tiles, tiles as usize, "every tile processed");
-    assert!(
-        report.peak_in_flight_tiles <= bound,
-        "peak {} exceeded the bound {bound}",
-        report.peak_in_flight_tiles
-    );
-}
-
-/// `bench`: the JSON performance baseline. Measures sustained pairs/sec and
-/// per-batch wall-clock of every substrate (CPU-S, CPU, simulated GPU,
-/// adaptive hybrid) on a fixed seeded dataset, plus the interval-scanline
-/// pixelization fast path against the retained per-pixel seed loop, and
-/// writes the `BENCH_pixelbox.json` snapshot and appends a timestamped entry
-/// to `BENCH_trajectory.json` so the perf trajectory is tracked across PRs
-/// (CI runs this as a smoke step, then `trajectory-gate` on the result).
-fn bench_baseline() {
-    use sccg::parallel::default_workers;
-    use sccg::pixelbox::algorithm::{compute_pair, compute_pair_reference};
-    use sccg::pixelbox::SplitConfig;
-    use sccg_bench::dense_l_pair;
-
-    println!("\n[Bench] JSON perf baseline (BENCH_pixelbox.json)");
-    const POLYGONS: u32 = 400;
-    const SCALE: i32 = 2;
-    const ITERATIONS: usize = 10;
-    let pairs = representative_pairs(POLYGONS, SCALE);
-    let config = PixelBoxConfig::paper_default();
-    let workers = default_workers();
-    println!(
-        "  workload: {} MBR-intersecting pairs (seeded, scale factor {SCALE}), {ITERATIONS} \
-         timed batches per substrate (best batch reported), {workers} CPU workers",
-        pairs.len()
-    );
-
-    // One warm-up batch (untimed: pool spawn, edge-table build, adaptive
-    // warm-up) followed by `ITERATIONS` timed batches per substrate. The
-    // reported wall-clock is the *best observed* batch: batches are
-    // sub-millisecond, so a single scheduler hiccup poisons a mean, while
-    // the minimum converges on the substrate's actual sustained cost.
-    let time_substrate = |backend: &dyn ComputeBackend| -> (f64, f64) {
-        let warmup = backend.compute_batch(&pairs, &config);
-        assert_eq!(warmup.areas.len(), pairs.len());
-        let mut simulated = 0.0;
-        let mut wall = f64::INFINITY;
-        for _ in 0..ITERATIONS {
-            let started = Instant::now();
-            simulated += backend
-                .compute_batch(&pairs, &config)
-                .total_simulated_seconds();
-            wall = wall.min(started.elapsed().as_secs_f64());
-        }
-        (wall, simulated / ITERATIONS as f64)
-    };
-
-    let device = Arc::new(Device::new(DeviceConfig::gtx580()));
-    let substrates: Vec<(&str, usize, Box<dyn ComputeBackend>)> = vec![
-        ("cpu-s", 1, Box::new(CpuBackend::new(1))),
-        ("cpu", workers, Box::new(CpuBackend::new(workers))),
-        ("gpu", 0, Box::new(GpuBackend::new(Arc::clone(&device)))),
-        (
-            "hybrid-adaptive",
-            workers,
-            Box::new(HybridBackend::with_split(
-                Arc::clone(&device),
-                workers,
-                SplitConfig::adaptive(0.5),
-            )),
-        ),
-    ];
-    let mut rows = String::new();
-    let mut rates = Vec::new();
-    for (name, cpu_workers, backend) in &substrates {
-        let (wall, simulated) = time_substrate(backend.as_ref());
-        let pairs_per_sec = pairs.len() as f64 / wall;
-        rates.push(sccg_bench::trajectory::SubstrateRate {
-            name: (*name).to_string(),
-            pairs_per_sec,
-        });
-        println!(
-            "  {name:<16} {wall:10.5} s/batch   {pairs_per_sec:12.0} pairs/s{}",
-            if simulated > 0.0 {
-                format!("   (simulated GPU {simulated:.5} s/batch)")
-            } else {
-                String::new()
-            }
-        );
-        if !rows.is_empty() {
-            rows.push(',');
-        }
-        rows.push_str(&format!(
-            "\n    {{\"name\": \"{name}\", \"cpu_workers\": {cpu_workers}, \
-             \"wall_seconds_per_batch\": {wall}, \"pairs_per_sec\": {pairs_per_sec}, \
-             \"simulated_gpu_seconds_per_batch\": {simulated}}}"
-        ));
-    }
-
-    // Fast-path ablation: dense pixelization (threshold ≫ region) with the
-    // interval-scanline kernel vs the retained per-pixel seed loop.
-    const DENSE_SIZE: i32 = 384;
-    let dense = dense_l_pair(DENSE_SIZE);
-    let dense_threshold = 1u32 << 30;
-    let time_kernel = |f: &dyn Fn() -> sccg::pixelbox::PairAreas| -> f64 {
-        let _ = f(); // warm-up (edge-table build for the scanline kernel)
-        let started = Instant::now();
-        for _ in 0..ITERATIONS {
-            let _ = f();
-        }
-        started.elapsed().as_secs_f64() / ITERATIONS as f64
-    };
-    let scanline_seconds =
-        time_kernel(&|| compute_pair(&dense, dense_threshold, 64, Variant::Full).0);
-    let per_pixel_seconds =
-        time_kernel(&|| compute_pair_reference(&dense, dense_threshold, 64, Variant::Full).0);
-    let speedup = per_pixel_seconds / scanline_seconds;
-    println!(
-        "  pixelize_dense ({DENSE_SIZE}x{DENSE_SIZE} L-shapes): scanline {scanline_seconds:.6} s, \
-         per-pixel seed {per_pixel_seconds:.6} s — {speedup:.1}x"
-    );
-    assert_eq!(
-        compute_pair(&dense, dense_threshold, 64, Variant::Full),
-        compute_pair_reference(&dense, dense_threshold, 64, Variant::Full),
-        "fast path must stay bit-identical (areas and trace)"
-    );
-    assert!(
-        speedup >= 100.0,
-        "interval-scanline fast path must be at least 100x the per-pixel loop, got {speedup:.1}x"
-    );
-
-    let json = format!(
-        "{{\n  \"schema\": \"sccg-bench-pixelbox/v1\",\n  \"dataset\": {{\"polygons\": \
-         {POLYGONS}, \"scale_factor\": {SCALE}, \"pairs\": {pair_count}, \"seed\": \
-         \"0x0A110B0C\"}},\n  \"pixelbox\": {{\"block_size\": {block}, \"threshold\": {t}, \
-         \"variant\": \"Full\"}},\n  \"iterations_per_substrate\": {ITERATIONS},\n  \
-         \"substrates\": [{rows}\n  ],\n  \"pixelize_dense\": {{\"region\": \
-         \"{DENSE_SIZE}x{DENSE_SIZE}\", \"threshold\": {dense_threshold}, \
-         \"scanline_seconds\": {scanline_seconds}, \"per_pixel_seconds\": {per_pixel_seconds}, \
-         \"speedup\": {speedup}}}\n}}\n",
-        pair_count = pairs.len(),
-        block = config.block_size,
-        t = config.threshold,
-    );
-    let path = "BENCH_pixelbox.json";
-    std::fs::write(path, &json).expect("write BENCH_pixelbox.json");
-    println!("  wrote {path}");
-
-    // Append this run to the tracked trajectory; `trajectory-gate` (the CI
-    // step after this one) fails the build if the run regressed below 0.8x
-    // the best recorded rate for any substrate.
-    use sccg_bench::trajectory::{append_entry, TrajectoryEntry, TRAJECTORY_PATH};
-    let unix_seconds = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let entries = append_entry(
-        std::path::Path::new(TRAJECTORY_PATH),
-        TrajectoryEntry {
-            label: "bench".to_string(),
-            unix_seconds,
-            substrates: rates,
-            pixelize_dense_speedup: speedup,
-            serve: None,
-            store: None,
-            locality: None,
-            chaos: None,
-        },
-    )
-    .expect("append to BENCH_trajectory.json");
-    println!(
-        "  appended to {TRAJECTORY_PATH} ({} entries)",
-        entries.len()
-    );
-}
-
 /// Figure 11: throughput benefit of dynamic task migration.
 fn figure11() {
     println!("\n[Figure 11] Dynamic task migration: normalized throughput (modelled)");
@@ -1519,4 +357,46 @@ fn figure12() {
     }
     let geo_mean = (log_sum / datasets.len() as f64).exp();
     println!("  geometric mean speedup: {geo_mean:.1}x (paper reports >18x)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::select;
+
+    fn args(names: &[&str]) -> Vec<String> {
+        names.iter().map(|name| name.to_string()).collect()
+    }
+
+    #[test]
+    fn select_accepts_exactly_the_experiment_names_and_all() {
+        let every = vec![
+            "fig2", "fig7", "fig8", "fig9", "fig10", "table1", "fig11", "fig12",
+        ];
+        assert_eq!(select(&args(&[])), Ok(every.clone()));
+        assert_eq!(select(&args(&["all"])), Ok(every.clone()));
+        assert_eq!(select(&args(&["fig12", "all"])), Ok(every));
+        // Named experiments run once each, in paper order.
+        assert_eq!(
+            select(&args(&["table1", "fig7", "table1"])),
+            Ok(vec!["fig7", "table1"])
+        );
+        for unknown in [
+            "serve",
+            "store",
+            "locality",
+            "chaos",
+            "stream",
+            "bench",
+            "trajectory-gate",
+            "fig13",
+            "FIG7",
+            "",
+        ] {
+            assert_eq!(
+                select(&args(&["fig7", unknown])),
+                Err(unknown.to_string()),
+                "`{unknown}` must be rejected"
+            );
+        }
+    }
 }

@@ -9,8 +9,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod trajectory;
-
 use sccg::pipeline::model::TileStats;
 use sccg::pixelbox::PolygonPair;
 use sccg_datagen::{catalog, generate_dataset, generate_tile_pair, Dataset, TileSpec};
@@ -67,10 +65,9 @@ pub fn representative_pairs(polygons: u32, scale_factor: i32) -> Vec<PolygonPair
 
 /// Two large overlapping L-shapes with a `size × size` joint region: the
 /// dense pixelization workload of the substrates bench's `pixelize_dense`
-/// rows and the `reproduce -- bench` fast-path measurement. With the
-/// pixelization threshold far above `size²` the whole joint MBR is finished
-/// by the pixelization kernel, isolating interval-scanline vs per-pixel
-/// cost.
+/// rows. With the pixelization threshold far above `size²` the whole joint
+/// MBR is finished by the pixelization kernel, isolating interval-scanline
+/// vs per-pixel cost.
 pub fn dense_l_pair(size: i32) -> PolygonPair {
     use sccg_geometry::Point;
     let l_shape = |offset: i32| {

@@ -129,6 +129,38 @@ fn wide_comb() -> impl Strategy<Value = RectilinearPolygon> {
         })
 }
 
+/// Two overlapping L-shapes with a `size × size` joint region, the dense
+/// pixelization workload of the `substrates` bench.
+fn dense_l_pair(size: i32) -> PolygonPair {
+    let l_shape = |offset: i32| {
+        RectilinearPolygon::new(vec![
+            Point::new(offset, offset),
+            Point::new(offset + size, offset),
+            Point::new(offset + size, offset + size / 2),
+            Point::new(offset + size / 2, offset + size / 2),
+            Point::new(offset + size / 2, offset + size),
+            Point::new(offset, offset + size),
+        ])
+        .expect("L-shape is valid")
+    };
+    PolygonPair::new(l_shape(0), l_shape(size / 8))
+}
+
+// Dense pixelization: a threshold far above the joint region's pixel count
+// sends the whole region to the pixelization kernel, which the proptests'
+// thresholds (≤ 4096) never do for a region this size.
+#[test]
+fn dense_pixelization_matches_per_pixel_oracle() {
+    let pair = dense_l_pair(128);
+    for variant in [Variant::PixelOnly, Variant::NoSep, Variant::Full] {
+        assert_eq!(
+            compute_pair(&pair, 1 << 30, 64, variant),
+            compute_pair_reference(&pair, 1 << 30, 64, variant),
+            "{variant:?}: areas and trace must be bit-identical"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

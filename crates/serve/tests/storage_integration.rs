@@ -167,6 +167,11 @@ fn disk_and_memory_paths_answer_bit_identically_across_devices() {
             "resident {} exceeds bound",
             storage.resident_tiles
         );
+        assert!(
+            storage.peak_resident_tiles <= 2 * RESIDENCY_BOUND,
+            "peak resident {} exceeds bound",
+            storage.peak_resident_tiles
+        );
     }
 
     // The service surfaces pager telemetry through its stats.

@@ -1,6 +1,6 @@
 //! Integration tests asserting the *shapes* of the paper's experiments
-//! (see EXPERIMENTS.md): who wins, in which direction, and where the
-//! crossovers fall — independent of absolute numbers.
+//! (printed by the `reproduce` binary): who wins, in which direction, and
+//! where the crossovers fall — independent of absolute numbers.
 
 use sccg::pipeline::model::{PipelineModel, PlatformConfig, Scheme, TileStats};
 use sccg::pixelbox::{ComputeBackend, GpuBackend};
