@@ -17,12 +17,17 @@
 //! it (wire code 12) or the client detected it locally, and a connection
 //! that dies after the ack is [`WireError::ResetMidStream`] — retryable on
 //! a fresh connection — rather than a generic disconnect.
+//!
+//! The client spawns no thread: the calling thread writes its frames and
+//! reads the socket itself, setting the socket's read timeout to the time
+//! left before each read.
 
-use crate::conn::{NonBlockingReader, NonBlockingWriter, PopTimeout};
+use crate::conn::Connection;
 use crate::wire::{Message, WireRequestSpec, WireResponse, WireStats, WireTile};
 use sccg::SccgError;
 use std::collections::VecDeque;
 use std::fmt;
+use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -124,10 +129,6 @@ pub struct ClientConfig {
     pub max_backoff: Duration,
     /// Overall deadline for the response once acked.
     pub response_timeout: Duration,
-    /// Send high-water mark (frames) of this client's writer.
-    pub send_hwm: usize,
-    /// Receive high-water mark (frames) of this client's reader.
-    pub recv_hwm: usize,
 }
 
 impl Default for ClientConfig {
@@ -138,8 +139,6 @@ impl Default for ClientConfig {
             initial_backoff: Duration::from_millis(25),
             max_backoff: Duration::from_millis(400),
             response_timeout: Duration::from_secs(60),
-            send_hwm: 64,
-            recv_hwm: 64,
         }
     }
 }
@@ -186,8 +185,7 @@ pub struct QueryOutcome {
 /// A connected wire client. One query runs at a time per client (open more
 /// clients for concurrency — that is exactly what the load generator does).
 pub struct WireClient {
-    reader: NonBlockingReader,
-    writer: NonBlockingWriter,
+    conn: Connection,
     client_id: u64,
     next_request: u64,
     config: ClientConfig,
@@ -210,38 +208,21 @@ impl WireClient {
     pub fn connect(addr: impl ToSocketAddrs, config: ClientConfig) -> Result<Self, WireError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let reader = NonBlockingReader::spawn(stream.try_clone()?, config.recv_hwm)?;
-        let writer = NonBlockingWriter::spawn(stream, config.send_hwm)?;
-        writer
-            .send(Message::Hello { client_id: 0 }.to_frame())
-            .map_err(|_| WireError::Disconnected)?;
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let client_id = loop {
-            let left =
-                deadline
-                    .checked_duration_since(Instant::now())
-                    .ok_or(WireError::Timeout {
-                        request_id: 0,
-                        attempts: 1,
-                    })?;
-            match reader.recv_timeout(left.min(Duration::from_millis(50))) {
-                PopTimeout::Item(frame) => match Message::of_frame(&frame) {
-                    Ok(Message::HelloAck { client_id }) => break client_id,
-                    Ok(_) => {}
-                    Err(e) => return Err(WireError::Protocol(e.to_string())),
-                },
-                PopTimeout::TimedOut => {}
-                PopTimeout::Closed => return Err(WireError::Disconnected),
-            }
-        };
-        Ok(WireClient {
-            reader,
-            writer,
-            client_id,
+        let mut client = WireClient {
+            conn: Connection::new(stream),
+            client_id: 0,
             next_request: 1,
             config,
             stash: VecDeque::new(),
-        })
+        };
+        client.send(&Message::Hello { client_id: 0 })?;
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            if let Message::HelloAck { client_id } = client.next_message_before(deadline)? {
+                client.client_id = client_id;
+                return Ok(client);
+            }
+        }
     }
 
     /// The id the server knows this client by.
@@ -269,43 +250,63 @@ impl WireClient {
     /// scheduler's placement counters), bit-identical to the in-process
     /// [`sccg_serve::ServiceStats`] it was captured from.
     pub fn stats(&mut self) -> Result<WireStats, WireError> {
-        self.writer
-            .send(Message::StatsRequest.to_frame())
-            .map_err(|_| WireError::Disconnected)?;
+        self.send(&Message::StatsRequest)?;
         let deadline = Instant::now() + self.config.response_timeout;
         loop {
-            let left =
-                deadline
-                    .checked_duration_since(Instant::now())
-                    .ok_or(WireError::Timeout {
-                        request_id: 0,
-                        attempts: 1,
-                    })?;
-            match self.next_message(left.min(Duration::from_millis(100))) {
-                // Anything else is a stale frame of an earlier (retried)
-                // request; keep draining until the stats frame arrives.
-                PopTimeout::Item(message) => {
-                    if let Message::Stats { stats } = message? {
-                        return Ok(stats);
-                    }
-                }
-                PopTimeout::TimedOut => {}
-                PopTimeout::Closed => return Err(WireError::Disconnected),
+            // Anything else is a stale frame of an earlier (retried)
+            // request; keep draining until the stats frame arrives.
+            if let Message::Stats { stats } = self.next_message_before(deadline)? {
+                return Ok(stats);
             }
         }
     }
 
-    fn next_message(&mut self, timeout: Duration) -> PopTimeout<Result<Message, WireError>> {
+    /// Sends one message; a failed write means the connection is gone.
+    fn send(&mut self, message: &Message) -> Result<(), WireError> {
+        self.conn
+            .write_frame(&message.to_frame())
+            .map_err(|_| WireError::Disconnected)
+    }
+
+    /// The next message, stashed or read from the socket, waiting at most
+    /// until `deadline`. `Ok(None)` means the wait timed out. A closed
+    /// connection — EOF, a socket error or a framing error — is
+    /// [`WireError::Disconnected`]; an undecodable body is
+    /// [`WireError::Protocol`].
+    fn next_message(&mut self, deadline: Instant) -> Result<Option<Message>, WireError> {
         if let Some(message) = self.stash.pop_front() {
-            return PopTimeout::Item(Ok(message));
+            return Ok(Some(message));
         }
-        match self.reader.recv_timeout(timeout) {
-            PopTimeout::Item(frame) => PopTimeout::Item(
-                Message::of_frame(&frame).map_err(|e| WireError::Protocol(e.to_string())),
-            ),
-            PopTimeout::TimedOut => PopTimeout::TimedOut,
-            PopTimeout::Closed => PopTimeout::Closed,
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Ok(None);
         }
+        // A zero read timeout would mean "block forever"; `left` is never
+        // zero here.
+        self.conn.stream().set_read_timeout(Some(left))?;
+        match self.conn.read_frame() {
+            Ok(frame) => Message::of_frame(&frame)
+                .map(Some)
+                .map_err(|e| WireError::Protocol(e.to_string())),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                Ok(None)
+            }
+            Err(_) => Err(WireError::Disconnected),
+        }
+    }
+
+    /// [`WireClient::next_message`] for the exchanges that are not queries
+    /// (handshake, stats): timing out is [`WireError::Timeout`] of request 0.
+    fn next_message_before(&mut self, deadline: Instant) -> Result<Message, WireError> {
+        self.next_message(deadline)?.ok_or(WireError::Timeout {
+            request_id: 0,
+            attempts: 1,
+        })
     }
 
     /// Phase 1: send (and re-send with backoff) until the server
@@ -326,36 +327,25 @@ impl WireClient {
     ) -> Result<u32, WireError> {
         let mut attempts: u32 = 0;
         loop {
-            self.writer
-                .send(query.to_frame())
-                .map_err(|_| WireError::Disconnected)?;
+            self.send(query)?;
             attempts += 1;
             let deadline = cap_instant(Instant::now() + self.config.ack_timeout, expiry);
-            loop {
-                let left = match deadline.checked_duration_since(Instant::now()) {
-                    Some(left) if !left.is_zero() => left,
-                    _ => break, // ack window elapsed: retry
-                };
-                match self.next_message(left) {
-                    PopTimeout::Item(message) => match message? {
-                        Message::Ack { request_id: rid } if rid == request_id => {
-                            return Ok(attempts)
-                        }
-                        message @ (Message::Tile { .. }
-                        | Message::Summary { .. }
-                        | Message::Error { .. })
-                            if message_request_id(&message) == Some(request_id) =>
-                        {
-                            // The response outran the ack bookkeeping: keep
-                            // the frame for phase 2.
-                            self.stash.push_back(message);
-                            return Ok(attempts);
-                        }
-                        // Stale frames of earlier (retried) requests.
-                        _ => {}
-                    },
-                    PopTimeout::TimedOut => break,
-                    PopTimeout::Closed => return Err(WireError::Disconnected),
+            // `None`: the ack window elapsed, so retry.
+            while let Some(message) = self.next_message(deadline)? {
+                match message {
+                    Message::Ack { request_id: rid } if rid == request_id => return Ok(attempts),
+                    message @ (Message::Tile { .. }
+                    | Message::Summary { .. }
+                    | Message::Error { .. })
+                        if message_request_id(&message) == Some(request_id) =>
+                    {
+                        // The response outran the ack bookkeeping: keep the
+                        // frame for phase 2.
+                        self.stash.push_back(message);
+                        return Ok(attempts);
+                    }
+                    // Stale frames of earlier (retried) requests.
+                    _ => {}
                 }
             }
             if attempts > self.config.max_retries {
@@ -407,9 +397,9 @@ impl WireClient {
         let deadline = cap_instant(response_cap, graced);
         let mut tiles: Vec<(u64, WireTile)> = Vec::new();
         loop {
-            let left = match deadline.checked_duration_since(Instant::now()) {
-                Some(left) if !left.is_zero() => left,
-                _ => {
+            let message = match self.next_message(deadline) {
+                Ok(Some(message)) => message,
+                Ok(None) => {
                     return Err(match graced {
                         Some((at, deadline_ms)) if at <= response_cap => {
                             WireError::DeadlineExceeded {
@@ -423,57 +413,55 @@ impl WireClient {
                         },
                     })
                 }
-            };
-            match self.next_message(left.min(Duration::from_millis(100))) {
-                PopTimeout::Item(message) => match message? {
-                    Message::Tile {
-                        request_id: rid,
-                        position,
-                        tile,
-                    } if rid == request_id => {
-                        on_tile(position, &tile);
-                        tiles.push((position, tile));
-                    }
-                    Message::Summary {
-                        request_id: rid,
-                        tiles_included,
-                        mut response,
-                    } if rid == request_id => {
-                        let tile_frames = if tiles_included { 0 } else { tiles.len() };
-                        if !tiles_included {
-                            response.tiles = assemble_tiles(tiles, response.shards)?;
-                        }
-                        return Ok(QueryOutcome {
-                            response,
-                            tile_frames,
-                        });
-                    }
-                    Message::Error {
-                        request_id: rid,
-                        failure,
-                    } if rid == request_id => {
-                        return Err(match failure.to_error() {
-                            SccgError::DeadlineExceeded { deadline_ms } => {
-                                WireError::DeadlineExceeded {
-                                    request_id,
-                                    deadline_ms,
-                                }
-                            }
-                            error => WireError::Remote(error),
-                        });
-                    }
-                    // Stale frames of earlier requests, duplicate acks.
-                    _ => {}
-                },
-                PopTimeout::TimedOut => {}
                 // The request was acked, so the exchange was mid-result when
                 // the socket died: that is a reset, not a failure to connect.
-                PopTimeout::Closed => {
+                Err(WireError::Disconnected) => {
                     return Err(WireError::ResetMidStream {
                         request_id,
                         tiles_received: tiles.len(),
                     })
                 }
+                Err(error) => return Err(error),
+            };
+            match message {
+                Message::Tile {
+                    request_id: rid,
+                    position,
+                    tile,
+                } if rid == request_id => {
+                    on_tile(position, &tile);
+                    tiles.push((position, tile));
+                }
+                Message::Summary {
+                    request_id: rid,
+                    tiles_included,
+                    mut response,
+                } if rid == request_id => {
+                    let tile_frames = if tiles_included { 0 } else { tiles.len() };
+                    if !tiles_included {
+                        response.tiles = assemble_tiles(tiles, response.shards)?;
+                    }
+                    return Ok(QueryOutcome {
+                        response,
+                        tile_frames,
+                    });
+                }
+                Message::Error {
+                    request_id: rid,
+                    failure,
+                } if rid == request_id => {
+                    return Err(match failure.to_error() {
+                        SccgError::DeadlineExceeded { deadline_ms } => {
+                            WireError::DeadlineExceeded {
+                                request_id,
+                                deadline_ms,
+                            }
+                        }
+                        error => WireError::Remote(error),
+                    });
+                }
+                // Stale frames of earlier requests, duplicate acks.
+                _ => {}
             }
         }
     }
@@ -525,6 +513,61 @@ fn assemble_tiles(received: Vec<(u64, WireTile)>, shards: u64) -> Result<Vec<Wir
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+
+    /// A peer that completes the handshake and then reads queries without
+    /// ever answering: every ack window the client opens times out.
+    #[test]
+    fn unacked_query_is_resent_under_one_id_until_the_retries_run_out() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("bound address");
+        let mute_peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accepts");
+            let mut conn = Connection::new(stream);
+            let hello = conn.read_frame().expect("hello arrives");
+            assert!(matches!(
+                Message::of_frame(&hello),
+                Ok(Message::Hello { client_id: 0 })
+            ));
+            conn.write_frame(&Message::HelloAck { client_id: 9 }.to_frame())
+                .expect("acks the hello");
+            let mut query_ids = Vec::new();
+            // Until the client hangs up.
+            while let Ok(frame) = conn.read_frame() {
+                match Message::of_frame(&frame) {
+                    Ok(Message::Query { request_id, .. }) => query_ids.push(request_id),
+                    other => panic!("expected only queries, got {other:?}"),
+                }
+            }
+            query_ids
+        });
+
+        let config = ClientConfig::default()
+            .with_ack_timeout(Duration::from_millis(20))
+            .with_max_retries(2);
+        let mut client = WireClient::connect(addr, config).expect("connects");
+        assert_eq!(client.client_id(), 9);
+        let slide = sccg_serve::SlideStore::new().register_slide("mute", Vec::new());
+        let err = client
+            .query_blocking(&WireRequestSpec::new(slide, slide))
+            .expect_err("a mute peer never acks");
+        assert!(
+            matches!(
+                err,
+                WireError::Timeout {
+                    request_id: 1,
+                    attempts: 3
+                }
+            ),
+            "got {err:?}"
+        );
+        drop(client);
+        assert_eq!(
+            mute_peer.join().expect("mute peer finishes"),
+            vec![1, 1, 1],
+            "one initial send and two retries, all under the same request id"
+        );
+    }
 
     #[test]
     fn backoff_doubles_and_saturates_at_the_cap() {

@@ -1,386 +1,72 @@
-//! Per-connection I/O: a non-blocking reader/writer pair around one
-//! `TcpStream`, each with a bounded high-water mark so socket backpressure
-//! composes with the executor's O(buffer) discipline.
+//! Per-connection I/O: one `TcpStream` plus a [`FrameDecoder`], used alike
+//! by the server's dispatcher and by the client.
 //!
-//! *Non-blocking* here means the **caller** never blocks on socket I/O:
-//! each half owns a thread that does the blocking syscalls, and the caller
-//! talks to a bounded queue instead.
-//!
-//! * Inbound ([`NonBlockingReader`]): the thread reads, decodes frames, and
-//!   pushes them into a bounded queue (capacity = receive HWM). When the
-//!   consumer lags, the push blocks, the thread stops issuing reads, the
-//!   kernel buffer fills, and the peer's TCP window closes — backpressure
-//!   all the way to the sender without any unbounded buffer.
-//! * Outbound ([`NonBlockingWriter`]): callers enqueue frames into a
-//!   bounded channel (capacity = send HWM) — the executor's own
-//!   [`sccg::pipeline::exec::channel`], drained by a thread bridged with
-//!   [`sccg::pipeline::exec::block_on`]. A slow peer fills the kernel
-//!   buffer, the writer thread blocks in `write`, the channel fills, and
-//!   `send` blocks the producer: one stalled connection backs up its own
-//!   producer, never the engine pool.
+//! No helper thread sits between a caller and its socket. [`Connection::read_frame`]
+//! blocks the calling thread until a whole frame is decoded, and
+//! [`Connection::write_frame`] is one `write_all` of the encoded bytes. The
+//! socket is the backpressure: a peer that stops reading fills the kernel
+//! buffers, and the next `write_frame` blocks only the thread that owns this
+//! connection.
 
 use crate::frame::{encode_frame, Frame, FrameDecoder};
-use sccg::pipeline::exec::{block_on, channel, Receiver, Sender};
-use sccg::sync::lock;
-use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{Shutdown, TcpStream};
-use std::sync::{Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::io::{self, Read, Write};
+use std::net::TcpStream;
 
-/// Outcome of a timed pop from a bounded queue.
-#[derive(Debug, PartialEq, Eq)]
-pub enum PopTimeout<T> {
-    /// An item arrived (or was already buffered).
-    Item(T),
-    /// Nothing arrived within the timeout; the queue is still open.
-    TimedOut,
-    /// The queue is closed and fully drained: nothing will ever arrive.
-    Closed,
+/// One end of a framed connection. See the [module docs](self).
+#[derive(Debug)]
+pub(crate) struct Connection {
+    stream: TcpStream,
+    decoder: FrameDecoder,
+    /// Socket read buffer; decoded bytes move into `decoder`.
+    inbound: Vec<u8>,
+    /// Encoding buffer, reused across frames.
+    outbound: Vec<u8>,
 }
 
-/// A blocking bounded MPMC queue with timed pops and drain-on-close
-/// semantics (items pushed before `close` are still delivered).
-///
-/// This is the receive-side HWM primitive: `std`'s `Condvar` provides the
-/// timed wait the executor channel deliberately omits (executor tasks never
-/// block on time; connection dispatchers must, to observe the drain flag).
-pub(crate) struct BoundedQueue<T> {
-    inner: Mutex<QueueInner<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-struct QueueInner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-impl<T> BoundedQueue<T> {
-    pub fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
+impl Connection {
+    /// Wraps a connected stream.
+    pub(crate) fn new(stream: TcpStream) -> Self {
+        Connection {
+            stream,
+            decoder: FrameDecoder::new(),
+            inbound: vec![0; 64 * 1024],
+            outbound: Vec::new(),
         }
     }
 
-    /// Pushes an item, blocking while the queue is at capacity. Returns the
-    /// item back if the queue was closed.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut inner = lock(&self.inner);
-        while inner.items.len() >= self.capacity && !inner.closed {
-            inner = self
-                .not_full
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        if inner.closed {
-            return Err(item);
-        }
-        inner.items.push_back(item);
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
+    /// The underlying socket, for timeouts and shutdown.
+    pub(crate) fn stream(&self) -> &TcpStream {
+        &self.stream
     }
 
-    /// Pops an item, waiting up to `timeout`. Buffered items are delivered
-    /// even after close; `Closed` means closed *and* drained.
-    pub fn pop_timeout(&self, timeout: Duration) -> PopTimeout<T> {
-        let mut inner = lock(&self.inner);
+    /// Returns the next frame, reading the socket until one is complete.
+    ///
+    /// Bytes of a partial frame stay buffered across calls, so a read that
+    /// fails with the socket's read timeout (`WouldBlock` or `TimedOut`)
+    /// loses nothing. The peer closing the connection is `UnexpectedEof`,
+    /// and a framing error is `InvalidData`: after one there is no next
+    /// frame boundary to find, so the connection is finished.
+    pub(crate) fn read_frame(&mut self) -> io::Result<Frame> {
         loop {
-            if let Some(item) = inner.items.pop_front() {
-                drop(inner);
-                self.not_full.notify_one();
-                return PopTimeout::Item(item);
+            if let Some(frame) = self
+                .decoder
+                .next_frame()
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
+            {
+                return Ok(frame);
             }
-            if inner.closed {
-                return PopTimeout::Closed;
-            }
-            let (guard, result) = self
-                .not_empty
-                .wait_timeout(inner, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
-            inner = guard;
-            if result.timed_out() && inner.items.is_empty() && !inner.closed {
-                return PopTimeout::TimedOut;
+            match self.stream.read(&mut self.inbound)? {
+                0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+                n => self.decoder.feed(&self.inbound[..n]),
             }
         }
     }
 
-    /// Closes the queue: pushers fail, poppers drain what is buffered and
-    /// then observe `Closed`.
-    pub fn close(&self) {
-        lock(&self.inner).closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
-/// Inbound half of a connection: a thread reading and decoding frames into
-/// a bounded queue. See the [module docs](self) for the backpressure chain.
-pub struct NonBlockingReader {
-    queue: std::sync::Arc<BoundedQueue<Frame>>,
-    /// Clone of the socket, kept to shut the read half down on close.
-    socket: TcpStream,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for NonBlockingReader {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NonBlockingReader").finish_non_exhaustive()
-    }
-}
-
-impl NonBlockingReader {
-    /// Spawns the reading thread over `stream` with a queue bounded at
-    /// `recv_hwm` frames.
-    pub fn spawn(stream: TcpStream, recv_hwm: usize) -> std::io::Result<Self> {
-        let socket = stream.try_clone()?;
-        let queue = std::sync::Arc::new(BoundedQueue::new(recv_hwm));
-        let thread_queue = std::sync::Arc::clone(&queue);
-        let thread = std::thread::Builder::new()
-            .name("sccg-net-reader".into())
-            .spawn(move || read_loop(stream, &thread_queue))?;
-        Ok(NonBlockingReader {
-            queue,
-            socket,
-            thread: Some(thread),
-        })
-    }
-
-    /// Waits up to `timeout` for the next decoded frame.
-    pub fn recv_timeout(&self, timeout: Duration) -> PopTimeout<Frame> {
-        self.queue.pop_timeout(timeout)
-    }
-
-    /// Shuts the socket's read half down and joins the thread. Frames
-    /// already decoded are discarded.
-    pub fn close(mut self) {
-        self.shutdown_and_join();
-    }
-
-    fn shutdown_and_join(&mut self) {
-        self.queue.close();
-        // Unblocks a thread parked in `read`; an already-dead socket is fine.
-        let _ = self.socket.shutdown(Shutdown::Read);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for NonBlockingReader {
-    fn drop(&mut self) {
-        self.shutdown_and_join();
-    }
-}
-
-fn read_loop(mut stream: TcpStream, queue: &BoundedQueue<Frame>) {
-    let mut decoder = FrameDecoder::new();
-    let mut buf = [0u8; 64 * 1024];
-    loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) | Err(_) => break, // EOF, reset, or shutdown by `close`
-            Ok(n) => n,
-        };
-        decoder.feed(&buf[..n]);
-        loop {
-            match decoder.next_frame() {
-                Ok(Some(frame)) => {
-                    if queue.push(frame).is_err() {
-                        return; // consumer closed; stop reading entirely
-                    }
-                }
-                Ok(None) => break,
-                // Framing errors are unrecoverable: no way to resynchronize
-                // on the next boundary, so the connection ends here.
-                Err(_) => {
-                    queue.close();
-                    return;
-                }
-            }
-        }
-    }
-    queue.close();
-}
-
-/// Outbound half of a connection: a bounded executor channel drained by a
-/// writer thread. See the [module docs](self) for the backpressure chain.
-pub struct NonBlockingWriter {
-    tx: Option<Sender<Frame>>,
-    thread: Option<JoinHandle<std::io::Result<()>>>,
-}
-
-impl std::fmt::Debug for NonBlockingWriter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NonBlockingWriter").finish_non_exhaustive()
-    }
-}
-
-/// The writer thread has exited (socket error or peer reset); the frame was
-/// not enqueued and the connection is effectively dead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriterClosed;
-
-impl std::fmt::Display for WriterClosed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("connection writer closed")
-    }
-}
-
-impl std::error::Error for WriterClosed {}
-
-impl NonBlockingWriter {
-    /// Spawns the writing thread over `stream` with a send buffer bounded at
-    /// `send_hwm` frames.
-    pub fn spawn(stream: TcpStream, send_hwm: usize) -> std::io::Result<Self> {
-        let (tx, rx) = channel::<Frame>(send_hwm.max(1));
-        let thread = std::thread::Builder::new()
-            .name("sccg-net-writer".into())
-            .spawn(move || write_loop(stream, rx))?;
-        Ok(NonBlockingWriter {
-            tx: Some(tx),
-            thread: Some(thread),
-        })
-    }
-
-    /// Enqueues a frame, blocking while the send HWM is reached (the
-    /// backpressure by which a slow peer stalls only its own producer).
-    /// Fails if the writer thread exited (socket error or peer reset).
-    pub fn send(&self, frame: Frame) -> Result<(), WriterClosed> {
-        match &self.tx {
-            Some(tx) => tx.send_blocking(frame).map_err(|_| WriterClosed),
-            None => Err(WriterClosed),
-        }
-    }
-
-    /// Closes the channel, lets the thread drain every buffered frame,
-    /// flush, and exit; returns the thread's I/O verdict. This is the
-    /// "flush writers" step of a graceful drain.
-    pub fn close(mut self) -> std::io::Result<()> {
-        self.tx = None; // last sender drops; the channel disconnects
-        match self.thread.take() {
-            Some(thread) => thread
-                .join()
-                .unwrap_or_else(|_| Err(std::io::Error::other("writer thread panicked"))),
-            None => Ok(()),
-        }
-    }
-}
-
-impl Drop for NonBlockingWriter {
-    fn drop(&mut self) {
-        self.tx = None;
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-fn write_loop(mut stream: TcpStream, rx: Receiver<Frame>) -> std::io::Result<()> {
-    let mut out = Vec::with_capacity(64 * 1024);
-    // `recv` resolves to `None` only once the channel is both disconnected
-    // and drained, so close() naturally flushes everything still buffered.
-    while let Some(frame) = block_on(rx.recv()) {
-        out.clear();
-        encode_frame(frame.kind, &frame.body, &mut out);
-        // Coalesce whatever else is already buffered into one write.
-        while out.len() < 64 * 1024 {
-            match rx.try_recv() {
-                Ok(frame) => encode_frame(frame.kind, &frame.body, &mut out),
-                Err(_) => break,
-            }
-        }
-        stream.write_all(&out)?;
-        if rx.is_empty() {
-            stream.flush()?;
-        }
-    }
-    stream.flush()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn bounded_queue_delivers_in_order_and_drains_after_close() {
-        let queue = BoundedQueue::new(8);
-        for i in 0..5 {
-            queue.push(i).unwrap();
-        }
-        queue.close();
-        assert_eq!(queue.push(9), Err(9), "closed queue rejects pushes");
-        for i in 0..5 {
-            assert_eq!(
-                queue.pop_timeout(Duration::from_millis(1)),
-                PopTimeout::Item(i)
-            );
-        }
-        assert_eq!(
-            queue.pop_timeout(Duration::from_millis(1)),
-            PopTimeout::<i32>::Closed
-        );
-    }
-
-    #[test]
-    fn bounded_queue_times_out_while_open() {
-        let queue: BoundedQueue<i32> = BoundedQueue::new(1);
-        assert_eq!(
-            queue.pop_timeout(Duration::from_millis(5)),
-            PopTimeout::TimedOut
-        );
-    }
-
-    #[test]
-    fn push_blocks_at_the_high_water_mark_until_a_pop() {
-        let queue = Arc::new(BoundedQueue::new(2));
-        queue.push(0).unwrap();
-        queue.push(1).unwrap();
-        let pusher = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.push(2))
-        };
-        // The pusher is over the HWM: it must still be parked.
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!pusher.is_finished(), "push parks at the HWM");
-        assert_eq!(
-            queue.pop_timeout(Duration::from_millis(100)),
-            PopTimeout::Item(0)
-        );
-        assert_eq!(pusher.join().unwrap(), Ok(()));
-        assert_eq!(
-            queue.pop_timeout(Duration::from_millis(100)),
-            PopTimeout::Item(1)
-        );
-        assert_eq!(
-            queue.pop_timeout(Duration::from_millis(100)),
-            PopTimeout::Item(2)
-        );
-    }
-
-    #[test]
-    fn close_unblocks_a_parked_pusher() {
-        let queue = Arc::new(BoundedQueue::new(1));
-        queue.push(0).unwrap();
-        let pusher = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.push(1))
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        queue.close();
-        assert_eq!(
-            pusher.join().unwrap(),
-            Err(1),
-            "close rejects the parked push"
-        );
+    /// Sends one frame with a single `write_all`, blocking while the socket
+    /// buffer is full.
+    pub(crate) fn write_frame(&mut self, frame: &Frame) -> io::Result<()> {
+        self.outbound.clear();
+        encode_frame(frame.kind, &frame.body, &mut self.outbound);
+        self.stream.write_all(&self.outbound)
     }
 }

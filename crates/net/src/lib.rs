@@ -12,20 +12,21 @@
 //! * [`wire`] — typed messages and their explicit byte codec. Floats travel
 //!   as IEEE-754 bit patterns, so decoded responses are **bit-identical** to
 //!   the in-process results.
-//! * [`conn`] — per-connection non-blocking reader/writer pairs with
-//!   bounded send/receive high-water marks; the writer drains an executor
-//!   channel ([`sccg::pipeline::exec`]) so socket backpressure composes
-//!   with the pipeline's O(buffer) discipline.
+//! * `conn` (crate-private) — one connection: a `TcpStream` plus a
+//!   [`frame::FrameDecoder`], with a blocking `read_frame` and a
+//!   `write_frame`. Server and client both use it on the thread that owns
+//!   the connection, so the socket itself is the backpressure.
 //! * [`server`] — [`WireServer`]: accepts connections, routes queries with
 //!   a per-client LRU dedup cache (idempotent retries), streams tile frames
 //!   as shards complete, and drains gracefully on shutdown.
 //! * [`client`] — [`WireClient`]: acks, timed retries with capped
 //!   exponential backoff, blocking and streaming query modes.
 //! * [`loadgen`] — [`run_loadgen`]: N concurrent loopback clients reporting
-//!   p50/p99 latency and queries/sec (the `reproduce -- serve` driver).
+//!   p50/p99 latency and queries/sec (driven by `crates/net/tests/loopback.rs`).
 //!
-//! Everything is `std`-only: no async runtime, no network deps — the PR 4
-//! hand-rolled executor supplies the bounded-channel machinery.
+//! Everything is `std`-only: no async runtime, no network deps. The server
+//! runs one acceptor thread plus one dispatcher thread per connection; the
+//! client runs on its caller's thread and spawns none.
 //!
 //! # Quick start
 //!
@@ -59,7 +60,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod conn;
+mod conn;
 pub mod frame;
 pub mod loadgen;
 pub mod server;

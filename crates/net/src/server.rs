@@ -1,10 +1,14 @@
 //! The wire server: a TCP front-end over a shared [`ComparisonService`].
 //!
-//! One acceptor thread plus one dispatcher per connection. A connection
-//! speaks the protocol of [`crate::wire`]: `Hello`/`HelloAck`, then queries
-//! processed **serially per connection** (concurrency is achieved with
-//! concurrent connections, which is also what keeps the per-connection
-//! send/receive buffers honest HWMs). For every query the dispatcher:
+//! One acceptor thread plus one dispatcher thread per connection, and no
+//! other thread: the dispatcher reads and decodes the connection's frames
+//! and writes its replies itself. A connection speaks the protocol of
+//! [`crate::wire`]: `Hello`/`HelloAck`, then queries processed **serially
+//! per connection** (concurrency comes from concurrent connections). The
+//! socket is the backpressure: a peer that stops reading blocks only its own
+//! dispatcher in `write`, while the service's per-query event buffer, sized
+//! to the shard count, keeps engine workers from ever waiting on it. For
+//! every query the dispatcher:
 //!
 //! 1. consults the per-client **routing cache** — a duplicate of an
 //!    in-flight request is re-acked only, a duplicate of a finished request
@@ -18,18 +22,19 @@
 //!    case: tile events are folded into one summary frame with the tile
 //!    list inline.
 //!
-//! Shutdown is a **graceful drain**: stop accepting, let every dispatcher
-//! finish its in-flight query, flush and close the writers, join all
-//! threads. [`WireServer::drop`] performs the same drain.
+//! Shutdown is a **graceful drain** with no timer: stop accepting, shut the
+//! read half of every live connection (a dispatcher parked in `read` wakes
+//! with EOF), let every dispatcher finish and send its in-flight query, and
+//! join all threads. [`WireServer::drop`] performs the same drain.
 
-use crate::conn::{NonBlockingReader, NonBlockingWriter, PopTimeout, WriterClosed};
+use crate::conn::Connection;
 use crate::frame::Frame;
 use crate::wire::{Message, WireFailure, WireResponse, WireStats, WireTile};
 use sccg::sync::lock;
 use sccg::{FaultInjector, SccgError};
 use sccg_serve::{ComparisonService, LruCache, QueryEvent};
-use std::cell::Cell;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -42,17 +47,9 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct NetConfig {
-    /// Send high-water mark: frames buffered per connection before the
-    /// dispatcher blocks (and, transitively, the peer's TCP window fills).
-    pub send_hwm: usize,
-    /// Receive high-water mark: decoded frames buffered per connection
-    /// before the reader thread stops issuing socket reads.
-    pub recv_hwm: usize,
     /// Capacity of the `(client, request)` routing cache that makes retries
     /// idempotent. Small by design: it only needs to cover the retry window.
     pub route_cache: usize,
-    /// How often parked dispatchers re-check the drain flag.
-    pub poll_interval: Duration,
     /// Optional fault injector consulted before every post-handshake frame
     /// a connection sends: a scheduled [`ConnectionReset`] for this client
     /// at the current frame count drops the connection abruptly. `None`
@@ -65,28 +62,13 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            send_hwm: 64,
-            recv_hwm: 64,
             route_cache: 128,
-            poll_interval: Duration::from_millis(20),
             faults: None,
         }
     }
 }
 
 impl NetConfig {
-    /// Returns a copy with a different send high-water mark.
-    pub fn with_send_hwm(mut self, send_hwm: usize) -> Self {
-        self.send_hwm = send_hwm;
-        self
-    }
-
-    /// Returns a copy with a different receive high-water mark.
-    pub fn with_recv_hwm(mut self, recv_hwm: usize) -> Self {
-        self.recv_hwm = recv_hwm;
-        self
-    }
-
     /// Returns a copy with a different routing-cache capacity.
     pub fn with_route_cache(mut self, route_cache: usize) -> Self {
         self.route_cache = route_cache;
@@ -112,28 +94,36 @@ enum RouteState {
     Done(Frame),
 }
 
-/// The sending half of one connection, with the chaos hook in front: every
-/// post-handshake frame is counted, and a [`FaultInjector`] reset scheduled
-/// for this client at the current count kills the connection instead of
-/// sending — the peer observes an abrupt close mid-exchange.
+/// A connection after its handshake, with the chaos hook in front of the
+/// sending side: every post-handshake frame is counted, and a
+/// [`FaultInjector`] reset scheduled for this client at the current count
+/// kills the connection instead of sending — the peer observes an abrupt
+/// close mid-exchange.
 struct ConnSender<'a> {
-    writer: &'a NonBlockingWriter,
+    conn: &'a mut Connection,
     faults: Option<&'a Arc<FaultInjector>>,
     client_id: u64,
-    frames_sent: Cell<u64>,
+    frames_sent: u64,
 }
 
 impl ConnSender<'_> {
-    fn send(&self, frame: Frame) -> Result<(), WriterClosed> {
+    fn send(&mut self, frame: &Frame) -> io::Result<()> {
         if let Some(injector) = self.faults {
-            if injector.reset_connection_now(self.client_id, self.frames_sent.get()) {
-                return Err(WriterClosed);
+            if injector.reset_connection_now(self.client_id, self.frames_sent) {
+                return Err(io::Error::new(
+                    io::ErrorKind::ConnectionReset,
+                    "injected connection reset",
+                ));
             }
         }
-        self.frames_sent.set(self.frames_sent.get() + 1);
-        self.writer.send(frame)
+        self.frames_sent += 1;
+        self.conn.write_frame(frame)
     }
 }
+
+/// A live connection as the server tracks it: a clone of its socket, to wake
+/// the dispatcher on drain, beside the dispatcher's handle.
+type LiveConnection = (TcpStream, JoinHandle<()>);
 
 struct ServerShared {
     service: Arc<ComparisonService>,
@@ -141,7 +131,7 @@ struct ServerShared {
     draining: AtomicBool,
     next_client: AtomicU64,
     routes: Mutex<LruCache<(u64, u64), Arc<RouteState>>>,
-    dispatchers: Mutex<Vec<JoinHandle<()>>>,
+    connections: Mutex<Vec<LiveConnection>>,
 }
 
 /// A running wire front-end. See the [module docs](self).
@@ -176,7 +166,7 @@ impl WireServer {
             config,
             draining: AtomicBool::new(false),
             next_client: AtomicU64::new(1),
-            dispatchers: Mutex::new(Vec::new()),
+            connections: Mutex::new(Vec::new()),
         });
         let acceptor_shared = Arc::clone(&shared);
         let acceptor = std::thread::Builder::new()
@@ -195,15 +185,21 @@ impl WireServer {
     }
 
     /// Gracefully drains the server: stops accepting, finishes in-flight
-    /// queries, flushes and closes every connection, joins all threads.
-    /// Idempotent.
+    /// queries, sends their answers, closes every connection, joins all
+    /// threads. Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        let dispatchers = std::mem::take(&mut *lock(&self.shared.dispatchers));
-        for dispatcher in dispatchers {
+        // The acceptor is gone, so the registry is final. A dispatcher checks
+        // `draining` before each read; one already parked in `read` wakes
+        // here with EOF.
+        let connections = std::mem::take(&mut *lock(&self.shared.connections));
+        for (stream, _) in &connections {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        for (_, dispatcher) in connections {
             let _ = dispatcher.join();
         }
     }
@@ -220,12 +216,19 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nodelay(true);
+                let Ok(wake) = stream.try_clone() else {
+                    continue;
+                };
+                // Reap before spawning, so a connection that has finished by
+                // this accept holds neither a thread handle nor a socket.
+                let mut connections = lock(&shared.connections);
+                connections.retain(|(_, dispatcher)| !dispatcher.is_finished());
                 let dispatcher_shared = Arc::clone(&shared);
                 let spawned = std::thread::Builder::new()
                     .name("sccg-net-conn".into())
                     .spawn(move || dispatch_connection(stream, dispatcher_shared));
-                if let Ok(handle) = spawned {
-                    lock(&shared.dispatchers).push(handle);
+                if let Ok(dispatcher) = spawned {
+                    connections.push((wake, dispatcher));
                 }
             }
             // Nonblocking accept: park briefly so the drain flag stays
@@ -239,86 +242,57 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
 }
 
 /// Runs one connection to completion: handshake, then serial queries until
-/// the peer disconnects or the server drains.
+/// the peer disconnects, the connection breaks, or the server drains.
 fn dispatch_connection(stream: TcpStream, shared: Arc<ServerShared>) {
-    let reader = match stream
-        .try_clone()
-        .and_then(|s| NonBlockingReader::spawn(s, shared.config.recv_hwm))
-    {
-        Ok(reader) => reader,
-        Err(_) => return,
-    };
-    let writer = match NonBlockingWriter::spawn(stream, shared.config.send_hwm) {
-        Ok(writer) => writer,
-        Err(_) => return,
-    };
-
-    if let Some(client_id) = handshake(&reader, &writer, &shared) {
-        let sender = ConnSender {
-            writer: &writer,
+    let mut conn = Connection::new(stream);
+    if let Some(client_id) = handshake(&mut conn, &shared) {
+        let mut sender = ConnSender {
+            conn: &mut conn,
             faults: shared.config.faults.as_ref(),
             client_id,
-            frames_sent: Cell::new(0),
+            frames_sent: 0,
         };
-        serve_queries(&reader, &sender, &shared);
+        serve_queries(&mut sender, &shared);
     }
-    // Graceful teardown either way: drain + flush the send buffer, then
-    // release the read half.
-    let _ = writer.close();
-    reader.close();
+    // The server's registry holds a clone of this socket until the next
+    // accept reaps it, so dropping ours would not close the connection:
+    // shut it down so the peer sees the close now.
+    let _ = conn.stream().shutdown(Shutdown::Both);
+}
+
+/// Reads the connection's next frame unless the server is draining: the
+/// drain point, between queries and never mid-query. `None` ends the
+/// connection (drain, EOF, socket or framing error).
+fn next_frame(conn: &mut Connection, shared: &ServerShared) -> Option<Frame> {
+    if shared.draining.load(Ordering::SeqCst) {
+        return None;
+    }
+    conn.read_frame().ok()
 }
 
 /// Waits for the `Hello`, assigns or echoes the client id, acks it.
-fn handshake(
-    reader: &NonBlockingReader,
-    writer: &NonBlockingWriter,
-    shared: &ServerShared,
-) -> Option<u64> {
-    loop {
-        match reader.recv_timeout(shared.config.poll_interval) {
-            PopTimeout::Item(frame) => {
-                return match Message::of_frame(&frame) {
-                    Ok(Message::Hello { client_id }) => {
-                        let client_id = if client_id == 0 {
-                            shared.next_client.fetch_add(1, Ordering::Relaxed)
-                        } else {
-                            client_id
-                        };
-                        writer
-                            .send(Message::HelloAck { client_id }.to_frame())
-                            .ok()?;
-                        Some(client_id)
-                    }
-                    // Anything else before the handshake is a protocol
-                    // violation: drop the connection.
-                    _ => None,
-                };
-            }
-            PopTimeout::TimedOut => {
-                if shared.draining.load(Ordering::SeqCst) {
-                    return None;
-                }
-            }
-            PopTimeout::Closed => return None,
+fn handshake(conn: &mut Connection, shared: &ServerShared) -> Option<u64> {
+    match Message::of_frame(&next_frame(conn, shared)?) {
+        Ok(Message::Hello { client_id }) => {
+            let client_id = if client_id == 0 {
+                shared.next_client.fetch_add(1, Ordering::Relaxed)
+            } else {
+                client_id
+            };
+            conn.write_frame(&Message::HelloAck { client_id }.to_frame())
+                .ok()?;
+            Some(client_id)
         }
+        // Anything else before the handshake is a protocol violation: drop
+        // the connection.
+        _ => None,
     }
 }
 
-fn serve_queries(reader: &NonBlockingReader, sender: &ConnSender<'_>, shared: &ServerShared) {
-    loop {
-        match reader.recv_timeout(shared.config.poll_interval) {
-            PopTimeout::Item(frame) => {
-                if serve_frame(&frame, sender, shared).is_err() {
-                    return; // writer gone (or reset injected): connection dead
-                }
-            }
-            PopTimeout::TimedOut => {
-                // The drain point: between queries, never mid-query.
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            PopTimeout::Closed => return,
+fn serve_queries(sender: &mut ConnSender<'_>, shared: &ServerShared) {
+    while let Some(frame) = next_frame(sender.conn, shared) {
+        if serve_frame(&frame, sender, shared).is_err() {
+            return; // socket gone (or reset injected): connection dead
         }
     }
 }
@@ -326,12 +300,12 @@ fn serve_queries(reader: &NonBlockingReader, sender: &ConnSender<'_>, shared: &S
 /// Dispatches one decoded frame. Anything other than a query or a stats
 /// probe — an unexpected-but-valid kind (a late duplicate ack, say) or an
 /// undecodable body — poisons only that message and is skipped. An error
-/// means the writer is gone.
+/// means the connection is dead.
 fn serve_frame(
-    frame: &crate::frame::Frame,
-    sender: &ConnSender<'_>,
+    frame: &Frame,
+    sender: &mut ConnSender<'_>,
     shared: &ServerShared,
-) -> Result<(), WriterClosed> {
+) -> io::Result<()> {
     match Message::of_frame(frame) {
         Ok(Message::Query {
             request_id,
@@ -340,27 +314,29 @@ fn serve_frame(
         }) => serve_one_query(request_id, streaming, &spec, sender, shared),
         Ok(Message::StatsRequest) => {
             let stats = WireStats::of_stats(&shared.service.stats());
-            sender.send(Message::Stats { stats }.to_frame())
+            sender.send(&Message::Stats { stats }.to_frame())
         }
         _ => Ok(()),
     }
 }
 
-/// Handles one query frame end to end. An error means the writer is gone.
+/// Handles one query frame end to end. An error means the connection is
+/// dead.
 fn serve_one_query(
     request_id: u64,
     streaming: bool,
     spec: &crate::wire::WireRequestSpec,
-    sender: &ConnSender<'_>,
+    sender: &mut ConnSender<'_>,
     shared: &ServerShared,
-) -> Result<(), WriterClosed> {
+) -> io::Result<()> {
     let key = (sender.client_id, request_id);
 
     // Retry idempotency: duplicates never recompute.
-    if let Some(route) = lock(&shared.routes).get(&key) {
-        sender.send(Message::Ack { request_id }.to_frame())?;
+    let route = lock(&shared.routes).get(&key);
+    if let Some(route) = route {
+        sender.send(&Message::Ack { request_id }.to_frame())?;
         if let RouteState::Done(terminal) = route.as_ref() {
-            sender.send(terminal.clone())?;
+            sender.send(terminal)?;
         }
         return Ok(());
     }
@@ -368,7 +344,7 @@ fn serve_one_query(
 
     // Ack before admission: a query parked on the admission semaphore is
     // *accepted*, and must not look lost to the client's retry timer.
-    sender.send(Message::Ack { request_id }.to_frame())?;
+    sender.send(&Message::Ack { request_id }.to_frame())?;
 
     let handle = match shared.service.submit_streaming(spec.to_request()) {
         Ok(handle) => handle,
@@ -379,8 +355,7 @@ fn serve_one_query(
             }
             .to_frame();
             lock(&shared.routes).insert(key, Arc::new(RouteState::Done(terminal.clone())));
-            sender.send(terminal)?;
-            return Ok(());
+            return sender.send(&terminal);
         }
     };
 
@@ -392,7 +367,7 @@ fn serve_one_query(
             Some(QueryEvent::Tile { position, report }) => {
                 if streaming {
                     sender.send(
-                        Message::Tile {
+                        &Message::Tile {
                             request_id,
                             position: position as u64,
                             tile: WireTile::of_report(&report),
@@ -445,6 +420,123 @@ fn serve_one_query(
         }
     };
     lock(&shared.routes).insert(key, Arc::new(RouteState::Done(stored)));
-    sender.send(live)?;
-    Ok(())
+    sender.send(&live)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{encode_frame, FrameDecoder, FrameKind, MAX_FRAME_LEN};
+    use crate::wire::WireRequestSpec;
+    use crate::{ClientConfig, WireClient};
+    use sccg_datagen::{generate_dataset, DatasetSpec};
+    use sccg_serve::{QueryRequest, ServiceConfig, SlideId, SlideStore};
+    use std::io::{Read, Write};
+    use std::time::Instant;
+
+    fn service(tiles: u32) -> (Arc<ComparisonService>, SlideId, SlideId) {
+        let dataset = generate_dataset(&DatasetSpec {
+            name: "server-test".into(),
+            tiles,
+            polygons_per_tile: 40,
+            tile_size: 256,
+            seed: 51,
+            nucleus_radius: 6,
+        });
+        let store = SlideStore::new();
+        let first =
+            store.register_slide("a", dataset.tiles.iter().map(|t| t.first.clone()).collect());
+        let second = store.register_slide(
+            "b",
+            dataset.tiles.iter().map(|t| t.second.clone()).collect(),
+        );
+        let service = ComparisonService::new(store, ServiceConfig::default()).expect("starts");
+        (Arc::new(service), first, second)
+    }
+
+    /// Polls `condition` until it holds; fails after 10 s.
+    fn wait_until(what: &str, mut condition: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !condition() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn accept_reaps_the_connections_that_have_finished() {
+        let (service, _, _) = service(1);
+        let server =
+            WireServer::start(service, "127.0.0.1:0", NetConfig::default()).expect("starts");
+        for _ in 0..32 {
+            drop(
+                WireClient::connect(server.local_addr(), ClientConfig::default())
+                    .expect("connects"),
+            );
+        }
+        // The acceptor registers a connection under the registry lock it
+        // holds across the spawn, so every closed client is registered (or
+        // already reaped) by the time this lock is taken.
+        wait_until("every closed client's dispatcher exits", || {
+            lock(&server.shared.connections)
+                .iter()
+                .all(|(_, dispatcher)| dispatcher.is_finished())
+        });
+        let _live =
+            WireClient::connect(server.local_addr(), ClientConfig::default()).expect("connects");
+        let connections = lock(&server.shared.connections);
+        assert_eq!(
+            connections.len(),
+            1,
+            "the accept reaped all 32 finished connections"
+        );
+        assert!(!connections[0].1.is_finished(), "the live one stays");
+    }
+
+    #[test]
+    fn framing_error_closes_only_that_connection() {
+        let (service, first, second) = service(3);
+        let server = WireServer::start(Arc::clone(&service), "127.0.0.1:0", NetConfig::default())
+            .expect("starts");
+        let answer = |client: &mut WireClient| {
+            let mut response = client
+                .query_streaming(&WireRequestSpec::new(first, second), |_, _| {})
+                .expect("query resolves")
+                .response;
+            response.cache_hit = false;
+            response
+        };
+        let mut before =
+            WireClient::connect(server.local_addr(), ClientConfig::default()).expect("connects");
+
+        let mut raw = TcpStream::connect(server.local_addr()).expect("connects");
+        raw.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("sets a timeout");
+        let hello = Message::Hello { client_id: 0 }.to_frame();
+        let mut bytes = Vec::new();
+        encode_frame(hello.kind, &hello.body, &mut bytes);
+        bytes.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_be_bytes());
+        raw.write_all(&bytes).expect("sends");
+        let mut received = Vec::new();
+        raw.read_to_end(&mut received)
+            .expect("the server closes the connection: EOF, not a reset");
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(&received);
+        let frame = decoder.next_frame().expect("valid frame");
+        assert_eq!(frame.map(|f| f.kind), Some(FrameKind::HelloAck));
+        assert_eq!(decoder.pending(), 0, "nothing follows the HelloAck");
+
+        let mut after =
+            WireClient::connect(server.local_addr(), ClientConfig::default()).expect("connects");
+        let mut in_process = WireResponse::of_response(
+            &service
+                .submit(QueryRequest::new(first, second))
+                .expect("submits")
+                .wait()
+                .expect("resolves"),
+        );
+        in_process.cache_hit = false;
+        assert_eq!(answer(&mut before), in_process);
+        assert_eq!(answer(&mut after), in_process);
+    }
 }

@@ -4,8 +4,8 @@
 //! registry crate is swapped in when network access exists — see the root
 //! README), so the `Serialize` annotations on [`QueryResponse`] and
 //! [`sccg::pixelbox::SplitTrace`] document the contract while these
-//! hand-rolled writers produce the actual JSON the `reproduce -- serve`
-//! subcommand emits. The output is plain standard JSON: object keys match
+//! hand-rolled writers produce the actual JSON (`examples/serving.rs`
+//! prints it). The output is plain standard JSON: object keys match
 //! the Rust field names, and non-finite floats render as `null`.
 
 use crate::service::{QueryResponse, ServiceStats, TileReport};
