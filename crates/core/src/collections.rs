@@ -5,7 +5,9 @@
 //! pager (plus the wire front-end's per-client routing cache, through the
 //! serving re-export) — and they share one LRU implementation instead of a
 //! copy each. It lives here, below all of them, so `sccg-serve` and
-//! `sccg-store` can depend on it without depending on each other.
+//! `sccg-store` can depend on it without depending on each other. Every
+//! lookup is a `get` that marks its entry used; no caller probes the cache
+//! without counting as a use.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
@@ -61,14 +63,6 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Whether `key` is present, *without* marking it used. A residency
-    /// probe (the scheduler asking "is this tile resident?") must not
-    /// perturb the recency order it is inspecting, or the act of observing
-    /// the cache would change what gets evicted.
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
     }
 
     /// Stamps `key` as most recently used. The caller guarantees the key is
@@ -179,23 +173,6 @@ mod tests {
         assert_eq!(cache.get(&0), Some(0));
         assert_eq!(cache.get(&1), Some(1));
         assert_eq!(cache.get(&3), Some(3));
-    }
-
-    /// `contains` must be recency-neutral: probing an entry repeatedly must
-    /// not save it from eviction the way `get` would.
-    #[test]
-    fn contains_does_not_touch_recency() {
-        let mut cache = LruCache::new(2);
-        cache.insert(0, "a");
-        cache.insert(1, "b");
-        for _ in 0..10 {
-            assert!(cache.contains(&0));
-        }
-        assert!(!cache.contains(&7));
-        cache.insert(2, "c"); // evicts 0: the probes did not refresh it
-        assert!(!cache.contains(&0));
-        assert!(cache.contains(&1));
-        assert!(cache.contains(&2));
     }
 
     /// Eviction order follows touches even when every marker in front is

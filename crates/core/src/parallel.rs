@@ -17,10 +17,6 @@
 //! Clone` bound — just one output allocation written exactly once per
 //! element.
 //!
-//! [`parallel_map`] remains as a compatibility shim over
-//! [`WorkerPool::global`] so existing call sites keep working unchanged
-//! (with strictly weaker bounds).
-//!
 //! # Safety
 //!
 //! Handing borrowed slices to persistent (non-scoped) threads requires
@@ -453,21 +449,6 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// Applies `f` to every element of `items`, producing a vector of results in
-/// input order, using up to `workers` threads of the process-wide
-/// [`WorkerPool`]. Compatibility shim kept so existing call sites migrate
-/// incrementally; note the bounds are weaker than the original
-/// (`R: Default + Clone` is gone — results are written exactly once into
-/// pre-split output slots, never pre-filled).
-pub fn parallel_map<T, R, F>(items: &[T], workers: usize, chunk_size: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    WorkerPool::global().map(items, workers, chunk_size, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,7 +456,7 @@ mod tests {
     #[test]
     fn maps_in_input_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let out = parallel_map(&items, 4, 16, |x| x * 2);
+        let out = WorkerPool::global().map(&items, 4, 16, |x| x * 2);
         let expected: Vec<u64> = items.iter().map(|x| x * 2).collect();
         assert_eq!(out, expected);
     }
@@ -483,23 +464,24 @@ mod tests {
     #[test]
     fn single_worker_matches_sequential() {
         let items: Vec<u64> = (0..100).collect();
+        let pool = WorkerPool::global();
         assert_eq!(
-            parallel_map(&items, 1, 8, |x| x + 1),
-            parallel_map(&items, 8, 8, |x| x + 1)
+            pool.map(&items, 1, 8, |x| x + 1),
+            pool.map(&items, 8, 8, |x| x + 1)
         );
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
         let items: Vec<u32> = Vec::new();
-        let out: Vec<u32> = parallel_map(&items, 4, 8, |x| *x);
+        let out: Vec<u32> = WorkerPool::global().map(&items, 4, 8, |x| *x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn uneven_chunks_cover_all_items() {
         let items: Vec<usize> = (0..37).collect();
-        let out = parallel_map(&items, 3, 5, |x| *x);
+        let out = WorkerPool::global().map(&items, 3, 5, |x| *x);
         assert_eq!(out, items);
     }
 
@@ -514,7 +496,7 @@ mod tests {
         // `vec![R::default(); len]` pre-fill could not even compile this.
         struct Opaque(u64);
         let items: Vec<u64> = (0..256).collect();
-        let out: Vec<Opaque> = parallel_map(&items, 4, 8, |x| Opaque(x * x));
+        let out: Vec<Opaque> = WorkerPool::global().map(&items, 4, 8, |x| Opaque(x * x));
         assert_eq!(out.len(), items.len());
         assert!(out.iter().enumerate().all(|(i, o)| o.0 == (i * i) as u64));
     }

@@ -2,7 +2,7 @@
 //!
 //! The CPU port executes the same sampling-box / pixelization logic as the
 //! GPU kernel, sequentially per pair, and parallelizes across pairs on the
-//! persistent process-wide [`WorkerPool`](crate::parallel::WorkerPool) (the
+//! persistent process-wide [`WorkerPool`] (the
 //! TBB stand-in) — shared with the hybrid backend's CPU share and every
 //! `ComparisonService` engine, so batches cost no thread spawns or channel
 //! traffic. It exists for two reasons in the paper's system: as the
@@ -11,7 +11,7 @@
 
 use super::algorithm::{compute_pair, Trace};
 use super::{PairAreas, PixelBoxConfig, PolygonPair};
-use crate::parallel::parallel_map;
+use crate::parallel::WorkerPool;
 
 /// Computes the areas of one pair on the CPU.
 pub fn compute_pair_cpu(pair: &PolygonPair, config: &PixelBoxConfig) -> PairAreas {
@@ -31,7 +31,7 @@ pub fn compute_batch_cpu(
     config: &PixelBoxConfig,
     workers: usize,
 ) -> Vec<PairAreas> {
-    parallel_map(pairs, workers, 64, |pair| compute_pair_cpu(pair, config))
+    WorkerPool::global().map(pairs, workers, 64, |pair| compute_pair_cpu(pair, config))
 }
 
 #[cfg(test)]

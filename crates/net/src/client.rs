@@ -246,9 +246,8 @@ impl WireClient {
         self.query(spec, true, on_tile)
     }
 
-    /// Fetches the server's telemetry snapshot (service counters plus the
-    /// scheduler's placement counters), bit-identical to the in-process
-    /// [`sccg_serve::ServiceStats`] it was captured from.
+    /// Fetches the server's telemetry snapshot, bit-identical to the
+    /// in-process [`sccg_serve::ServiceStats`] it was captured from.
     pub fn stats(&mut self) -> Result<WireStats, WireError> {
         self.send(&Message::StatsRequest)?;
         let deadline = Instant::now() + self.config.response_timeout;

@@ -22,7 +22,8 @@
 //!    case: tile events are folded into one summary frame with the tile
 //!    list inline.
 //!
-//! Shutdown is a **graceful drain** with no timer: stop accepting, shut the
+//! Shutdown is a **graceful drain** with no timer: stop accepting (one
+//! throwaway connection wakes the acceptor's blocking `accept`), shut the
 //! read half of every live connection (a dispatcher parked in `read` wakes
 //! with EOF), let every dispatcher finish and send its in-flight query, and
 //! join all threads. [`WireServer::drop`] performs the same drain.
@@ -34,7 +35,7 @@ use sccg::sync::lock;
 use sccg::{FaultInjector, SccgError};
 use sccg_serve::{ComparisonService, LruCache, QueryEvent};
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -158,7 +159,6 @@ impl WireServer {
         config: NetConfig,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(ServerShared {
             service,
@@ -190,6 +190,16 @@ impl WireServer {
     pub fn shutdown(&mut self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         if let Some(acceptor) = self.acceptor.take() {
+            // The acceptor is parked in a blocking `accept`: one throwaway
+            // connection wakes it, and it sees `draining` and exits.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(wake);
             let _ = acceptor.join();
         }
         // The acceptor is gone, so the registry is final. A dispatcher checks
@@ -212,8 +222,14 @@ impl Drop for WireServer {
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Checked after `accept` returns: `shutdown` raises the flag, then
+        // connects once to wake this call.
+        if shared.draining.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nodelay(true);
                 let Ok(wake) = stream.try_clone() else {
@@ -231,11 +247,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                     connections.push((wake, dispatcher));
                 }
             }
-            // Nonblocking accept: park briefly so the drain flag stays
-            // responsive without an event queue.
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // A persistent error (out of file descriptors, say) would fail
+            // every retry at once: back off briefly instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -491,6 +504,32 @@ mod tests {
             "the accept reaped all 32 finished connections"
         );
         assert!(!connections[0].1.is_finished(), "the live one stays");
+    }
+
+    /// The acceptor blocks in `accept` with no client ever connecting:
+    /// `shutdown` must wake it, on a loopback bind and on an unspecified
+    /// one, and the listener must be closed afterwards.
+    #[test]
+    fn an_idle_server_shuts_down() {
+        let (service, _, _) = service(1);
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let mut server = WireServer::start(Arc::clone(&service), bind, NetConfig::default())
+                .expect("starts");
+            let port = server.local_addr().port();
+            let (done, finished) = std::sync::mpsc::channel();
+            let stopper = std::thread::spawn(move || {
+                server.shutdown();
+                let _ = done.send(());
+            });
+            finished
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("{bind}: shutdown hung on the idle acceptor"));
+            stopper.join().expect("shutdown thread");
+            assert!(
+                TcpStream::connect((Ipv4Addr::LOCALHOST, port)).is_err(),
+                "{bind}: the listener is closed after shutdown"
+            );
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@ use std::fmt;
 
 /// Protocol magic opening every [`Message::Hello`]: `"SCCG"`.
 pub const MAGIC: u32 = 0x5343_4347;
-/// Protocol version spoken by this build.
-pub const VERSION: u8 = 1;
+/// Protocol version spoken by this build. Version 2's `Stats` body has no
+/// placement counters.
+pub const VERSION: u8 = 2;
 
 /// Decode failure of a frame body. Unlike a framing error, the *stream* is
 /// still intact (frame boundaries are known); only this message is bad.
@@ -440,8 +441,8 @@ impl WireResponse {
     }
 }
 
-/// A [`sccg_serve::ServiceStats`] snapshot as it travels on the wire,
-/// scheduler placement counters included. The pager hit rate travels as its
+/// A [`sccg_serve::ServiceStats`] snapshot as it travels on the wire. The
+/// pager hit rate travels as its
 /// IEEE-754 bit pattern so the remote reading of the fleet's telemetry is
 /// bit-identical to the in-process one.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -470,20 +471,6 @@ pub struct WireStats {
     pub bytes_on_disk: u64,
     /// Faults coalesced into another engine's in-progress read.
     pub coalesced_faults: u64,
-    /// Telemetry name of the placement policy.
-    pub policy: String,
-    /// Dispatches whose disk-backed tiles were all resident.
-    pub affinity_hits: u64,
-    /// Dispatches that still had to fault a tile in.
-    pub affinity_misses: u64,
-    /// Disk reads issued by the background prefetcher.
-    pub prefetch_issued: u64,
-    /// Prefetches still resident when their shard dispatched.
-    pub prefetch_used: u64,
-    /// Prefetches evicted (or orphaned) before their shard dispatched.
-    pub prefetch_wasted: u64,
-    /// Resident disk-backed tiles encountered at dispatch.
-    pub faults_avoided: u64,
 }
 
 impl WireStats {
@@ -502,13 +489,6 @@ impl WireStats {
             pager_hit_rate_bits: stats.pager_hit_rate.to_bits(),
             bytes_on_disk: stats.bytes_on_disk,
             coalesced_faults: stats.coalesced_faults,
-            policy: stats.scheduler.policy.clone(),
-            affinity_hits: stats.scheduler.affinity_hits,
-            affinity_misses: stats.scheduler.affinity_misses,
-            prefetch_issued: stats.scheduler.prefetch_issued,
-            prefetch_used: stats.scheduler.prefetch_used,
-            prefetch_wasted: stats.scheduler.prefetch_wasted,
-            faults_avoided: stats.scheduler.faults_avoided,
         }
     }
 
@@ -533,13 +513,6 @@ impl WireStats {
         w.u64(self.pager_hit_rate_bits);
         w.u64(self.bytes_on_disk);
         w.u64(self.coalesced_faults);
-        w.str(&self.policy);
-        w.u64(self.affinity_hits);
-        w.u64(self.affinity_misses);
-        w.u64(self.prefetch_issued);
-        w.u64(self.prefetch_used);
-        w.u64(self.prefetch_wasted);
-        w.u64(self.faults_avoided);
     }
 
     fn decode(r: &mut BodyReader<'_>) -> Result<Self, WireDecodeError> {
@@ -568,13 +541,6 @@ impl WireStats {
             pager_hit_rate_bits: r.u64("stats.pager_hit_rate_bits")?,
             bytes_on_disk: r.u64("stats.bytes_on_disk")?,
             coalesced_faults: r.u64("stats.coalesced_faults")?,
-            policy: r.str("stats.policy")?,
-            affinity_hits: r.u64("stats.affinity_hits")?,
-            affinity_misses: r.u64("stats.affinity_misses")?,
-            prefetch_issued: r.u64("stats.prefetch_issued")?,
-            prefetch_used: r.u64("stats.prefetch_used")?,
-            prefetch_wasted: r.u64("stats.prefetch_wasted")?,
-            faults_avoided: r.u64("stats.faults_avoided")?,
         })
     }
 }
@@ -738,8 +704,7 @@ pub enum Message {
     /// between queries (a connection's queries are serial), so it needs no
     /// request id.
     StatsRequest,
-    /// Server → client: the telemetry snapshot, scheduler placement
-    /// counters included.
+    /// Server → client: the telemetry snapshot.
     Stats {
         /// The snapshot.
         stats: WireStats,
@@ -1075,13 +1040,6 @@ mod tests {
             pager_hit_rate_bits: f64::from_bits(0x3FE5_5555_5555_5555).to_bits(),
             bytes_on_disk: 4096,
             coalesced_faults: 3,
-            policy: "residency-aware".into(),
-            affinity_hits: 40,
-            affinity_misses: 9,
-            prefetch_issued: 24,
-            prefetch_used: 20,
-            prefetch_wasted: 4,
-            faults_avoided: 55,
         }
     }
 

@@ -119,10 +119,6 @@ fn blocking_mode_is_the_one_frame_degenerate_case() {
     assert_eq!(remote, local, "wire stats match the in-process snapshot");
     assert_eq!(remote.submitted, 2);
     assert_eq!(remote.cache_hits, 1, "the streamed repeat hit the cache");
-    assert_eq!(
-        remote.policy, "residency-aware",
-        "the default placement policy travels by name"
-    );
 }
 
 /// Raw-socket probe: a duplicated request (the client retry case) is

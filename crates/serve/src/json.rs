@@ -111,15 +111,12 @@ pub fn stats_to_json(stats: &ServiceStats) -> String {
         .map(|n| n.to_string())
         .collect();
     let engines: Vec<String> = stats.engines.iter().map(engine_json).collect();
-    let scheduler = &stats.scheduler;
     format!(
         "{{\"submitted\":{},\"completed\":{},\"cache_hits\":{},\"backend_batches\":{},\
          \"in_flight\":{},\"peak_in_flight\":{},\"cache_entries\":{},\"shards_per_engine\":[{}],\
          \"redispatches\":{},\"engines\":[{}],\
          \"resident_tiles\":{},\"pager_hit_rate\":{},\"bytes_on_disk\":{},\
-         \"coalesced_faults\":{},\"scheduler\":{{\"policy\":{},\"affinity_hits\":{},\
-         \"affinity_misses\":{},\"prefetch_issued\":{},\"prefetch_used\":{},\
-         \"prefetch_wasted\":{},\"faults_avoided\":{}}}}}",
+         \"coalesced_faults\":{}}}",
         stats.submitted,
         stats.completed,
         stats.cache_hits,
@@ -134,13 +131,6 @@ pub fn stats_to_json(stats: &ServiceStats) -> String {
         json_f64(stats.pager_hit_rate),
         stats.bytes_on_disk,
         stats.coalesced_faults,
-        json_string(&scheduler.policy),
-        scheduler.affinity_hits,
-        scheduler.affinity_misses,
-        scheduler.prefetch_issued,
-        scheduler.prefetch_used,
-        scheduler.prefetch_wasted,
-        scheduler.faults_avoided,
     )
 }
 

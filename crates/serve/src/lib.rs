@@ -13,7 +13,9 @@
 //! * [`QueryRequest`] — a builder-style query over a slide pair: tile subset
 //!   or whole slide, device preference, PixelBox variant, priority.
 //! * [`ComparisonService`] — owns a pool of engines (CPU/GPU/hybrid mix),
-//!   shards whole-slide queries across the pool, merges per-tile Jaccard
+//!   shards whole-slide queries across the pool (each free engine takes the
+//!   first shard it may run in the most urgent priority lane; an engine the
+//!   [`supervisor`] marked dead takes none), merges per-tile Jaccard
 //!   accumulators in deterministic tile order, caches responses, bounds
 //!   in-flight queries with admission control, and pools hybrid
 //!   [`sccg::pixelbox::SplitController`] observations across engines.
@@ -51,30 +53,28 @@
 pub mod cache;
 pub mod json;
 pub mod request;
-pub mod scheduler;
+mod scheduler;
 pub mod service;
 pub mod store;
 pub mod supervisor;
 
 pub use cache::LruCache;
 pub use request::{QueryPriority, QueryRequest, TileSelection};
-pub use scheduler::{PlacementPolicy, SchedulerStats};
 pub use service::{
-    ComparisonService, QueryEvent, QueryHandle, QueryResponse, ServiceConfig, ServiceStats,
-    StreamingHandle, TileReport,
+    ComparisonService, QueryEvent, QueryHandle, QueryResponse, SchedulerStats, ServiceConfig,
+    ServiceStats, StreamingHandle, TileReport,
 };
-pub use store::{SlideId, SlideInfo, SlideStore, StorageStats, TileId, TileResidency};
+pub use store::{SlideId, SlideInfo, SlideStore, StorageStats, TileId};
 pub use supervisor::EngineHealth;
 
 /// Convenient re-exports for application code.
 pub mod prelude {
     pub use crate::cache::LruCache;
     pub use crate::request::{QueryPriority, QueryRequest, TileSelection};
-    pub use crate::scheduler::{PlacementPolicy, SchedulerStats};
     pub use crate::service::{
-        ComparisonService, QueryEvent, QueryHandle, QueryResponse, ServiceConfig, ServiceStats,
-        StreamingHandle, TileReport,
+        ComparisonService, QueryEvent, QueryHandle, QueryResponse, SchedulerStats, ServiceConfig,
+        ServiceStats, StreamingHandle, TileReport,
     };
-    pub use crate::store::{SlideId, SlideInfo, SlideStore, StorageStats, TileId, TileResidency};
+    pub use crate::store::{SlideId, SlideInfo, SlideStore, StorageStats, TileId};
     pub use crate::supervisor::EngineHealth;
 }

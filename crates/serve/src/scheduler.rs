@@ -1,136 +1,30 @@
-//! The placement layer: which engine runs which shard, and when.
+//! The shard job queue: which engine runs which shard, and when.
 //!
-//! [`crate::ComparisonService`] used to pop shards first-come-first-served;
-//! this module makes the dispatch decision an explicit, swappable
-//! **placement policy**. The (crate-private) `JobQueue` still owns the
-//! priority lanes and
-//! the worker wakers, but *which* eligible shard a worker takes — and how a
-//! query's shards are ordered before they are enqueued — is delegated to
-//! the configured [`PlacementPolicy`]:
+//! Dispatch is FIFO per priority lane: a worker takes the first shard in the
+//! most urgent non-empty lane that its device may execute (a shard pinned to
+//! another device is skipped, not waited behind). The paper's pipeline (§4)
+//! likewise hands each tile to whichever device is free. Idle workers are
+//! suspended futures on the queue's waker list, so they hold no OS thread,
+//! and an engine the [`Supervisor`] has marked dead parks the same way until
+//! its revival cooldown elapses.
 //!
-//! * [`PlacementPolicy::RoundRobin`] — the historical behaviour: the first
-//!   eligible shard in the most urgent lane, no reordering, no prefetch.
-//! * [`PlacementPolicy::ResidencyAware`] (the default) — places work where
-//!   its data already is. A query's shards are ordered so tiles resident in
-//!   the store's pagers compute first; at pop time a worker prefers shards
-//!   whose tiles are resident, breaking ties toward tiles *it* last faulted
-//!   in ([`crate::SlideStore::tile_affinity`]); and a background prefetcher
-//!   task (spawned on the service executor, the PR 4 seam) faults upcoming
-//!   tiles into the pagers' free capacity a bounded window ahead of
-//!   compute. An anti-starvation guard caps how often any eligible shard
-//!   may be bypassed.
-//!
-//! Placement changes only *where and when* a shard runs — never its
-//! position in the response's merge order — so responses are bit-identical
-//! across policies by construction (the equivalence proptests in
-//! `tests/placement_proptests.rs` pin this).
-//!
-//! Every decision is exported: [`SchedulerStats`] counts affinity hits and
-//! misses, prefetches issued/used/wasted, and disk faults avoided, surfaced
-//! through [`crate::ServiceStats`] and its JSON rendering.
+//! Dispatch order decides only *where and when* a shard runs, never its
+//! position in the response's merge order, so responses are bit-identical
+//! whatever engine computes which shard.
 
 use crate::service::QueryState;
-use crate::store::{TileId, TileResidency};
 use crate::supervisor::Supervisor;
 use sccg::pipeline::exec::register_waker;
 use sccg::pixelbox::AggregationDevice;
 use sccg::sync::lock;
-use serde::Serialize;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 
-/// How many eligible shards a residency-aware pop inspects before settling:
-/// residency probes cost a lock acquisition each, so a very deep queue is
-/// scanned only this far (the tail is reached as the queue drains).
-const SCAN_LIMIT: usize = 32;
-
-/// How many times one eligible shard may be passed over for a
-/// better-placed one before the policy takes it unconditionally — the
-/// anti-starvation guard: locality is a preference, never a denial of
-/// service.
-const BYPASS_LIMIT: u32 = 64;
-
-/// Which placement policy a [`crate::ComparisonService`] dispatches with
-/// (see [`crate::ServiceConfig::with_placement`] and the [module
-/// docs](self)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
-pub enum PlacementPolicy {
-    /// First eligible shard wins; no reordering, no prefetch. The
-    /// historical dispatch order.
-    RoundRobin,
-    /// Resident tiles first, affinity tie-break, background prefetch — the
-    /// default.
-    #[default]
-    ResidencyAware,
-}
-
-impl PlacementPolicy {
-    /// Stable telemetry name of the policy.
-    pub fn name(self) -> &'static str {
-        match self {
-            PlacementPolicy::RoundRobin => "round-robin",
-            PlacementPolicy::ResidencyAware => "residency-aware",
-        }
-    }
-}
-
-/// Snapshot of the scheduler's placement counters (all zero under
-/// [`PlacementPolicy::RoundRobin`], which makes no placement decisions).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-#[non_exhaustive]
-pub struct SchedulerStats {
-    /// Telemetry name of the active policy ([`PlacementPolicy::name`]).
-    pub policy: String,
-    /// Shards dispatched while every disk-backed tile they touch was
-    /// already resident — the dispatch paid no disk fault.
-    pub affinity_hits: u64,
-    /// Shards dispatched that still had to fault at least one tile in.
-    pub affinity_misses: u64,
-    /// Disk reads issued by the background prefetcher.
-    pub prefetch_issued: u64,
-    /// Prefetched shards whose tiles were still resident when the shard was
-    /// dispatched: the prefetch converted a would-be fault into a hit.
-    pub prefetch_used: u64,
-    /// Prefetched shards whose tiles had been evicted again (or whose query
-    /// finished) before dispatch: the prefetch read was wasted.
-    pub prefetch_wasted: u64,
-    /// Resident disk-backed tiles encountered at dispatch — demand faults
-    /// the placement (ordering, affinity, prefetch) avoided.
-    pub faults_avoided: u64,
-}
-
-/// Lock-free counters behind [`SchedulerStats`], shared by the queue, the
-/// policy and the prefetcher tasks.
-#[derive(Debug, Default)]
-pub(crate) struct SchedulerCounters {
-    pub(crate) affinity_hits: AtomicU64,
-    pub(crate) affinity_misses: AtomicU64,
-    pub(crate) prefetch_issued: AtomicU64,
-    pub(crate) prefetch_used: AtomicU64,
-    pub(crate) prefetch_wasted: AtomicU64,
-    pub(crate) faults_avoided: AtomicU64,
-}
-
-impl SchedulerCounters {
-    fn snapshot(&self, policy: PlacementPolicy) -> SchedulerStats {
-        SchedulerStats {
-            policy: policy.name().to_string(),
-            affinity_hits: self.affinity_hits.load(Ordering::Relaxed),
-            affinity_misses: self.affinity_misses.load(Ordering::Relaxed),
-            prefetch_issued: self.prefetch_issued.load(Ordering::Relaxed),
-            prefetch_used: self.prefetch_used.load(Ordering::Relaxed),
-            prefetch_wasted: self.prefetch_wasted.load(Ordering::Relaxed),
-            faults_avoided: self.faults_avoided.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// The worker identity a pop runs as: its device (eligibility) and its pool
-/// index (affinity).
+/// index (liveness).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Worker {
     pub(crate) device: AggregationDevice,
@@ -148,204 +42,24 @@ pub(crate) struct ShardJob {
     pub(crate) tile_index: usize,
     /// Device restriction copied from the request.
     pub(crate) device: Option<AggregationDevice>,
-    /// How many pops passed this shard over for a better-placed one —
-    /// feeds the [`BYPASS_LIMIT`] anti-starvation guard.
-    pub(crate) bypassed: u32,
 }
 
 impl ShardJob {
     pub(crate) fn eligible(&self, worker_device: AggregationDevice) -> bool {
         self.device.is_none_or(|d| d == worker_device)
     }
-
-    /// Residency of the shard's two tiles (first slide, second slide).
-    fn residency(&self) -> (TileResidency, TileResidency) {
-        let query = &self.query;
-        (
-            query.store.tile_residency(TileId {
-                slide: query.meta.first,
-                index: self.tile_index,
-            }),
-            query.store.tile_residency(TileId {
-                slide: query.meta.second,
-                index: self.tile_index,
-            }),
-        )
-    }
-
-    /// Whether either of the shard's tiles was last faulted in by
-    /// `worker` — the engine whose past activity pulled this data in.
-    fn affine_to(&self, worker: &Worker) -> bool {
-        let query = &self.query;
-        [query.meta.first, query.meta.second].iter().any(|&slide| {
-            query.store.tile_affinity(TileId {
-                slide,
-                index: self.tile_index,
-            }) == Some(worker.index)
-        })
-    }
 }
 
-/// The placement decisions a policy makes, over the crate's internal shard
-/// and query types. Object-safe; the queue holds one boxed instance.
-trait Placement: Send + Sync {
-    /// Whether queries under this policy get a background prefetcher task.
-    fn wants_prefetch(&self) -> bool {
-        false
-    }
-
-    /// Reorders a query's `(position, tile_index)` shards before they are
-    /// enqueued. Only the *enqueue* order changes — `position` still names
-    /// each tile's slot in the merge-ordered response, so placement cannot
-    /// alter the fold.
-    fn order_shards(&self, query: &QueryState, shards: &mut [(usize, usize)]) {
-        let _ = (query, shards);
-    }
-
-    /// Picks the index of the shard `worker` should take from `lane`, or
-    /// `None` if no shard in the lane is eligible. May mutate bypass
-    /// counters on the shards it passes over.
-    fn select(&self, lane: &mut VecDeque<ShardJob>, worker: &Worker) -> Option<usize>;
-
-    /// Observes a dispatch (the chosen shard, just removed from its lane)
-    /// for the placement counters.
-    fn on_dispatch(&self, job: &ShardJob, worker: &Worker, counters: &SchedulerCounters) {
-        let _ = (job, worker, counters);
-    }
-}
-
-/// The historical first-eligible dispatch. Counts nothing and reorders
-/// nothing: with this policy the scheduler behaves exactly as before the
-/// placement layer existed.
-struct RoundRobin;
-
-impl Placement for RoundRobin {
-    fn select(&self, lane: &mut VecDeque<ShardJob>, worker: &Worker) -> Option<usize> {
-        lane.iter().position(|job| job.eligible(worker.device))
-    }
-}
-
-/// Resident tiles first, affinity tie-break, bounded bypass.
-struct ResidencyAware;
-
-impl ResidencyAware {
-    /// Whether both of the shard's tiles can be served without a disk fault
-    /// right now (in-memory tiles always can).
-    fn available(residency: (TileResidency, TileResidency)) -> bool {
-        residency.0 != TileResidency::Absent && residency.1 != TileResidency::Absent
-    }
-}
-
-impl Placement for ResidencyAware {
-    fn wants_prefetch(&self) -> bool {
-        true
-    }
-
-    fn order_shards(&self, query: &QueryState, shards: &mut [(usize, usize)]) {
-        let first = query.store.residency_snapshot(query.meta.first);
-        let second = query.store.residency_snapshot(query.meta.second);
-        if first.is_none() && second.is_none() {
-            return; // fully in-memory: every order is equally local
-        }
-        let resident = |tile: usize| {
-            first.as_ref().is_none_or(|s| s.is_resident(tile))
-                && second.as_ref().is_none_or(|s| s.is_resident(tile))
-        };
-        // Stable: resident tiles keep their relative order in front,
-        // non-resident ones behind — the prefetcher walks this same order.
-        shards.sort_by_key(|&(_, tile)| !resident(tile));
-    }
-
-    fn select(&self, lane: &mut VecDeque<ShardJob>, worker: &Worker) -> Option<usize> {
-        let mut first_eligible = None;
-        let mut first_available = None;
-        let mut affine = None;
-        let mut scanned = 0;
-        for (pos, job) in lane.iter().enumerate() {
-            if !job.eligible(worker.device) {
-                continue;
-            }
-            if first_eligible.is_none() {
-                first_eligible = Some(pos);
-                if job.bypassed >= BYPASS_LIMIT {
-                    // Anti-starvation: the oldest eligible shard has waited
-                    // long enough; locality yields.
-                    break;
-                }
-            }
-            scanned += 1;
-            if scanned > SCAN_LIMIT {
-                break;
-            }
-            let residency = job.residency();
-            if Self::available(residency) {
-                if first_available.is_none() {
-                    first_available = Some(pos);
-                }
-                if job.affine_to(worker) {
-                    affine = Some(pos);
-                    break; // best tier: resident *and* this worker's data
-                }
-            }
-        }
-        let choice = if first_eligible
-            .and_then(|pos| lane.get(pos))
-            .is_some_and(|job| job.bypassed >= BYPASS_LIMIT)
-        {
-            first_eligible
-        } else {
-            affine.or(first_available).or(first_eligible)
-        };
-        if let Some(chosen) = choice {
-            for (pos, job) in lane.iter_mut().enumerate() {
-                if pos == chosen {
-                    break;
-                }
-                if job.eligible(worker.device) {
-                    job.bypassed = job.bypassed.saturating_add(1);
-                }
-            }
-        }
-        choice
-    }
-
-    fn on_dispatch(&self, job: &ShardJob, _worker: &Worker, counters: &SchedulerCounters) {
-        let residency = job.residency();
-        let touches_disk =
-            residency.0 != TileResidency::Memory || residency.1 != TileResidency::Memory;
-        if touches_disk {
-            if Self::available(residency) {
-                counters.affinity_hits.fetch_add(1, Ordering::Relaxed);
-                let resident = [residency.0, residency.1]
-                    .iter()
-                    .filter(|&&r| r == TileResidency::Resident)
-                    .count() as u64;
-                counters
-                    .faults_avoided
-                    .fetch_add(resident, Ordering::Relaxed);
-            } else {
-                counters.affinity_misses.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if lock(&job.query.prefetched).remove(&job.tile_index) {
-            if Self::available(residency) {
-                counters.prefetch_used.fetch_add(1, Ordering::Relaxed);
-            } else {
-                counters.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// Priority-laned job queue shared by every worker task, dispatching
-/// through the configured placement policy. Workers await [`JobQueue::pop`]:
-/// an idle worker is a suspended future on the waker list — it holds no OS
-/// thread and is re-polled when a shard arrives or the queue closes.
+/// Priority-laned job queue shared by every worker task. Workers await
+/// [`JobQueue::pop`]: an idle worker is a suspended future on the waker list
+/// — it holds no OS thread and is re-polled when a shard arrives or the queue
+/// closes.
+///
+/// Wakers are registered under the state lock, and `push`/`close` take them
+/// under that same lock, so a push or close between a worker's scan and its
+/// registration cannot be lost.
 pub(crate) struct JobQueue {
     state: Mutex<QueueState>,
-    policy: Box<dyn Placement>,
-    kind: PlacementPolicy,
-    counters: Arc<SchedulerCounters>,
     /// Engine liveness: a dead engine's pop parks instead of taking work
     /// (and is lazily revived there once its cooldown elapses).
     supervisor: Arc<Supervisor>,
@@ -361,20 +75,13 @@ struct QueueState {
 }
 
 impl JobQueue {
-    pub(crate) fn new(kind: PlacementPolicy, supervisor: Arc<Supervisor>) -> Self {
-        let policy: Box<dyn Placement> = match kind {
-            PlacementPolicy::RoundRobin => Box::new(RoundRobin),
-            PlacementPolicy::ResidencyAware => Box::new(ResidencyAware),
-        };
+    pub(crate) fn new(supervisor: Arc<Supervisor>) -> Self {
         JobQueue {
             state: Mutex::new(QueueState {
                 lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
                 closed: false,
                 wakers: Vec::new(),
             }),
-            policy,
-            kind,
-            counters: Arc::new(SchedulerCounters::default()),
             supervisor,
         }
     }
@@ -401,28 +108,6 @@ impl JobQueue {
         orphaned
     }
 
-    /// Whether queries dispatched through this queue should get a
-    /// background prefetcher (see [`run_prefetch`]).
-    pub(crate) fn wants_prefetch(&self) -> bool {
-        self.policy.wants_prefetch()
-    }
-
-    /// Applies the policy's shard ordering before enqueueing (see
-    /// [`Placement::order_shards`]).
-    pub(crate) fn place(&self, query: &QueryState, shards: &mut [(usize, usize)]) {
-        self.policy.order_shards(query, shards);
-    }
-
-    /// The shared placement counters (handed to prefetcher tasks).
-    pub(crate) fn counters(&self) -> Arc<SchedulerCounters> {
-        Arc::clone(&self.counters)
-    }
-
-    /// Snapshot of the placement counters.
-    pub(crate) fn stats(&self) -> SchedulerStats {
-        self.counters.snapshot(self.kind)
-    }
-
     pub(crate) fn push(&self, job: ShardJob, lane: usize) {
         let wakers = {
             let mut state = lock(&self.state);
@@ -434,10 +119,10 @@ impl JobQueue {
         }
     }
 
-    /// Resolves to the shard the policy places on `worker`, suspending
-    /// while none is eligible. Resolves to `None` once the queue is closed
-    /// and no eligible work remains (pending work is drained before
-    /// shutdown).
+    /// Resolves to the first shard `worker` may run in the most urgent lane,
+    /// suspending while none is eligible. Resolves to `None` once the queue
+    /// is closed and no eligible work remains (pending work is drained
+    /// before shutdown).
     pub(crate) fn pop(&self, worker: Worker) -> PopJob<'_> {
         PopJob {
             queue: self,
@@ -483,12 +168,8 @@ impl Future for PopJob<'_> {
         }
         let mut state = lock(&self.queue.state);
         for lane in state.lanes.iter_mut() {
-            if let Some(pos) = self.queue.policy.select(lane, &self.worker) {
-                let job = lane.remove(pos).expect("selected shard is in the lane");
-                self.queue
-                    .policy
-                    .on_dispatch(&job, &self.worker, &self.queue.counters);
-                return Poll::Ready(Some(job));
+            if let Some(pos) = lane.iter().position(|job| job.eligible(self.worker.device)) {
+                return Poll::Ready(lane.remove(pos));
             }
         }
         if state.closed {
@@ -496,104 +177,6 @@ impl Future for PopJob<'_> {
         }
         register_waker(&mut state.wakers, cx.waker());
         Poll::Pending
-    }
-}
-
-/// Wakes the prefetcher when a query's compute progress advances (see
-/// [`run_prefetch`]): workers notify after every completed shard.
-pub(crate) struct ProgressNotify {
-    wakers: Mutex<Vec<Waker>>,
-}
-
-impl ProgressNotify {
-    pub(crate) fn new() -> Self {
-        ProgressNotify {
-            wakers: Mutex::new(Vec::new()),
-        }
-    }
-
-    pub(crate) fn notify(&self) {
-        for waker in std::mem::take(&mut *lock(&self.wakers)) {
-            waker.wake();
-        }
-    }
-}
-
-/// Resolves `true` once `target` is within `window` shards of the query's
-/// compute progress, `false` once the query has finished (nothing left to
-/// prefetch for). Re-checks under the notify lock, so a worker's progress
-/// notification between check and registration cannot be lost.
-struct WithinWindow<'a> {
-    query: &'a QueryState,
-    target: usize,
-    window: usize,
-}
-
-impl WithinWindow<'_> {
-    fn check(&self) -> Option<bool> {
-        let remaining = self.query.remaining.load(Ordering::Acquire);
-        if remaining == 0 {
-            return Some(false);
-        }
-        let progress = self.query.shard_total - remaining.min(self.query.shard_total);
-        if self.target <= progress + self.window {
-            return Some(true);
-        }
-        None
-    }
-}
-
-impl Future for WithinWindow<'_> {
-    type Output = bool;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if let Some(ready) = self.check() {
-            return Poll::Ready(ready);
-        }
-        let mut wakers = lock(&self.query.progress.wakers);
-        if let Some(ready) = self.check() {
-            return Poll::Ready(ready);
-        }
-        register_waker(&mut wakers, cx.waker());
-        Poll::Pending
-    }
-}
-
-/// The background prefetcher task of one query (an executor task on the
-/// PR 4 seam): walks the placement order, staying at most `window` tiles
-/// ahead of compute, and faults each upcoming tile of both slides into the
-/// pagers' *free* capacity ([`crate::SlideStore::prefetch_tile`] never
-/// evicts, so prefetch cannot push out tiles the queries still need).
-/// Exits as soon as the query finishes; read failures are left for the
-/// demand fetch to surface as the query's typed error.
-pub(crate) async fn run_prefetch(
-    query: Arc<QueryState>,
-    order: Vec<usize>,
-    counters: Arc<SchedulerCounters>,
-    window: usize,
-) {
-    for (target, tile_index) in order.into_iter().enumerate() {
-        let within = WithinWindow {
-            query: &query,
-            target,
-            window,
-        };
-        if !within.await {
-            return;
-        }
-        let mut issued = false;
-        for slide in [query.meta.first, query.meta.second] {
-            if let Ok(true) = query.store.prefetch_tile(TileId {
-                slide,
-                index: tile_index,
-            }) {
-                counters.prefetch_issued.fetch_add(1, Ordering::Relaxed);
-                issued = true;
-            }
-        }
-        if issued {
-            lock(&query.prefetched).insert(tile_index);
-        }
     }
 }
 
@@ -606,10 +189,9 @@ mod tests {
     use crate::store::{SlideId, SlideStore};
     use sccg::pipeline::exec::block_on;
     use sccg::pixelbox::PixelBoxConfig;
-    use sccg_geometry::text::{parse_polygon_file, write_polygon_file};
-    use std::collections::HashSet;
-    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::task::Wake;
+    use std::time::Duration;
 
     /// A waker that records whether it was woken.
     struct Flag(AtomicBool);
@@ -620,19 +202,13 @@ mod tests {
         }
     }
 
-    /// A queue whose supervisor considers every engine alive (large
-    /// threshold, irrelevant cooldown) — supervision is exercised in the
-    /// service-level fault tests, not here.
-    fn open_queue(kind: PlacementPolicy) -> JobQueue {
+    /// A queue whose supervisor kills an engine on its first failure and
+    /// never revives it within a test — supervision of real workers is
+    /// exercised in the service-level fault tests, not here.
+    fn open_queue() -> (JobQueue, Arc<Supervisor>) {
         let devices = [AggregationDevice::Gpu, AggregationDevice::Cpu];
-        JobQueue::new(
-            kind,
-            Arc::new(Supervisor::new(
-                &devices,
-                u32::MAX,
-                std::time::Duration::from_secs(3600),
-            )),
-        )
+        let supervisor = Arc::new(Supervisor::new(&devices, 1, Duration::from_secs(3600)));
+        (JobQueue::new(Arc::clone(&supervisor)), supervisor)
     }
 
     fn test_query(
@@ -663,9 +239,6 @@ mod tests {
             failure: Mutex::new(None),
             responder,
             stream: None,
-            prefetched: Mutex::new(HashSet::new()),
-            progress: ProgressNotify::new(),
-            shard_total: shards,
             deadline: None,
         })
     }
@@ -676,7 +249,6 @@ mod tests {
             position: tile,
             tile_index: tile,
             device,
-            bypassed: 0,
         }
     }
 
@@ -687,128 +259,85 @@ mod tests {
         Pin::new(&mut pop).poll(&mut cx)
     }
 
-    /// The fairness satellite: a CPU-only shard queued *behind* GPU-pinned
-    /// shards must be handed to a CPU worker immediately — the eligibility
-    /// scan skips over ineligible work rather than head-of-line blocking —
-    /// and a GPU worker parked before the pushes must have been woken by
-    /// them. Checked for both policies.
+    const GPU_WORKER: Worker = Worker {
+        device: AggregationDevice::Gpu,
+        index: 0,
+    };
+    const CPU_WORKER: Worker = Worker {
+        device: AggregationDevice::Cpu,
+        index: 1,
+    };
+
+    /// A CPU-only shard queued *behind* GPU-pinned shards must be handed to
+    /// a CPU worker immediately — the eligibility scan skips over ineligible
+    /// work rather than head-of-line blocking — and a GPU worker parked
+    /// before the pushes must have been woken by them.
     #[test]
     fn cpu_job_behind_gpu_jobs_is_not_starved() {
-        for kind in [PlacementPolicy::RoundRobin, PlacementPolicy::ResidencyAware] {
-            let queue = open_queue(kind);
-            let gpu_worker = Worker {
-                device: AggregationDevice::Gpu,
-                index: 0,
-            };
-            let cpu_worker = Worker {
-                device: AggregationDevice::Cpu,
-                index: 1,
-            };
-            // Park a GPU worker on the empty queue.
-            let parked = Arc::new(Flag(AtomicBool::new(false)));
-            assert!(poll_pop(&queue, gpu_worker, &parked).is_pending());
+        let (queue, _supervisor) = open_queue();
+        // Park a GPU worker on the empty queue.
+        let parked = Arc::new(Flag(AtomicBool::new(false)));
+        assert!(poll_pop(&queue, GPU_WORKER, &parked).is_pending());
 
-            let store = SlideStore::new();
-            let first = store.register_slide("a", vec![vec![]; 4]);
-            let second = store.register_slide("b", vec![vec![]; 4]);
-            let query = test_query(store, first, second, 4);
-            for tile in 0..3 {
-                queue.push(job(&query, tile, Some(AggregationDevice::Gpu)), 1);
-            }
-            queue.push(job(&query, 3, Some(AggregationDevice::Cpu)), 1);
-            assert!(
-                parked.0.load(Ordering::SeqCst),
-                "{kind:?}: the parked GPU worker was woken by the pushes"
-            );
-
-            // The CPU worker gets its shard on the first poll, despite the
-            // three GPU-pinned shards ahead of it in the lane.
-            let idle = Arc::new(Flag(AtomicBool::new(false)));
-            match poll_pop(&queue, cpu_worker, &idle) {
-                Poll::Ready(Some(job)) => assert_eq!(job.tile_index, 3, "{kind:?}"),
-                other => panic!(
-                    "{kind:?}: CPU worker starved: {other:?}",
-                    other = other.is_pending()
-                ),
-            }
+        let store = SlideStore::new();
+        let first = store.register_slide("a", vec![vec![]; 4]);
+        let second = store.register_slide("b", vec![vec![]; 4]);
+        let query = test_query(store, first, second, 4);
+        for tile in 0..3 {
+            queue.push(job(&query, tile, Some(AggregationDevice::Gpu)), 1);
         }
-    }
-
-    /// The residency-aware bypass guard: a shard whose tiles are never
-    /// resident must still be dispatched after at most [`BYPASS_LIMIT`]
-    /// better-placed dispatches.
-    #[test]
-    fn bypassed_shards_are_eventually_dispatched() {
-        let dir = std::env::temp_dir()
-            .join("sccg-serve-scheduler-tests")
-            .join(format!("bypass-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = SlideStore::with_spill(&dir, 1).unwrap();
-        let texts: Vec<String> = (0..2)
-            .map(|i| {
-                let records = parse_polygon_file(&format!("{i} 4 0 0 10 0 10 10 0 10")).unwrap();
-                write_polygon_file(&records)
-            })
-            .collect();
-        let first = store.register_slide_streaming("a", texts.clone()).unwrap();
-        let second = store.register_slide_streaming("b", texts).unwrap();
-        // Make tile 1 resident in both pagers; tile 0 stays absent (bound 1).
-        for slide in [first, second] {
-            store
-                .tile(crate::store::TileId { slide, index: 1 })
-                .unwrap();
-        }
-
-        let queue = open_queue(PlacementPolicy::ResidencyAware);
-        let worker = Worker {
-            device: AggregationDevice::Cpu,
-            index: 0,
-        };
-        let query = test_query(store, first, second, 2);
-        queue.push(job(&query, 0, None), 1); // absent: gets bypassed
-        let mut dispatches = 0u32;
-        loop {
-            queue.push(job(&query, 1, None), 1); // resident: preferred
-            let popped = block_on(queue.pop(worker)).expect("open queue");
-            dispatches += 1;
-            if popped.tile_index == 0 {
-                break;
-            }
-            assert!(
-                dispatches <= BYPASS_LIMIT + 2,
-                "absent shard starved past the bypass guard"
-            );
-        }
+        queue.push(job(&query, 3, Some(AggregationDevice::Cpu)), 1);
         assert!(
-            dispatches > 1,
-            "the resident shard was preferred at least once"
+            parked.0.load(Ordering::SeqCst),
+            "the parked GPU worker was woken by the pushes"
         );
-        let stats = queue.stats();
-        assert_eq!(stats.policy, "residency-aware");
-        assert!(stats.affinity_hits >= 1, "{stats:?}");
-        assert!(stats.affinity_misses >= 1, "{stats:?}");
-        drop(query);
-        let _ = std::fs::remove_dir_all(&dir);
+
+        // The CPU worker gets its shard on the first poll, despite the three
+        // GPU-pinned shards ahead of it in the lane.
+        let idle = Arc::new(Flag(AtomicBool::new(false)));
+        match poll_pop(&queue, CPU_WORKER, &idle) {
+            Poll::Ready(Some(job)) => assert_eq!(job.tile_index, 3),
+            other => panic!("CPU worker starved: pending = {}", other.is_pending()),
+        }
     }
 
     /// Closing the queue wakes parked workers and drains pending work
-    /// before reporting `None` — under both policies.
+    /// before reporting `None`.
     #[test]
     fn close_drains_then_resolves_none() {
-        for kind in [PlacementPolicy::RoundRobin, PlacementPolicy::ResidencyAware] {
-            let queue = open_queue(kind);
-            let worker = Worker {
-                device: AggregationDevice::Cpu,
-                index: 0,
-            };
-            let store = SlideStore::new();
-            let first = store.register_slide("a", vec![vec![]]);
-            let second = store.register_slide("b", vec![vec![]]);
-            let query = test_query(store, first, second, 1);
-            queue.push(job(&query, 0, None), 2);
+        let (queue, _supervisor) = open_queue();
+        let store = SlideStore::new();
+        let first = store.register_slide("a", vec![vec![]]);
+        let second = store.register_slide("b", vec![vec![]]);
+        let query = test_query(store, first, second, 1);
+        queue.push(job(&query, 0, None), 2);
+        queue.close();
+        assert!(block_on(queue.pop(CPU_WORKER)).is_some(), "drained");
+        assert!(block_on(queue.pop(CPU_WORKER)).is_none(), "closed");
+    }
+
+    /// `close` takes the wakers under the lock a parked pop registered
+    /// under, so a worker parked on an empty queue — live, or marked dead
+    /// by the supervisor (the `may_pop` branch) — is woken and then
+    /// resolves `None`.
+    #[test]
+    fn close_wakes_a_parked_worker() {
+        for dead in [false, true] {
+            let (queue, supervisor) = open_queue();
+            if dead {
+                assert!(supervisor.record_failure(CPU_WORKER.index), "killed");
+            }
+            let flag = Arc::new(Flag(AtomicBool::new(false)));
+            assert!(
+                poll_pop(&queue, CPU_WORKER, &flag).is_pending(),
+                "dead = {dead}: parks on the empty queue"
+            );
             queue.close();
-            assert!(block_on(queue.pop(worker)).is_some(), "{kind:?}: drained");
-            assert!(block_on(queue.pop(worker)).is_none(), "{kind:?}: closed");
+            assert!(flag.0.load(Ordering::SeqCst), "dead = {dead}: woken");
+            assert!(
+                matches!(poll_pop(&queue, CPU_WORKER, &flag), Poll::Ready(None)),
+                "dead = {dead}: the next poll resolves None"
+            );
         }
     }
 }

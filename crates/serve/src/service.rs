@@ -5,9 +5,11 @@
 //! CPU/GPU/hybrid mix, one *worker task* each) bound to a single simulated
 //! GPU device. A submitted [`QueryRequest`] is resolved against the
 //! [`SlideStore`], split into per-tile *shards*, and dispatched over a
-//! priority job queue from which every eligible engine pulls work — so a
-//! whole-slide query is computed by however many engines are free, and
-//! concurrent queries interleave at shard granularity.
+//! priority job queue from which every eligible engine pulls work in FIFO
+//! order — so a whole-slide query is computed by however many engines are
+//! free, and concurrent queries interleave at shard granularity. A worker
+//! faults its shard's two tiles in through [`SlideStore::tile`] when it
+//! computes the shard.
 //!
 //! Worker tasks run on the pipeline's event-driven executor
 //! ([`sccg::pipeline::exec`]) rather than one dedicated OS thread per
@@ -37,9 +39,7 @@
 
 use crate::cache::{config_fingerprint, CacheKey, LruCache};
 use crate::request::{QueryPriority, QueryRequest, TileSelection};
-use crate::scheduler::{
-    run_prefetch, JobQueue, PlacementPolicy, ProgressNotify, SchedulerStats, ShardJob, Worker,
-};
+use crate::scheduler::{JobQueue, ShardJob, Worker};
 use crate::store::{SlideId, SlideStore, TileId};
 use crate::supervisor::{EngineHealth, Supervisor};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -51,7 +51,6 @@ use sccg::{
 };
 use sccg_gpu_sim::{Device, DeviceConfig};
 use serde::Serialize;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -99,11 +98,6 @@ pub struct ServiceConfig {
     /// still make progress — a worker task waiting for a shard holds no
     /// thread — but at most `executor_threads` shards compute at once.
     pub executor_threads: usize,
-    /// Placement policy the scheduler dispatches shards with (see
-    /// [`crate::scheduler`]). Placement never changes response contents —
-    /// only where and when shards run — so switching policies is always
-    /// semantically safe.
-    pub placement: PlacementPolicy,
     /// Consecutive failures (worker panics or injected kills) after which
     /// the supervisor marks an engine dead (at least 1; see
     /// [`crate::supervisor`]).
@@ -137,7 +131,6 @@ impl Default for ServiceConfig {
             max_in_flight: 4,
             cache_capacity: 64,
             executor_threads: 0,
-            placement: PlacementPolicy::default(),
             failure_threshold: 3,
             revival_cooldown: Duration::from_secs(5),
             faults: None,
@@ -186,12 +179,6 @@ impl ServiceConfig {
     /// engine).
     pub fn with_executor_threads(mut self, executor_threads: usize) -> Self {
         self.executor_threads = executor_threads;
-        self
-    }
-
-    /// Returns a copy with a different placement policy.
-    pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
-        self.placement = placement;
         self
     }
 
@@ -302,13 +289,30 @@ pub struct ServiceStats {
     /// Disk faults the single-flight pager coalesced into another engine's
     /// in-progress read of the same tile (zero for an in-memory store).
     pub coalesced_faults: u64,
-    /// Placement decisions of the scheduler layer (see [`crate::scheduler`]).
+    /// Compatibility counters of the retired placement layer; always zero.
     pub scheduler: SchedulerStats,
     /// Shards abandoned by a dying engine and re-dispatched to survivors.
     pub redispatches: u64,
     /// Per-engine supervision health, by pool index (see
     /// [`crate::supervisor`]).
     pub engines: Vec<EngineHealth>,
+}
+
+/// Counters of the residency-aware placement layer, which was retired for
+/// FIFO dispatch. Every field is always 0. They remain only because the
+/// repository benchmark's trace reads them; a change to the benchmark
+/// retires them.
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+#[non_exhaustive]
+pub struct SchedulerStats {
+    /// Always 0.
+    pub affinity_hits: u64,
+    /// Always 0.
+    pub affinity_misses: u64,
+    /// Always 0.
+    pub prefetch_used: u64,
+    /// Always 0.
+    pub prefetch_wasted: u64,
 }
 
 /// One progressive event of a streaming query (see
@@ -413,9 +417,8 @@ pub(crate) struct QueryMeta {
     pub(crate) device: Option<AggregationDevice>,
 }
 
-/// Shared state of one in-flight query. `pub(crate)` because the scheduler
-/// layer reads it for placement (residency, affinity, progress) — the
-/// fields' invariants are still maintained exclusively here.
+/// Shared state of one in-flight query. `pub(crate)` because queued shards
+/// hold it — the fields' invariants are still maintained exclusively here.
 pub(crate) struct QueryState {
     pub(crate) key: CacheKey,
     pub(crate) meta: QueryMeta,
@@ -436,15 +439,6 @@ pub(crate) struct QueryState {
     /// never block on a slow stream consumer — a lagging client backs up in
     /// its own transport, not in the engine pool.
     pub(crate) stream: Option<Sender<QueryEvent>>,
-    /// Tile indices the background prefetcher faulted in for this query and
-    /// compute has not consumed yet (the scheduler settles each into
-    /// `prefetch_used`/`prefetch_wasted` at dispatch; leftovers are wasted).
-    pub(crate) prefetched: Mutex<HashSet<usize>>,
-    /// Wakes the query's prefetcher as compute progresses.
-    pub(crate) progress: ProgressNotify,
-    /// Total shards the query was split into (`remaining` counts down from
-    /// it; the difference is the prefetcher's progress measure).
-    pub(crate) shard_total: usize,
     /// The absolute deadline computed at submission from
     /// [`QueryRequest::with_deadline`], paired with the requested duration
     /// in milliseconds (echoed in the typed error). Workers check it when
@@ -540,14 +534,13 @@ struct ServiceInner {
 
 impl ServiceInner {
     /// Settles one shard as finished (computed, failed, or abandoned):
-    /// decrements the merge barrier, finalizes the query on its last shard,
-    /// and advances the prefetcher. Every path a popped shard can take must
-    /// end here exactly once — or be re-queued — or the barrier hangs.
+    /// decrements the merge barrier and finalizes the query on its last
+    /// shard. Every path a popped shard can take must end here exactly once
+    /// — or be re-queued — or the barrier hangs.
     fn settle_shard(&self, query: &Arc<QueryState>) {
         if query.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.finalize(query);
         }
-        query.progress.notify();
     }
 
     /// Disposes of a shard a dying engine abandoned: re-queued to the
@@ -590,16 +583,6 @@ impl ServiceInner {
         }
     }
     fn finalize(&self, query: &QueryState) {
-        // Prefetched tiles compute never consumed (e.g. the query failed
-        // early) are settled as wasted, so the prefetch ledger always
-        // balances: issued = used + wasted once all queries resolve.
-        let leftover = std::mem::take(&mut *lock(&query.prefetched)).len() as u64;
-        if leftover > 0 {
-            self.queue
-                .counters()
-                .prefetch_wasted
-                .fetch_add(leftover, Ordering::Relaxed);
-        }
         // A query with a failed shard resolves to an error; the admission
         // slot is still returned so the service stays serviceable.
         if let Some(error) = lock(&query.failure).take() {
@@ -757,7 +740,7 @@ impl ComparisonService {
             config.revival_cooldown,
         ));
         let inner = Arc::new(ServiceInner {
-            queue: JobQueue::new(config.placement, Arc::clone(&supervisor)),
+            queue: JobQueue::new(Arc::clone(&supervisor)),
             admission: Admission::new(config.max_in_flight),
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
             counters: Counters {
@@ -860,7 +843,7 @@ impl ComparisonService {
             pager_hit_rate: storage.pager_hit_rate,
             bytes_on_disk: storage.bytes_on_disk,
             coalesced_faults: storage.coalesced_faults,
-            scheduler: self.inner.queue.stats(),
+            scheduler: SchedulerStats::default(),
             redispatches: self.inner.supervisor.redispatches(),
             engines: self.inner.supervisor.health(),
         }
@@ -988,43 +971,16 @@ impl ComparisonService {
             failure: Mutex::new(None),
             responder: tx,
             stream,
-            prefetched: Mutex::new(HashSet::new()),
-            progress: ProgressNotify::new(),
-            shard_total: shard_count,
             deadline,
         });
-        // The placement policy may reorder which shard is *enqueued* first
-        // (resident tiles ahead of cold ones); each shard's `position` still
-        // names its slot in the merge-ordered response, so the enqueue order
-        // cannot change the result.
-        let mut shards: Vec<(usize, usize)> = prepared.indices.into_iter().enumerate().collect();
-        self.inner.queue.place(&query, &mut shards);
-        // Spawn the query's background prefetcher (when the policy wants
-        // one and some slide actually pages from disk) *before* the shards,
-        // so it is runnable as soon as compute starts. It stays within the
-        // smallest residency bound of the query's disk-backed slides — the
-        // window within which prefetched tiles can all be resident at once.
-        let pages_from_disk = [request.first, request.second]
-            .iter()
-            .any(|&slide| self.store.residency_snapshot(slide).is_some());
-        if self.inner.queue.wants_prefetch() && shard_count > 0 && pages_from_disk {
-            let window = self.store.residency_bound().unwrap_or(1).max(1);
-            self.executor.spawn(run_prefetch(
-                Arc::clone(&query),
-                shards.iter().map(|&(_, tile)| tile).collect(),
-                self.inner.queue.counters(),
-                window,
-            ));
-        }
         let lane = request.priority.lane();
-        for (position, tile_index) in shards {
+        for (position, tile_index) in prepared.indices.into_iter().enumerate() {
             self.inner.queue.push(
                 ShardJob {
                     query: Arc::clone(&query),
                     position,
                     tile_index,
                     device: request.device,
-                    bypassed: 0,
                 },
                 lane,
             );
@@ -1158,29 +1114,14 @@ async fn worker_task(index: usize, engine: CrossComparison, inner: Arc<ServiceIn
             }
         }
         let query = &job.query;
-        // Tagged fetches record which engine faulted each tile, feeding the
-        // residency-aware policy's affinity tie-break.
-        let faulted = query
-            .store
-            .tile_tagged(
-                TileId {
-                    slide: query.meta.first,
-                    index: job.tile_index,
-                },
-                Some(index),
-            )
-            .and_then(|first| {
-                query
-                    .store
-                    .tile_tagged(
-                        TileId {
-                            slide: query.meta.second,
-                            index: job.tile_index,
-                        },
-                        Some(index),
-                    )
-                    .map(|second| (first, second))
-            });
+        let tile = |slide| {
+            query.store.tile(TileId {
+                slide,
+                index: job.tile_index,
+            })
+        };
+        let faulted = tile(query.meta.first)
+            .and_then(|first| tile(query.meta.second).map(|second| (first, second)));
         let computed = faulted.map(|(first, second)| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 engine.compare_records_with(&first, &second, &query.pixelbox)
@@ -1250,9 +1191,6 @@ async fn worker_task(index: usize, engine: CrossComparison, inner: Arc<ServiceIn
                 lock(&job.query.failure).get_or_insert(error);
             }
         }
-        // Settle the shard: decrement the merge barrier, finalize on the
-        // last one, and wake the query's prefetcher (its window shifted,
-        // and on the last shard it learns to exit).
         inner.settle_shard(&job.query);
     }
 }

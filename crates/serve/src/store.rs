@@ -46,7 +46,7 @@ use parking_lot::Mutex;
 use sccg::pipeline::exec::{channel, Executor};
 use sccg::{FaultInjector, SccgError};
 use sccg_geometry::text::{parse_polygon_file, PolygonRecord};
-use sccg_store::{recover_dir, PagerStats, ResidencySnapshot, SlideFileWriter, TileStorage};
+use sccg_store::{recover_dir, PagerStats, SlideFileWriter, TileStorage};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -125,20 +125,6 @@ pub struct SlideInfo {
     /// Whether the slide's tiles live on disk (paged in on demand) rather
     /// than in memory.
     pub on_disk: bool,
-}
-
-/// Where one tile of a slide pair currently lives, from the scheduler's
-/// point of view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TileResidency {
-    /// The slide is in-memory: the tile is always immediately available.
-    Memory,
-    /// Disk-backed and currently decoded in the slide's pager — a fetch is
-    /// a hit, no disk fault needed.
-    Resident,
-    /// Disk-backed and not resident (or the handle is unknown): a fetch
-    /// would fault the tile in from disk.
-    Absent,
 }
 
 /// Aggregate out-of-core telemetry across every disk-backed slide of a
@@ -490,22 +476,6 @@ impl SlideStore {
     /// handles; [`SccgError::Storage`] when a disk-backed tile's block is
     /// corrupt, truncated or unreadable — contained to this tile.
     pub fn tile(&self, tile: TileId) -> Result<Arc<Vec<PolygonRecord>>, SccgError> {
-        self.tile_tagged(tile, None)
-    }
-
-    /// Like [`SlideStore::tile`], additionally recording `engine` as the
-    /// tile's last faulter when the fetch performs a disk read — the
-    /// affinity signal [`SlideStore::tile_affinity`] reports. In-memory
-    /// slides ignore the tag (there is nothing to fault).
-    ///
-    /// # Errors
-    ///
-    /// As for [`SlideStore::tile`].
-    pub fn tile_tagged(
-        &self,
-        tile: TileId,
-        engine: Option<usize>,
-    ) -> Result<Arc<Vec<PolygonRecord>>, SccgError> {
         // Clone the pager handle out of the registry lock before the
         // (possibly I/O-bound) fetch: a disk read must not block lookups.
         let storage = {
@@ -538,77 +508,7 @@ impl SlideStore {
                 }
             }
         };
-        storage.fetch_tagged(tile.index, engine)
-    }
-
-    /// The pager behind a disk-backed slide, or `None` for in-memory or
-    /// unknown handles. Cloned out of the registry lock so callers never
-    /// hold it across pager operations.
-    fn disk_pager(&self, slide: SlideId) -> Option<Arc<TileStorage>> {
-        let slides = self.inner.lock();
-        match slides.get(slide.0 as usize).map(|entry| &entry.backing) {
-            Some(TileBacking::Disk(storage)) => Some(Arc::clone(storage)),
-            _ => None,
-        }
-    }
-
-    /// Where `tile` currently lives — the scheduler's placement signal.
-    /// Infallible by design (placement must never fail a query): unknown
-    /// handles and out-of-range indices report [`TileResidency::Absent`].
-    pub fn tile_residency(&self, tile: TileId) -> TileResidency {
-        let slides = self.inner.lock();
-        match slides
-            .get(tile.slide.0 as usize)
-            .map(|entry| &entry.backing)
-        {
-            Some(TileBacking::Memory(tiles)) if tile.index < tiles.len() => TileResidency::Memory,
-            Some(TileBacking::Disk(storage)) => {
-                let storage = Arc::clone(storage);
-                drop(slides);
-                if storage.is_resident(tile.index) {
-                    TileResidency::Resident
-                } else {
-                    TileResidency::Absent
-                }
-            }
-            _ => TileResidency::Absent,
-        }
-    }
-
-    /// The engine that last faulted a disk-backed tile in (see
-    /// [`SlideStore::tile_tagged`]); `None` for in-memory slides, unknown
-    /// handles, or tiles never fault-tagged.
-    pub fn tile_affinity(&self, tile: TileId) -> Option<usize> {
-        self.disk_pager(tile.slide)?.last_faulter(tile.index)
-    }
-
-    /// A recency-neutral residency snapshot of a disk-backed slide's pager,
-    /// or `None` for in-memory or unknown handles (whose tiles are all
-    /// trivially available).
-    pub fn residency_snapshot(&self, slide: SlideId) -> Option<ResidencySnapshot> {
-        Some(self.disk_pager(slide)?.residency_snapshot())
-    }
-
-    /// Prefetches a disk-backed tile into its pager's *free* capacity (a
-    /// prefetch never evicts — see [`TileStorage::prefetch`]). Returns
-    /// `Ok(true)` when this call performed a disk read; `Ok(false)` when
-    /// the tile was already resident or in flight, the pager is full, or
-    /// the handle targets an in-memory slide, an unknown slide, or an
-    /// out-of-range index (prefetch is advisory, so bad handles are a no-op
-    /// rather than an error — the demand fetch will report them).
-    ///
-    /// # Errors
-    ///
-    /// [`SccgError::Storage`] when the tile's block is corrupt, truncated
-    /// or unreadable.
-    pub fn prefetch_tile(&self, tile: TileId) -> Result<bool, SccgError> {
-        let Some(storage) = self.disk_pager(tile.slide) else {
-            return Ok(false);
-        };
-        if tile.index >= storage.tile_count() {
-            return Ok(false);
-        }
-        storage.prefetch(tile.index)
+        storage.fetch(tile.index)
     }
 
     /// Aggregate out-of-core telemetry across every disk-backed slide.
@@ -839,85 +739,6 @@ mod tests {
             let fetched = store.tile(TileId { slide: id, index }).unwrap();
             assert_eq!(&write_polygon_file(&fetched), &texts[index]);
         }
-        drop(store);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// The scheduler-facing locality surface: residency classification,
-    /// fault affinity tagging, snapshots, and never-evicting prefetch —
-    /// across memory slides, disk slides, and bad handles.
-    #[test]
-    fn residency_affinity_and_prefetch_surface() {
-        let dir = spill_dir("locality");
-        let store = SlideStore::with_spill(&dir, 2).unwrap();
-        let texts: Vec<String> = (0..4)
-            .map(|i| {
-                let mut rec = record();
-                rec.id = i;
-                write_polygon_file(&[rec])
-            })
-            .collect();
-        let disk = store.register_slide_streaming("disk", texts).unwrap();
-
-        // A memory slide in the same store: always Memory, never prefetched.
-        let mem_store = SlideStore::new();
-        let mem = mem_store.register_slide("mem", vec![vec![record()]]);
-        let mem_tile = TileId {
-            slide: mem,
-            index: 0,
-        };
-        assert_eq!(mem_store.tile_residency(mem_tile), TileResidency::Memory);
-        assert_eq!(mem_store.tile_affinity(mem_tile), None);
-        assert_eq!(mem_store.prefetch_tile(mem_tile), Ok(false));
-        assert!(mem_store.residency_snapshot(mem).is_none());
-
-        // Disk tiles start absent; a tagged fetch makes them resident and
-        // records the faulting engine.
-        let t0 = TileId {
-            slide: disk,
-            index: 0,
-        };
-        assert_eq!(store.tile_residency(t0), TileResidency::Absent);
-        assert_eq!(store.tile_affinity(t0), None);
-        store.tile_tagged(t0, Some(3)).unwrap();
-        assert_eq!(store.tile_residency(t0), TileResidency::Resident);
-        assert_eq!(store.tile_affinity(t0), Some(3));
-
-        // Prefetch fills the one free slot, then refuses to evict.
-        let t1 = TileId {
-            slide: disk,
-            index: 1,
-        };
-        assert_eq!(store.prefetch_tile(t1), Ok(true));
-        assert_eq!(store.tile_residency(t1), TileResidency::Resident);
-        assert_eq!(
-            store.prefetch_tile(TileId {
-                slide: disk,
-                index: 2,
-            }),
-            Ok(false),
-            "full pager: prefetch must not evict"
-        );
-        let snapshot = store.residency_snapshot(disk).unwrap();
-        assert!(snapshot.is_resident(0) && snapshot.is_resident(1));
-        assert_eq!(snapshot.resident_count(), 2);
-
-        // Bad handles are placement no-ops, not errors.
-        let missing = TileId {
-            slide: SlideId(99),
-            index: 0,
-        };
-        assert_eq!(store.tile_residency(missing), TileResidency::Absent);
-        assert_eq!(store.tile_affinity(missing), None);
-        assert_eq!(store.prefetch_tile(missing), Ok(false));
-        assert_eq!(
-            store.prefetch_tile(TileId {
-                slide: disk,
-                index: 42,
-            }),
-            Ok(false)
-        );
-        assert!(store.storage_stats().coalesced_faults == 0);
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -8,14 +8,19 @@
 //! across CPU/GPU/hybrid device preferences must return bit-identical
 //! responses (per-tile areas, engine-agnostic fields, merged `J'`), repeats
 //! must replay from each service's cache identically, and the disk service
-//! must page within its residency bound the whole time.
+//! must page within its residency bound the whole time. A property test
+//! repeats the comparison for random tile subsets under every device
+//! preference: a subset's response order follows the *request*, and pinned
+//! queries must still be served.
 
+use proptest::prelude::*;
 use sccg::pixelbox::AggregationDevice;
 use sccg::EngineConfig;
 use sccg_datagen::{generate_dataset, DatasetSpec};
 use sccg_geometry::text::write_polygon_file;
 use sccg_serve::prelude::*;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const TILES: u32 = 8;
 const RESIDENCY_BOUND: usize = 3;
@@ -57,18 +62,20 @@ fn service_over(store: SlideStore) -> ComparisonService {
     ComparisonService::new(store, config).expect("service starts")
 }
 
-/// Strips the engine-assignment fields that legitimately differ between
-/// runs (which pool member computed a tile is scheduling, not semantics),
-/// keeping everything the paper's determinism argument covers: per-tile
-/// areas and summaries, merge order, the merged `J'`.
-fn semantic_view(
-    response: &QueryResponse,
-) -> (
+/// Per-tile `(tile, summary, candidate pairs)` in merge order, the merged
+/// summary, the shard count and the cache flag.
+type SemanticView = (
     Vec<(usize, sccg::JaccardSummary, usize)>,
     sccg::JaccardSummary,
     usize,
     bool,
-) {
+);
+
+/// Strips the engine-assignment fields that legitimately differ between
+/// runs (which pool member computed a tile is scheduling, not semantics),
+/// keeping everything the paper's determinism argument covers: per-tile
+/// areas and summaries, merge order, the merged `J'`.
+fn semantic_view(response: &QueryResponse) -> SemanticView {
     (
         response
             .tiles
@@ -219,4 +226,74 @@ fn streaming_queries_page_from_disk() {
     drop(service);
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+static CASE: AtomicUsize = AtomicUsize::new(0);
+
+/// One query over a fresh store — in memory, or streamed onto disk with a
+/// residency bound smaller than the slide — reduced to its semantic view
+/// and the exact bits of its `J'`.
+fn answer(
+    on_disk: bool,
+    device: Option<AggregationDevice>,
+    tiles: &TileSelection,
+) -> (SemanticView, u64) {
+    let data = dataset();
+    let dir = on_disk.then(|| {
+        spill_dir(&format!(
+            "proptest-{}",
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ))
+    });
+    let store = match &dir {
+        Some(dir) => SlideStore::with_spill(dir, RESIDENCY_BOUND).unwrap(),
+        None => SlideStore::new(),
+    };
+    let first = store
+        .register_slide_streaming("a", tile_texts(&data, false))
+        .unwrap();
+    let second = store
+        .register_slide_streaming("b", tile_texts(&data, true))
+        .unwrap();
+    assert_eq!(store.slide(first).unwrap().on_disk, on_disk);
+    let service = service_over(store);
+    let mut request = QueryRequest::new(first, second);
+    request.device = device;
+    request.tiles = tiles.clone();
+    let response = service.submit(request).unwrap().wait().unwrap();
+    drop(service);
+    if let Some(dir) = dir {
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    (semantic_view(&response), response.similarity().to_bits())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    // Across device preference × tile subset, the disk-backed service
+    // answers bit-identically to the in-memory one.
+    #[test]
+    fn disk_and_memory_answer_bit_identically_for_any_device_and_tile_subset(
+        device_pick in 0usize..4,
+        mask in prop::collection::vec(0u8..2, TILES as usize),
+    ) {
+        let device = [
+            None,
+            Some(AggregationDevice::Cpu),
+            Some(AggregationDevice::Gpu),
+            Some(AggregationDevice::Hybrid),
+        ][device_pick];
+        let subset: Vec<usize> = mask
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &keep)| (keep == 1).then_some(i))
+            .collect();
+        let tiles = if subset.len() == TILES as usize {
+            TileSelection::WholeSlide
+        } else {
+            TileSelection::Tiles(subset)
+        };
+        prop_assert_eq!(answer(true, device, &tiles), answer(false, device, &tiles));
+    }
 }

@@ -16,10 +16,7 @@
 //! * [`pager`] — [`TileStorage`], a bounded LRU of resident decoded tiles
 //!   over a [`SlideFile`]. Peak memory is O(residency bound × tile),
 //!   independent of slide size; [`PagerStats`] reports hits, misses,
-//!   coalesced (single-flight) faults, hit rate and peak residency. The
-//!   pager also exposes the scheduler-facing locality surface: recency-
-//!   neutral residency probes ([`ResidencySnapshot`]), per-tile fault
-//!   affinity, and a never-evicting [`TileStorage::prefetch`].
+//!   coalesced (single-flight) faults, hit rate and peak residency.
 //!
 //! Failure semantics: a corrupt or truncated tile block fails *that tile's*
 //! reads with [`sccg::SccgError::Storage`] — queries over other tiles, and
@@ -45,4 +42,4 @@ pub use format::{
     decode_tile, encode_tile, fnv1a_64, partial_path, recover_dir, SlideFile, SlideFileWriter,
     TileIndexEntry, FORMAT_VERSION, HEADER_MAGIC, PARTIAL_SUFFIX, TRAILER_MAGIC,
 };
-pub use pager::{PagerStats, ResidencySnapshot, TileStorage, QUARANTINE_THRESHOLD};
+pub use pager::{PagerStats, TileStorage, QUARANTINE_THRESHOLD};

@@ -10,24 +10,13 @@
 //! the out-of-core discipline the paper's pipeline applies to its buffers
 //! (§4.1), applied to storage.
 //!
-//! Three properties matter to the scheduler sitting above this pager:
-//!
-//! * **Single-flight faults** — concurrent misses of one tile coalesce: the
-//!   first miss reads and decodes the block, every other caller waits on
-//!   the in-flight fault and shares the result (counted in
-//!   [`PagerStats::coalesced_faults`]). One tile is never decoded twice
-//!   concurrently.
-//! * **Residency visibility** — [`TileStorage::is_resident`] and
-//!   [`TileStorage::residency_snapshot`] expose which tiles are decoded
-//!   *without* touching recency, so a placement policy can order work
-//!   against the resident set without perturbing eviction.
-//! * **Fault affinity** — the pager remembers which engine last faulted
-//!   each tile ([`TileStorage::last_faulter`]), giving the scheduler a
-//!   cheap signal for which worker's activity pulled the data in.
-//!
-//! [`TileStorage::prefetch`] faults a tile in *only into free capacity*:
-//! it never evicts, so a prefetcher running ahead of compute cannot push
-//! out tiles the current queries still need.
+//! Faults are **single-flight**: concurrent misses of one tile coalesce —
+//! the first miss reads and decodes the block, every other caller waits on
+//! the in-flight fault and shares the result (counted in
+//! [`PagerStats::coalesced_faults`]). One tile is never decoded twice
+//! concurrently. The owner writes the outcome into the fault's slot under
+//! the slot lock before it notifies, and a waiter checks the slot under that
+//! lock before it sleeps, so no waiter can miss the wake-up.
 //!
 //! Failure containment is inherited from the format layer: a corrupt or
 //! truncated tile fails *its own* fetch with [`sccg::SccgError::Storage`]
@@ -45,11 +34,8 @@ use sccg::sync::lock;
 use sccg::SccgError;
 use sccg_geometry::text::PolygonRecord;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-
-/// Sentinel in the affinity table for "no engine has faulted this tile".
-const NO_AFFINITY: usize = usize::MAX;
 
 /// Consecutive failed disk reads of one tile after which its circuit
 /// breaker opens: further fetches fail fast without touching the disk until
@@ -83,34 +69,6 @@ pub struct PagerStats {
     pub quarantined_tiles: usize,
 }
 
-/// A point-in-time view of which tiles a pager holds decoded, indexable
-/// without locks. Taken once per placement decision ([`TileStorage::
-/// residency_snapshot`]) so ordering a query's shards costs one pass over
-/// the resident set, not one lock acquisition per shard probe.
-#[derive(Debug, Clone)]
-pub struct ResidencySnapshot {
-    resident: Vec<bool>,
-    count: usize,
-}
-
-impl ResidencySnapshot {
-    /// Whether `tile` was resident when the snapshot was taken.
-    /// Out-of-range indices are simply not resident.
-    pub fn is_resident(&self, tile: usize) -> bool {
-        self.resident.get(tile).copied().unwrap_or(false)
-    }
-
-    /// Number of resident tiles in the snapshot.
-    pub fn resident_count(&self) -> usize {
-        self.count
-    }
-
-    /// Number of tiles in the backing slide.
-    pub fn tile_count(&self) -> usize {
-        self.resident.len()
-    }
-}
-
 /// One in-flight disk fault: the owner publishes the read's outcome here
 /// and every coalesced waiter blocks on `ready` until it lands.
 #[derive(Debug, Default)]
@@ -127,8 +85,6 @@ pub struct TileStorage {
     resident: Mutex<LruCache<usize, Arc<Vec<PolygonRecord>>>>,
     /// Tiles with a disk read in flight, for single-flight coalescing.
     in_flight: Mutex<HashMap<usize, Arc<FaultSlot>>>,
-    /// Which engine last faulted each tile in (`NO_AFFINITY` = none yet).
-    affinity: Vec<AtomicUsize>,
     /// Consecutive failed disk reads per tile; at `QUARANTINE_THRESHOLD`
     /// the tile's circuit breaker is open and fetches fail fast.
     failures: Vec<AtomicU32>,
@@ -145,15 +101,11 @@ impl TileStorage {
     /// can hold nothing can serve nothing).
     pub fn new(file: SlideFile, residency_bound: usize) -> Self {
         let residency_bound = residency_bound.max(1);
-        let affinity = (0..file.tile_count())
-            .map(|_| AtomicUsize::new(NO_AFFINITY))
-            .collect();
         let failures = (0..file.tile_count()).map(|_| AtomicU32::new(0)).collect();
         TileStorage {
             file,
             resident: Mutex::new(LruCache::new(residency_bound)),
             in_flight: Mutex::new(HashMap::new()),
-            affinity,
             failures,
             residency_bound,
             hits: AtomicU64::new(0),
@@ -186,34 +138,6 @@ impl TileStorage {
     /// The backing slide file.
     pub fn file(&self) -> &SlideFile {
         &self.file
-    }
-
-    /// Whether `tile` is currently resident, without touching recency —
-    /// probing residency must not change what gets evicted.
-    pub fn is_resident(&self, tile: usize) -> bool {
-        lock(&self.resident).contains(&tile)
-    }
-
-    /// A point-in-time residency view over every tile, taken in one pass
-    /// under the cache lock. Recency-neutral like [`TileStorage::is_resident`].
-    pub fn residency_snapshot(&self) -> ResidencySnapshot {
-        let resident = lock(&self.resident);
-        let flags: Vec<bool> = (0..self.file.tile_count())
-            .map(|tile| resident.contains(&tile))
-            .collect();
-        let count = flags.iter().filter(|&&r| r).count();
-        ResidencySnapshot {
-            resident: flags,
-            count,
-        }
-    }
-
-    /// The engine that last faulted `tile` in (as tagged through
-    /// [`TileStorage::fetch_tagged`]), or `None` if the tile has never been
-    /// fault-tagged or the index is out of range.
-    pub fn last_faulter(&self, tile: usize) -> Option<usize> {
-        let engine = self.affinity.get(tile)?.load(Ordering::Relaxed);
-        (engine != NO_AFFINITY).then_some(engine)
     }
 
     /// Whether `tile`'s circuit breaker is open: at least
@@ -261,17 +185,6 @@ impl TileStorage {
     /// truncated or unreadable block. Failed fetches are not cached, and
     /// coalesced waiters of a failed fault receive the owner's error.
     pub fn fetch(&self, tile: usize) -> Result<Arc<Vec<PolygonRecord>>, SccgError> {
-        self.fetch_tagged(tile, None)
-    }
-
-    /// Like [`TileStorage::fetch`], additionally recording `engine` as the
-    /// tile's last faulter when this call performs the disk read — the
-    /// affinity signal [`TileStorage::last_faulter`] reports.
-    pub fn fetch_tagged(
-        &self,
-        tile: usize,
-        engine: Option<usize>,
-    ) -> Result<Arc<Vec<PolygonRecord>>, SccgError> {
         if let Some(records) = lock(&self.resident).get(&tile) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(records);
@@ -303,9 +216,6 @@ impl TileStorage {
         self.record_read_outcome(tile, outcome.is_ok());
         if let Ok(records) = &outcome {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            if let (Some(engine), Some(cell)) = (engine, self.affinity.get(tile)) {
-                cell.store(engine, Ordering::Relaxed);
-            }
             let resident_now = {
                 let mut resident = lock(&self.resident);
                 resident.insert(tile, Arc::clone(records));
@@ -316,69 +226,6 @@ impl TileStorage {
         }
         self.publish(tile, &slot, outcome.clone());
         outcome
-    }
-
-    /// Faults `tile` in *only if the pager has free capacity*: a prefetch
-    /// must warm the resident set, never churn it, so it refuses to evict.
-    /// Returns `Ok(true)` when this call performed a disk read, `Ok(false)`
-    /// when the tile was already resident, a fault for it was already in
-    /// flight, or the pager is full.
-    ///
-    /// The read is counted as a pager miss like any demand fault — prefetch
-    /// moves disk reads earlier, it must not hide them from the hit-rate
-    /// accounting.
-    ///
-    /// # Errors
-    ///
-    /// [`SccgError::Storage`] as for [`TileStorage::fetch`]; callers
-    /// treating prefetch as advisory may ignore it (the demand fetch will
-    /// surface the same error).
-    pub fn prefetch(&self, tile: usize) -> Result<bool, SccgError> {
-        if self.is_quarantined(tile) {
-            // Prefetch is advisory: warming a quarantined tile would only
-            // re-read a bad block, so skip it rather than error.
-            return Ok(false);
-        }
-        {
-            let resident = lock(&self.resident);
-            if resident.contains(&tile) || resident.len() >= self.residency_bound {
-                return Ok(false);
-            }
-        }
-        let slot = {
-            let mut in_flight = lock(&self.in_flight);
-            if in_flight.contains_key(&tile) {
-                // A demand fetch is already reading it; adding a second
-                // waiter gains nothing.
-                return Ok(false);
-            }
-            let slot = Arc::new(FaultSlot::default());
-            in_flight.insert(tile, Arc::clone(&slot));
-            slot
-        };
-        let outcome = self.file.read_tile(tile).map(Arc::new);
-        self.record_read_outcome(tile, outcome.is_ok());
-        if let Ok(records) = &outcome {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let resident_now = {
-                let mut resident = lock(&self.resident);
-                // Demand faults may have filled the pager meanwhile; a full
-                // pager means this prefetch arrived too late to help, and
-                // inserting anyway would evict a tile someone is using.
-                if resident.len() < self.residency_bound {
-                    resident.insert(tile, Arc::clone(records));
-                }
-                resident.len() as u64
-            };
-            self.peak_resident
-                .fetch_max(resident_now, Ordering::Relaxed);
-        }
-        let failed = outcome.as_ref().err().cloned();
-        self.publish(tile, &slot, outcome);
-        match failed {
-            Some(error) => Err(error),
-            None => Ok(true),
-        }
     }
 
     /// Takes or creates the fault slot for `tile`. Returns the slot and
@@ -600,75 +447,8 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Residency probes see the resident set without perturbing it: a
-    /// probed-but-unfetched tile must still be the one evicted.
-    #[test]
-    fn residency_probes_are_recency_neutral() {
-        let (pager, path) = build("probe", 4, 2);
-        pager.fetch(0).unwrap();
-        pager.fetch(1).unwrap();
-        for _ in 0..10 {
-            assert!(pager.is_resident(0));
-        }
-        let snapshot = pager.residency_snapshot();
-        assert!(snapshot.is_resident(0) && snapshot.is_resident(1));
-        assert!(!snapshot.is_resident(2) && !snapshot.is_resident(99));
-        assert_eq!(snapshot.resident_count(), 2);
-        assert_eq!(snapshot.tile_count(), 4);
-        // Tile 0 is LRU despite the probes: fetching 2 must evict it.
-        pager.fetch(2).unwrap();
-        assert!(!pager.is_resident(0));
-        assert!(pager.is_resident(1) && pager.is_resident(2));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    /// Affinity remembers the tagged engine of the last *fault*, not of
-    /// hits, and untagged fetches leave it unchanged.
-    #[test]
-    fn affinity_tracks_the_last_faulting_engine() {
-        let (pager, path) = build("affinity", 3, 1);
-        assert_eq!(pager.last_faulter(0), None);
-        pager.fetch_tagged(0, Some(2)).unwrap();
-        assert_eq!(pager.last_faulter(0), Some(2));
-        // A hit by another engine does not steal the affinity.
-        pager.fetch_tagged(0, Some(1)).unwrap();
-        assert_eq!(pager.last_faulter(0), Some(2));
-        // Evict tile 0 (bound 1), then an untagged re-fault keeps the tag.
-        pager.fetch_tagged(1, Some(0)).unwrap();
-        pager.fetch(0).unwrap();
-        assert_eq!(pager.last_faulter(0), Some(2));
-        // A tagged re-fault by a different engine replaces it.
-        pager.fetch_tagged(2, None).unwrap();
-        pager.fetch_tagged(0, Some(1)).unwrap();
-        assert_eq!(pager.last_faulter(0), Some(1));
-        assert_eq!(pager.last_faulter(99), None);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    /// Prefetch fills free capacity only — it reads ahead but never evicts
-    /// what demand fetches made resident.
-    #[test]
-    fn prefetch_never_evicts() {
-        let (pager, path) = build("prefetch", 4, 2);
-        pager.fetch(0).unwrap();
-        assert!(pager.prefetch(1).unwrap(), "free slot: prefetch reads");
-        assert!(pager.is_resident(0) && pager.is_resident(1));
-        assert!(!pager.prefetch(1).unwrap(), "already resident: no read");
-        // Pager is full now: further prefetches refuse rather than evict.
-        assert!(!pager.prefetch(2).unwrap());
-        assert!(!pager.prefetch(3).unwrap());
-        assert!(pager.is_resident(0) && pager.is_resident(1));
-        let stats = pager.stats();
-        assert_eq!(stats.misses, 2, "the prefetch read counts as a miss");
-        // The prefetched tile serves a later demand fetch as a hit.
-        pager.fetch(1).unwrap();
-        assert_eq!(pager.stats().hits, 1);
-        std::fs::remove_file(&path).unwrap();
-    }
-
     /// The circuit breaker: `QUARANTINE_THRESHOLD` consecutive failed reads
-    /// open it — further fetches fail fast *without touching the disk* —
-    /// and prefetch skips the tile instead of erroring.
+    /// open it — further fetches fail fast *without touching the disk*.
     #[test]
     fn repeated_read_failures_quarantine_the_tile() {
         let plan = sccg::FaultPlan::new(7).fail_read(0, 100);
@@ -691,8 +471,6 @@ mod tests {
             matches!(&err, SccgError::Storage { detail } if detail.contains("quarantined")),
             "{err:?}"
         );
-        assert_eq!(injector.stats().read_errors, reads_before);
-        assert!(!pager.prefetch(0).unwrap(), "prefetch skips quarantined");
         assert_eq!(injector.stats().read_errors, reads_before);
         // Healthy tiles keep paging normally.
         assert_eq!(pager.fetch(1).unwrap().as_ref(), &tile(1));
@@ -766,20 +544,9 @@ mod tests {
             }
         };
         assert_eq!(records.as_ref(), &tile(0));
-        assert!(pager.is_resident(0));
+        assert_eq!(pager.stats().resident, 1, "the successful read is cached");
         assert!(!pager.is_quarantined(0));
         assert_eq!(injector.stats().read_errors, strikes);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    /// A coalesced waiter of a failed fault receives the owner's typed
-    /// error, and nothing is cached.
-    #[test]
-    fn prefetch_out_of_range_is_typed() {
-        let (pager, path) = build("prefetch-err", 1, 2);
-        assert!(matches!(pager.prefetch(9), Err(SccgError::Storage { .. })));
-        assert_eq!(pager.stats().misses, 0, "failed reads are not misses");
-        assert!(pager.prefetch(0).unwrap());
         std::fs::remove_file(&path).unwrap();
     }
 }
