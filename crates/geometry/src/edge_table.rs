@@ -21,12 +21,13 @@
 //! and costs O(E + table): endpoints are marked in a bitmap over the
 //! polygon's y-extent (up to 512 rows; taller polygons sort and
 //! binary-search their endpoints instead, O(E log E)), so the boundaries
-//! come out in order and an endpoint's slab index is a popcount; crossings
-//! are counted per slab, the counts prefix-summed into offsets, each edge's
-//! x dealt into the slabs it spans, and each slab's handful of crossings
-//! sorted in place. No pass scans all edges per slab. A row query is a
-//! binary search over slabs plus a borrowed slice, and repeated queries for
-//! consecutive rows hit the same slab.
+//! come out in order, and the one walk over the set bits that lists them
+//! also fills a row → slab map, so an endpoint's slab index is a table
+//! lookup; crossings are counted per slab, the counts prefix-summed into
+//! offsets, each edge's x dealt into the slabs it spans, and each slab's
+//! handful of crossings sorted in place. No pass scans all edges per slab.
+//! A row query is a binary search over slabs plus a borrowed slice, and
+//! repeated queries for consecutive rows hit the same slab.
 //!
 //! The interval helpers ([`span_len_in`], [`overlap_len_in`]) are the
 //! arithmetic core of the PixelBox pixelization fast path: per row, the
@@ -67,13 +68,15 @@
 //! the run length instead of re-deriving it row by row.
 
 use crate::point::Point;
+use crate::polygon::closed_edges;
 
 /// Words of the slab-boundary bitmap [`EdgeTable::from_vertices`] keeps on
 /// its stack: one cache line.
 const BITMAP_WORDS: usize = 8;
 
-/// Widest y-extent (in rows, exclusive) whose boundaries fit the bitmap;
-/// taller polygons sort their endpoints instead.
+/// Widest y-extent (in rows, exclusive) whose boundaries fit the bitmap and
+/// the row → slab map beside it; taller polygons sort their endpoints
+/// instead.
 const BITMAP_ROWS: usize = 64 * BITMAP_WORDS;
 
 /// Precomputed scanline decomposition of one rectilinear polygon: for every
@@ -101,16 +104,13 @@ impl EdgeTable {
     /// [`crate::RectilinearPolygon::contains_pixel`]).
     pub fn from_vertices(vertices: &[Point]) -> Self {
         // Collect the vertical edges as (x, y_lo, y_hi) spans.
-        let n = vertices.len();
-        let mut edges: Vec<(i32, i32, i32)> = Vec::with_capacity(n / 2 + 1);
-        for i in 0..n {
-            let a = vertices[i];
-            let b = vertices[(i + 1) % n];
+        let mut edges: Vec<(i32, i32, i32)> = Vec::with_capacity(vertices.len() / 2 + 1);
+        closed_edges(vertices).for_each(|(a, b)| {
             if a.x == b.x && a.y != b.y {
                 let (lo, hi) = if a.y < b.y { (a.y, b.y) } else { (b.y, a.y) };
                 edges.push((a.x, lo, hi));
             }
-        }
+        });
         if edges.is_empty() {
             return EdgeTable {
                 slab_ys: Vec::new(),
@@ -121,33 +121,32 @@ impl EdgeTable {
 
         // Slab boundaries are the distinct edge endpoints. Mark them in a
         // bitmap over the y-extent: the set bits in order are `slab_ys`, and
-        // the number of set bits below an endpoint is its slab index. The
-        // wrapping difference is exact because the extent is below 2^32.
+        // walking them once fills a row → slab map, so an endpoint's slab
+        // index is one table lookup. The wrapping difference is exact
+        // because the extent is below 2^32.
         let min_y = edges.iter().map(|e| e.1).min().expect("non-empty");
         let max_y = edges.iter().map(|e| e.2).max().expect("non-empty");
         let extent = max_y.wrapping_sub(min_y) as u32 as usize;
-        let mut bitmap = [0u64; BITMAP_WORDS];
-        let mut word_rank = [0u32; BITMAP_WORDS];
+        let mut row_slab = [0u16; BITMAP_ROWS];
         let in_bitmap = extent < BITMAP_ROWS;
         let mut slab_ys: Vec<i32>;
         if in_bitmap {
-            let words = extent / 64 + 1;
+            let mut bitmap = [0u64; BITMAP_WORDS];
+            let words = &mut bitmap[..extent / 64 + 1];
             for &(_, lo, hi) in &edges {
                 for y in [lo, hi] {
                     let bit = y.wrapping_sub(min_y) as u32 as usize;
-                    bitmap[bit / 64] |= 1 << (bit % 64);
+                    words[bit / 64] |= 1 << (bit % 64);
                 }
             }
-            let mut rank = 0u32;
-            for (below, word) in word_rank.iter_mut().zip(&bitmap[..words]) {
-                *below = rank;
-                rank += word.count_ones();
-            }
-            slab_ys = Vec::with_capacity(rank as usize);
-            for (w, &word) in bitmap[..words].iter().enumerate() {
+            let slabs: u32 = words.iter().map(|word| word.count_ones()).sum();
+            slab_ys = Vec::with_capacity(slabs as usize);
+            for (w, &word) in words.iter().enumerate() {
                 let mut rest = word;
                 while rest != 0 {
                     let bit = w * 64 + rest.trailing_zeros() as usize;
+                    // At most BITMAP_ROWS boundaries, so the index fits u16.
+                    row_slab[bit] = slab_ys.len() as u16;
                     slab_ys.push(min_y.wrapping_add(bit as i32));
                     rest &= rest - 1;
                 }
@@ -159,9 +158,7 @@ impl EdgeTable {
         }
         let slab_of = |y: i32| -> usize {
             if in_bitmap {
-                let bit = y.wrapping_sub(min_y) as u32 as usize;
-                let below = bitmap[bit / 64] & ((1 << (bit % 64)) - 1);
-                (word_rank[bit / 64] + below.count_ones()) as usize
+                usize::from(row_slab[y.wrapping_sub(min_y) as u32 as usize])
             } else {
                 slab_ys
                     .binary_search(&y)
@@ -184,14 +181,18 @@ impl EdgeTable {
         for slab in 0..slabs {
             offsets[slab + 1] += offsets[slab];
         }
+        // Deal with `offsets[slab]` as the slab's cursor: it ends at the
+        // slab's end, which is the next slab's start, so one shift restores
+        // the offsets.
         let mut xs = vec![0i32; offsets[slabs] as usize];
-        let mut cursor = offsets[..slabs].to_vec();
         for &(x, lo, hi) in &edges {
-            for next in &mut cursor[slab_of(lo)..slab_of(hi)] {
+            for next in &mut offsets[slab_of(lo)..slab_of(hi)] {
                 xs[*next as usize] = x;
                 *next += 1;
             }
         }
+        offsets.copy_within(..slabs, 1);
+        offsets[0] = 0;
         for slab in offsets.windows(2) {
             let slab_xs = &mut xs[slab[0] as usize..slab[1] as usize];
             debug_assert!(

@@ -102,9 +102,12 @@ impl Edge {
 /// Self-intersection is not checked: segmentation outputs are simple by
 /// construction, and the algorithms under study only rely on the even–odd
 /// containment rule, which remains well defined.
+///
+/// The vertex chain is immutable and shared by reference count, so a clone
+/// costs a counter increment, not a copy of the chain.
 #[derive(Debug)]
 pub struct RectilinearPolygon {
-    vertices: Vec<Point>,
+    vertices: Arc<[Point]>,
     mbr: Rect,
     /// Lazily built scanline [`EdgeTable`] (see [`RectilinearPolygon::edge_table`]).
     /// Shared through an `Arc` so cloning a polygon keeps the cache warm
@@ -113,17 +116,38 @@ pub struct RectilinearPolygon {
 }
 
 impl Clone for RectilinearPolygon {
+    /// Shares the vertex chain, and the edge table if one is built. A clone
+    /// of a cold polygon gets its own empty cache: a table built through
+    /// the clone dies with the clone and never fills the original's.
     fn clone(&self) -> Self {
         let edge_table = OnceLock::new();
         if let Some(table) = self.edge_table.get() {
             let _ = edge_table.set(Arc::clone(table));
         }
         RectilinearPolygon {
-            vertices: self.vertices.clone(),
+            vertices: Arc::clone(&self.vertices),
             mbr: self.mbr,
             edge_table,
         }
     }
+}
+
+/// The closed chain's edges `(v[i], v[i+1])` in boundary order, the last one
+/// closing back to `v[0]`: (previous, current) vertex pairs with no index
+/// arithmetic per vertex.
+///
+/// The open part is a zip of two slices, which the compiler turns into one
+/// indexed loop when the caller consumes the iterator internally (`fold`,
+/// `sum`, `for_each`, `try_for_each`): the chained closing edge then costs
+/// one extra step after the loop instead of a branch per vertex.
+pub(crate) fn closed_edges(vertices: &[Point]) -> impl Iterator<Item = (Point, Point)> + '_ {
+    let rest = vertices.get(1..).unwrap_or_default();
+    let closing = vertices.last().copied().zip(vertices.first().copied());
+    vertices
+        .iter()
+        .copied()
+        .zip(rest.iter().copied())
+        .chain(closing)
 }
 
 impl PartialEq for RectilinearPolygon {
@@ -150,30 +174,35 @@ impl RectilinearPolygon {
                 got: vertices.len(),
             });
         }
-        let n = vertices.len();
-        for i in 0..n {
-            let a = vertices[i];
-            let b = vertices[(i + 1) % n];
-            if a == b {
-                return Err(GeometryError::ZeroLengthEdge { index: i });
-            }
-            if a.x != b.x && a.y != b.y {
-                return Err(GeometryError::NonRectilinearEdge { index: i });
-            }
-        }
-        for i in 0..n {
-            let prev = vertices[(i + n - 1) % n];
-            let cur = vertices[i];
-            let next = vertices[(i + 1) % n];
-            let incoming_vertical = prev.x == cur.x;
-            let outgoing_vertical = cur.x == next.x;
-            if incoming_vertical == outgoing_vertical {
-                return Err(GeometryError::CollinearVertex { index: i });
-            }
-        }
+        closed_edges(&vertices)
+            .enumerate()
+            .try_for_each(|(index, (a, b))| {
+                if a == b {
+                    return Err(GeometryError::ZeroLengthEdge { index });
+                }
+                if a.x != b.x && a.y != b.y {
+                    return Err(GeometryError::NonRectilinearEdge { index });
+                }
+                Ok(())
+            })?;
+        // Vertex i is collinear when its incoming edge (the previous one,
+        // starting from the closing edge) and its outgoing edge run the same
+        // way.
+        let last = vertices[vertices.len() - 1];
+        let mut incoming_vertical = last.x == vertices[0].x;
+        closed_edges(&vertices)
+            .enumerate()
+            .try_for_each(|(index, (cur, next))| {
+                let outgoing_vertical = cur.x == next.x;
+                if incoming_vertical == outgoing_vertical {
+                    return Err(GeometryError::CollinearVertex { index });
+                }
+                incoming_vertical = outgoing_vertical;
+                Ok(())
+            })?;
         let poly = RectilinearPolygon {
             mbr: Self::compute_mbr(&vertices),
-            vertices,
+            vertices: vertices.into(),
             edge_table: OnceLock::new(),
         };
         if poly.area() == 0 {
@@ -283,9 +312,7 @@ impl RectilinearPolygon {
     /// constructed value is dropped, never published). The flip side is
     /// *first-touch serialization*: a batch whose tables are all cold pays
     /// the builds one after another on whichever thread touches each polygon
-    /// first. A build is linear in the table it produces — about 0.6 µs for
-    /// a 40-vertex nucleus and 2.5 µs for a 200-vertex one, some 12 ns per
-    /// vertex — so a prewarm pass
+    /// first. A build is linear in the table it produces, so a prewarm pass
     /// (`sccg::pixelbox::build_edge_tables_batch`, which uses
     /// [`RectilinearPolygon::edge_table_if_built`] to skip resident tables)
     /// pays for its hand-off only on batches of thousands of cold polygons
@@ -306,24 +333,15 @@ impl RectilinearPolygon {
 
     /// Iterator over the polygon's directed boundary edges.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        let n = self.vertices.len();
-        (0..n).map(move |i| Edge {
-            a: self.vertices[i],
-            b: self.vertices[(i + 1) % n],
-        })
+        closed_edges(&self.vertices).map(|(a, b)| Edge { a, b })
     }
 
     /// Twice the signed shoelace area. Positive for counter-clockwise
     /// boundaries in a y-up coordinate system.
     pub fn signed_area2(&self) -> i64 {
-        let n = self.vertices.len();
-        let mut acc: i64 = 0;
-        for i in 0..n {
-            let a = self.vertices[i];
-            let b = self.vertices[(i + 1) % n];
-            acc += i64::from(a.x) * i64::from(b.y) - i64::from(b.x) * i64::from(a.y);
-        }
-        acc
+        closed_edges(&self.vertices)
+            .map(|(a, b)| i64::from(a.x) * i64::from(b.y) - i64::from(b.x) * i64::from(a.y))
+            .sum()
     }
 
     /// Exact area in pixels. For a simple rectilinear polygon with integer
@@ -353,23 +371,13 @@ impl RectilinearPolygon {
         if !self.mbr.contains_pixel(x, y) {
             return false;
         }
-        let mut crossings = 0u32;
-        let n = self.vertices.len();
-        for i in 0..n {
-            let a = self.vertices[i];
-            let b = self.vertices[(i + 1) % n];
-            if a.x != b.x {
-                continue; // horizontal edge: never crossed by a horizontal ray
-            }
-            let ex = a.x;
-            if ex <= x {
-                continue;
-            }
-            let (ylo, yhi) = if a.y < b.y { (a.y, b.y) } else { (b.y, a.y) };
-            if ylo <= y && y < yhi {
-                crossings += 1;
-            }
-        }
+        let crossings = closed_edges(&self.vertices)
+            .filter(|&(a, b)| {
+                // A horizontal edge is never crossed by a horizontal ray.
+                let (ylo, yhi) = if a.y < b.y { (a.y, b.y) } else { (b.y, a.y) };
+                a.x == b.x && a.x > x && ylo <= y && y < yhi
+            })
+            .count();
         crossings % 2 == 1
     }
 
@@ -524,6 +532,13 @@ mod tests {
         // share yet) — each copy builds independently on first touch.
         let cold_clone = poly.clone();
         assert!(cold_clone.edge_table_if_built().is_none());
+        // The vertex chain is shared, not copied.
+        assert_eq!(cold_clone.vertices().as_ptr(), poly.vertices().as_ptr());
+        // A table built through a cold clone stays with the clone: the
+        // original's cache is not filled, so per-query clones never leave a
+        // table behind on a stored polygon.
+        cold_clone.edge_table();
+        assert!(poly.edge_table_if_built().is_none());
         // Cloning after the build shares the same Arc'd table.
         let built = poly.edge_table() as *const EdgeTable;
         let warm_clone = poly.clone();

@@ -148,12 +148,13 @@ impl Rect {
 
     /// The centre of the rectangle expressed as the pixel whose centre is
     /// closest to the geometric centre (used by Lemma 1 condition (iii)).
+    ///
+    /// The midpoint is taken in `i64`, so a rectangle wider or taller than
+    /// `i32::MAX` cannot overflow; the result lies between the bounds.
     #[inline]
     pub fn center_pixel(&self) -> (i32, i32) {
-        (
-            self.min_x + ((self.max_x - self.min_x) / 2),
-            self.min_y + ((self.max_y - self.min_y) / 2),
-        )
+        let mid = |lo: i32, hi: i32| (i64::from(lo) + (i64::from(hi) - i64::from(lo)) / 2) as i32;
+        (mid(self.min_x, self.max_x), mid(self.min_y, self.max_y))
     }
 
     /// Enumerates the pixels of the rectangle in row-major order, returning the
@@ -316,6 +317,11 @@ mod tests {
         let r = Rect::new(10, 20, 13, 27);
         let (cx, cy) = r.center_pixel();
         assert!(r.contains_pixel(cx, cy));
+        // Wider and taller than i32::MAX: `max - min` overflows i32.
+        let full = Rect::new(i32::MIN, i32::MIN, i32::MAX, i32::MAX);
+        let (cx, cy) = full.center_pixel();
+        assert!(full.contains_pixel(cx, cy));
+        assert_eq!((cx, cy), (-1, -1));
     }
 
     #[test]

@@ -61,6 +61,70 @@ pub fn naive_mbr_join(left: &[Rect], right: &[Rect]) -> Vec<(u32, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::DEFAULT_FANOUT;
+    use proptest::prelude::*;
+
+    /// [`mbr_join`] over [`HilbertRTree::bulk_load_reference`]: the pair
+    /// sequence the join produced before the cached-key bulk load.
+    fn mbr_join_reference(left: &[Rect], right: &[Rect]) -> Vec<(u32, u32)> {
+        let load = |rects: &[Rect]| {
+            let items = rects.iter().enumerate().map(|(k, r)| (*r, k as u32));
+            HilbertRTree::bulk_load_reference(items.collect(), DEFAULT_FANOUT)
+        };
+        let mut out = Vec::new();
+        if left.is_empty() || right.is_empty() {
+            return out;
+        }
+        if right.len() <= left.len() {
+            let tree = load(right);
+            for (i, l) in left.iter().enumerate() {
+                tree.search(l, |_, &j| out.push((i as u32, j)));
+            }
+        } else {
+            let tree = load(left);
+            for (j, r) in right.iter().enumerate() {
+                tree.search(r, |_, &i| out.push((i, j as u32)));
+            }
+            out.sort_unstable();
+        }
+        out
+    }
+
+    /// Rectangles centred on one of a few points, so many share a centre
+    /// (and so a Hilbert key) while differing in extent.
+    fn tied_rects(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Rect>> {
+        prop::collection::vec((0i32..4, 0i32..4, 1i32..12, 1i32..12), len).prop_map(|specs| {
+            specs
+                .into_iter()
+                .map(|(cx, cy, w, h)| {
+                    let (cx, cy) = (cx * 9, cy * 9);
+                    Rect::new(cx - w, cy - h, cx + w, cy + h)
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn join_sequence_equals_the_reference_bulk_load(
+            left in tied_rects(1..70),
+            right in tied_rects(1..70),
+        ) {
+            // Both branches of the join (either side indexed) and equal sizes.
+            for (l, r) in [(&left, &right), (&right, &left), (&left, &left)] {
+                prop_assert_eq!(mbr_join(l, r), mbr_join_reference(l, r));
+            }
+        }
+    }
+
+    #[test]
+    fn join_indexes_a_rect_wider_than_i32_max() {
+        let s = Rect::new(0, 0, 5, 5);
+        let wide = Rect::new(i32::MIN, 0, i32::MAX, 1);
+        let mut pairs = mbr_join(&[s, s], &[wide, s]);
+        pairs.sort_unstable();
+        assert_eq!(pairs, vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
+    }
 
     fn shifted_grids() -> (Vec<Rect>, Vec<Rect>) {
         // Two overlapping grids of 3x3 squares; the second grid is shifted by

@@ -13,8 +13,10 @@ pub const DEFAULT_FANOUT: usize = 16;
 /// Construction sorts the entries by the Hilbert value of their MBR centre
 /// and packs them left-to-right into leaves of `fanout` entries, then builds
 /// internal levels the same way — the classic "Hilbert-packed" bulk load of
-/// Kamel & Faloutsos. Lookups descend only into subtrees whose bounding
-/// rectangle intersects the query window.
+/// Kamel & Faloutsos. The sort computes each entry's key once and is
+/// stable, so entries with equal keys keep their input order. Lookups
+/// descend only into subtrees whose bounding rectangle intersects the query
+/// window.
 #[derive(Debug, Clone)]
 pub struct HilbertRTree<T> {
     fanout: usize,
@@ -35,6 +37,12 @@ struct Node {
     child_end: usize,
 }
 
+/// The bulk load's sort key: the Hilbert value of the rectangle's centre.
+fn hilbert_key(rect: &Rect) -> u64 {
+    let (cx, cy) = rect.center_pixel();
+    hilbert_value(cx, cy)
+}
+
 /// Structural statistics of a built tree, exposed for benchmarks and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreeStats {
@@ -53,14 +61,28 @@ impl<T> HilbertRTree<T> {
     }
 
     /// Bulk loads a tree with an explicit fanout (minimum 2).
+    ///
+    /// Entries are ordered by the Hilbert value of their MBR centre, computed
+    /// once per entry (not once per comparison); entries with equal values
+    /// keep their input order.
     pub fn bulk_load_with_fanout(mut items: Vec<(Rect, T)>, fanout: usize) -> Self {
-        let fanout = fanout.max(2);
-        // Sort by Hilbert value of the MBR centre.
-        items.sort_by_key(|(rect, _)| {
-            let (cx, cy) = rect.center_pixel();
-            hilbert_value(cx, cy)
-        });
+        items.sort_by_cached_key(|(rect, _)| hilbert_key(rect));
+        Self::pack(items, fanout)
+    }
 
+    /// The bulk load [`HilbertRTree::bulk_load_with_fanout`] replaced, kept
+    /// as the differential reference for its entry order: a stable sort
+    /// that recomputes the key on every comparison.
+    #[cfg(test)]
+    pub(crate) fn bulk_load_reference(mut items: Vec<(Rect, T)>, fanout: usize) -> Self {
+        items.sort_by_key(|(rect, _)| hilbert_key(rect));
+        Self::pack(items, fanout)
+    }
+
+    /// Packs entries, already in Hilbert order, into leaves of `fanout`
+    /// (minimum 2) and builds the internal levels above them.
+    fn pack(items: Vec<(Rect, T)>, fanout: usize) -> Self {
+        let fanout = fanout.max(2);
         let mut levels: Vec<Vec<Node>> = Vec::new();
         if !items.is_empty() {
             // Level 0: group leaf entries.
