@@ -2,10 +2,9 @@
 //!
 //! The workspace has two layers that memoize under a hard entry bound — the
 //! serving layer's response cache and the storage layer's resident-tile
-//! pager (plus the wire front-end's per-client routing cache, through the
-//! serving re-export) — and they share one LRU implementation instead of a
-//! copy each. It lives here, below all of them, so `sccg-serve` and
-//! `sccg-store` can depend on it without depending on each other. Every
+//! pager — and they share one LRU implementation instead of a copy each.
+//! It lives here, below both, so `sccg-serve` and `sccg-store` can depend
+//! on it without depending on each other. Every
 //! lookup is a `get` that marks its entry used; no caller probes the cache
 //! without counting as a use.
 
@@ -192,8 +191,8 @@ mod tests {
         assert_eq!(cache.get(&2), Some("c"));
     }
 
-    /// String keys work too — the wire front-end keys routing state by
-    /// composite tuples, the pager by tile index; the cache is generic.
+    /// Composite keys work too — the pager keys by tile index, but the
+    /// cache is generic.
     #[test]
     fn composite_keys() {
         let mut cache: LruCache<(u64, u64), &str> = LruCache::new(2);

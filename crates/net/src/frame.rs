@@ -28,15 +28,14 @@ pub const FRAME_HEADER_LEN: usize = 5;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameKind {
-    /// Client → server: opens a connection, proposes/requests a client id.
+    /// Client → server: opens a connection.
     Hello = 1,
-    /// Server → client: confirms the connection's client id.
+    /// Server → client: the connection's server-assigned client id.
     HelloAck = 2,
     /// Client → server: a comparison query.
     Query = 3,
-    /// Server → client: the query was received and routed (retries stop).
-    Ack = 4,
-    /// Server → client: one tile's report of a streaming query.
+    /// Server → client: one tile's report of a streaming query. (Kind 4, an
+    /// ack, was dropped in protocol version 3.)
     Tile = 5,
     /// Server → client: the merged response; terminates the query.
     Summary = 6,
@@ -55,7 +54,6 @@ impl FrameKind {
             1 => FrameKind::Hello,
             2 => FrameKind::HelloAck,
             3 => FrameKind::Query,
-            4 => FrameKind::Ack,
             5 => FrameKind::Tile,
             6 => FrameKind::Summary,
             7 => FrameKind::Error,
@@ -206,7 +204,7 @@ mod tests {
 
     #[test]
     fn decodes_multiple_frames_from_one_chunk() {
-        let mut bytes = frame(FrameKind::Ack, &[1, 2, 3]);
+        let mut bytes = frame(FrameKind::Query, &[1, 2, 3]);
         bytes.extend(frame(FrameKind::Tile, &[]));
         bytes.extend(frame(FrameKind::Summary, &[9; 100]));
         let mut decoder = FrameDecoder::new();
@@ -216,7 +214,7 @@ mod tests {
             .collect();
         assert_eq!(
             kinds,
-            vec![FrameKind::Ack, FrameKind::Tile, FrameKind::Summary]
+            vec![FrameKind::Query, FrameKind::Tile, FrameKind::Summary]
         );
     }
 
@@ -237,13 +235,14 @@ mod tests {
 
     #[test]
     fn rejects_unknown_kinds() {
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame(FrameKind::Hello, &[]));
-        let mut bad = decoder.buf.clone();
-        bad[4] = 200;
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&bad);
-        assert_eq!(decoder.next_frame(), Err(FrameError::UnknownKind(200)));
+        // 4 is the retired ack kind.
+        for kind in [4, 200] {
+            let mut bad = frame(FrameKind::Hello, &[]);
+            bad[4] = kind;
+            let mut decoder = FrameDecoder::new();
+            decoder.feed(&bad);
+            assert_eq!(decoder.next_frame(), Err(FrameError::UnknownKind(kind)));
+        }
     }
 
     #[test]

@@ -16,13 +16,16 @@
 //!   [`frame::FrameDecoder`], with a blocking `read_frame` and a
 //!   `write_frame`. Server and client both use it on the thread that owns
 //!   the connection, so the socket itself is the backpressure.
-//! * [`server`] — [`WireServer`]: accepts connections, routes queries with
-//!   a per-client LRU dedup cache (idempotent retries), streams tile frames
+//! * [`server`] — [`WireServer`]: accepts connections, streams tile frames
 //!   as shards complete, and drains gracefully on shutdown.
-//! * [`client`] — [`WireClient`]: acks, timed retries with capped
-//!   exponential backoff, blocking and streaming query modes.
-//! * [`loadgen`] — [`run_loadgen`]: N concurrent loopback clients reporting
-//!   p50/p99 latency and queries/sec (driven by `crates/net/tests/loopback.rs`).
+//! * [`client`] — [`WireClient`]: blocking and streaming query modes, with
+//!   connection loss typed by what arrived.
+//!
+//! A query is one exchange: the client writes `Query`, the server answers
+//! with `Tile` frames (streaming mode), then one `Summary` or `Error`. TCP
+//! delivers frames in order or fails the connection, so nothing is acked or
+//! re-sent on a live connection; queries are read-only, so a caller that
+//! loses one re-sends on a fresh connection and gets a bit-identical answer.
 //!
 //! Everything is `std`-only: no async runtime, no network deps. The server
 //! runs one acceptor thread plus one dispatcher thread per connection; the
@@ -62,11 +65,9 @@
 pub mod client;
 mod conn;
 pub mod frame;
-pub mod loadgen;
 pub mod server;
 pub mod wire;
 
-pub use client::{backoff_delay, ClientConfig, QueryOutcome, WireClient, WireError};
-pub use loadgen::{run_loadgen, LoadGenConfig, LoadGenOutcome, LoadGenReport};
+pub use client::{ClientConfig, QueryOutcome, WireClient, WireError};
 pub use server::{NetConfig, WireServer};
 pub use wire::{WireRequestSpec, WireResponse, WireStats, WireSummary, WireTile};

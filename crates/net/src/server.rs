@@ -7,20 +7,15 @@
 //! per connection** (concurrency comes from concurrent connections). The
 //! socket is the backpressure: a peer that stops reading blocks only its own
 //! dispatcher in `write`, while the service's per-query event buffer, sized
-//! to the shard count, keeps engine workers from ever waiting on it. For
-//! every query the dispatcher:
+//! to the shard count, keeps engine workers from ever waiting on it.
 //!
-//! 1. consults the per-client **routing cache** — a duplicate of an
-//!    in-flight request is re-acked only, a duplicate of a finished request
-//!    replays its stored terminal frame without recomputing (this is what
-//!    makes client retries idempotent);
-//! 2. sends the `Ack` *before* admission, so a query waiting for an
-//!    execution slot does not look lost to the client's retry timer;
-//! 3. submits via [`ComparisonService::submit_streaming`] and forwards each
-//!    [`QueryEvent::Tile`] as its shard completes (streaming mode), then the
-//!    terminal `Summary`/`Error` frame. Blocking mode is the degenerate
-//!    case: tile events are folded into one summary frame with the tile
-//!    list inline.
+//! A query is one exchange. The dispatcher submits it via
+//! [`ComparisonService::submit_streaming`], forwards each
+//! [`QueryEvent::Tile`] as its shard completes (streaming mode), then writes
+//! one terminal `Summary` or `Error` frame, and nothing else. Blocking mode
+//! is the degenerate case: tile events are folded into one summary frame
+//! with the tile list inline. The server keeps no state between queries: a
+//! query re-sent under the same request id simply runs again.
 //!
 //! Shutdown is a **graceful drain** with no timer: stop accepting (one
 //! throwaway connection wakes the acceptor's blocking `accept`), shut the
@@ -33,7 +28,7 @@ use crate::frame::Frame;
 use crate::wire::{Message, WireFailure, WireResponse, WireStats, WireTile};
 use sccg::sync::lock;
 use sccg::{FaultInjector, SccgError};
-use sccg_serve::{ComparisonService, LruCache, QueryEvent};
+use sccg_serve::{ComparisonService, QueryEvent};
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,12 +40,9 @@ use std::time::Duration;
 ///
 /// Marked `#[non_exhaustive]`: construct with [`NetConfig::default`] and the
 /// `with_*` builders.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct NetConfig {
-    /// Capacity of the `(client, request)` routing cache that makes retries
-    /// idempotent. Small by design: it only needs to cover the retry window.
-    pub route_cache: usize,
     /// Optional fault injector consulted before every post-handshake frame
     /// a connection sends: a scheduled [`ConnectionReset`] for this client
     /// at the current frame count drops the connection abruptly. `None`
@@ -60,39 +52,13 @@ pub struct NetConfig {
     pub faults: Option<Arc<FaultInjector>>,
 }
 
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            route_cache: 128,
-            faults: None,
-        }
-    }
-}
-
 impl NetConfig {
-    /// Returns a copy with a different routing-cache capacity.
-    pub fn with_route_cache(mut self, route_cache: usize) -> Self {
-        self.route_cache = route_cache;
-        self
-    }
-
     /// Returns a copy that consults `faults` before every frame each
     /// connection sends (chaos harness hook — see [`NetConfig::faults`]).
     pub fn with_faults(mut self, faults: Arc<FaultInjector>) -> Self {
         self.faults = Some(faults);
         self
     }
-}
-
-/// Routing state of one `(client_id, request_id)`.
-enum RouteState {
-    /// The query is executing; duplicates are re-acked and otherwise
-    /// ignored.
-    InFlight,
-    /// The query finished; duplicates replay this terminal frame (stored
-    /// with the tile list inline, so the replay is self-contained even for
-    /// originally-streamed queries).
-    Done(Frame),
 }
 
 /// A connection after its handshake, with the chaos hook in front of the
@@ -131,7 +97,6 @@ struct ServerShared {
     config: NetConfig,
     draining: AtomicBool,
     next_client: AtomicU64,
-    routes: Mutex<LruCache<(u64, u64), Arc<RouteState>>>,
     connections: Mutex<Vec<LiveConnection>>,
 }
 
@@ -162,7 +127,6 @@ impl WireServer {
         let addr = listener.local_addr()?;
         let shared = Arc::new(ServerShared {
             service,
-            routes: Mutex::new(LruCache::new(config.route_cache)),
             config,
             draining: AtomicBool::new(false),
             next_client: AtomicU64::new(1),
@@ -283,15 +247,11 @@ fn next_frame(conn: &mut Connection, shared: &ServerShared) -> Option<Frame> {
     conn.read_frame().ok()
 }
 
-/// Waits for the `Hello`, assigns or echoes the client id, acks it.
+/// Waits for the `Hello`, assigns the connection its client id, answers it.
 fn handshake(conn: &mut Connection, shared: &ServerShared) -> Option<u64> {
     match Message::of_frame(&next_frame(conn, shared)?) {
-        Ok(Message::Hello { client_id }) => {
-            let client_id = if client_id == 0 {
-                shared.next_client.fetch_add(1, Ordering::Relaxed)
-            } else {
-                client_id
-            };
+        Ok(Message::Hello) => {
+            let client_id = shared.next_client.fetch_add(1, Ordering::Relaxed);
             conn.write_frame(&Message::HelloAck { client_id }.to_frame())
                 .ok()?;
             Some(client_id)
@@ -311,9 +271,8 @@ fn serve_queries(sender: &mut ConnSender<'_>, shared: &ServerShared) {
 }
 
 /// Dispatches one decoded frame. Anything other than a query or a stats
-/// probe — an unexpected-but-valid kind (a late duplicate ack, say) or an
-/// undecodable body — poisons only that message and is skipped. An error
-/// means the connection is dead.
+/// probe — an unexpected-but-valid kind or an undecodable body — poisons
+/// only that message and is skipped. An error means the connection is dead.
 fn serve_frame(
     frame: &Frame,
     sender: &mut ConnSender<'_>,
@@ -333,8 +292,8 @@ fn serve_frame(
     }
 }
 
-/// Handles one query frame end to end. An error means the connection is
-/// dead.
+/// Handles one query frame end to end: its tile frames (streaming mode),
+/// then its terminal frame. An error means the connection is dead.
 fn serve_one_query(
     request_id: u64,
     streaming: bool,
@@ -342,40 +301,17 @@ fn serve_one_query(
     sender: &mut ConnSender<'_>,
     shared: &ServerShared,
 ) -> io::Result<()> {
-    let key = (sender.client_id, request_id);
-
-    // Retry idempotency: duplicates never recompute.
-    let route = lock(&shared.routes).get(&key);
-    if let Some(route) = route {
-        sender.send(&Message::Ack { request_id }.to_frame())?;
-        if let RouteState::Done(terminal) = route.as_ref() {
-            sender.send(terminal)?;
-        }
-        return Ok(());
-    }
-    lock(&shared.routes).insert(key, Arc::new(RouteState::InFlight));
-
-    // Ack before admission: a query parked on the admission semaphore is
-    // *accepted*, and must not look lost to the client's retry timer.
-    sender.send(&Message::Ack { request_id }.to_frame())?;
-
+    let failed = |error: &SccgError| Message::Error {
+        request_id,
+        failure: WireFailure::of_error(error),
+    };
     let handle = match shared.service.submit_streaming(spec.to_request()) {
         Ok(handle) => handle,
-        Err(error) => {
-            let terminal = Message::Error {
-                request_id,
-                failure: WireFailure::of_error(&error),
-            }
-            .to_frame();
-            lock(&shared.routes).insert(key, Arc::new(RouteState::Done(terminal.clone())));
-            return sender.send(&terminal);
-        }
+        Err(error) => return sender.send(&failed(&error).to_frame()),
     };
 
-    // Pump the event stream. Tile frames go out the moment shards complete;
-    // the terminal frame is stored for replay *with* its tile list, so a
-    // replayed response is self-contained even if the live one streamed.
-    let (live, stored) = loop {
+    // Pump the event stream: tile frames go out the moment shards complete.
+    let terminal = loop {
         match handle.next_event() {
             Some(QueryEvent::Tile { position, report }) => {
                 if streaming {
@@ -390,50 +326,22 @@ fn serve_one_query(
                 }
             }
             Some(QueryEvent::Finished(Ok(response))) => {
-                let full = WireResponse::of_response(&response);
-                let stored = Message::Summary {
-                    request_id,
-                    tiles_included: true,
-                    response: full.clone(),
+                let mut response = WireResponse::of_response(&response);
+                if streaming {
+                    // The tiles already went out as their own frames.
+                    response.tiles.clear();
                 }
-                .to_frame();
-                let live = if streaming {
-                    // The tiles already streamed; the live summary carries
-                    // only the merged result.
-                    Message::Summary {
-                        request_id,
-                        tiles_included: false,
-                        response: WireResponse {
-                            tiles: Vec::new(),
-                            ..full
-                        },
-                    }
-                    .to_frame()
-                } else {
-                    stored.clone()
+                break Message::Summary {
+                    request_id,
+                    tiles_included: !streaming,
+                    response,
                 };
-                break (live, stored);
             }
-            Some(QueryEvent::Finished(Err(error))) => {
-                let terminal = Message::Error {
-                    request_id,
-                    failure: WireFailure::of_error(&error),
-                }
-                .to_frame();
-                break (terminal.clone(), terminal);
-            }
-            None => {
-                let terminal = Message::Error {
-                    request_id,
-                    failure: WireFailure::of_error(&SccgError::ShutDown),
-                }
-                .to_frame();
-                break (terminal.clone(), terminal);
-            }
+            Some(QueryEvent::Finished(Err(error))) => break failed(&error),
+            None => break failed(&SccgError::ShutDown),
         }
     };
-    lock(&shared.routes).insert(key, Arc::new(RouteState::Done(stored)));
-    sender.send(&live)
+    sender.send(&terminal.to_frame())
 }
 
 #[cfg(test)]
@@ -551,7 +459,7 @@ mod tests {
         let mut raw = TcpStream::connect(server.local_addr()).expect("connects");
         raw.set_read_timeout(Some(Duration::from_secs(10)))
             .expect("sets a timeout");
-        let hello = Message::Hello { client_id: 0 }.to_frame();
+        let hello = Message::Hello.to_frame();
         let mut bytes = Vec::new();
         encode_frame(hello.kind, &hello.body, &mut bytes);
         bytes.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_be_bytes());

@@ -15,9 +15,9 @@ use std::fmt;
 
 /// Protocol magic opening every [`Message::Hello`]: `"SCCG"`.
 pub const MAGIC: u32 = 0x5343_4347;
-/// Protocol version spoken by this build. Version 2's `Stats` body has no
-/// placement counters.
-pub const VERSION: u8 = 2;
+/// Protocol version spoken by this build. Since version 3 the server answers
+/// a query with its result frames only, and `Hello` carries no client id.
+pub const VERSION: u8 = 3;
 
 /// Decode failure of a frame body. Unlike a framing error, the *stream* is
 /// still intact (frame boundaries are known); only this message is bad.
@@ -96,6 +96,19 @@ struct BodyReader<'a> {
 impl<'a> BodyReader<'a> {
     fn new(buf: &'a [u8]) -> Self {
         BodyReader { buf, pos: 0 }
+    }
+
+    /// Body bytes not read yet.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Capacity to reserve for `count` elements that each encode to at
+    /// least `min_len` bytes: never more than the rest of the body can hold,
+    /// so a corrupt count cannot reserve memory out of proportion to the
+    /// body.
+    fn capacity(&self, count: usize, min_len: usize) -> usize {
+        count.min(self.remaining() / min_len)
     }
 
     fn take(&mut self, n: usize, field: &'static str) -> Result<&'a [u8], WireDecodeError> {
@@ -370,6 +383,10 @@ impl WireTile {
         }
     }
 
+    /// Bytes of the shortest encoding: four integers, an empty backend
+    /// name's length prefix and the summary's five integers.
+    const MIN_ENCODED_LEN: usize = 8 + 8 + 4 + 8 + 5 * 8;
+
     fn encode(&self, w: &mut BodyWriter) {
         w.u64(self.tile);
         w.u64(self.engine);
@@ -524,7 +541,7 @@ impl WireStats {
         let peak_in_flight = r.u64("stats.peak_in_flight")?;
         let cache_entries = r.u64("stats.cache_entries")?;
         let engines = r.u32("stats.engine_count")? as usize;
-        let mut shards_per_engine = Vec::with_capacity(engines.min(1 << 16));
+        let mut shards_per_engine = Vec::with_capacity(r.capacity(engines, 8));
         for _ in 0..engines {
             shards_per_engine.push(r.u64("stats.shards_per_engine")?);
         }
@@ -646,31 +663,22 @@ impl WireFailure {
 /// Every message of the protocol: one variant per [`FrameKind`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
-    /// Client → server connection opener. `client_id` 0 asks the server to
-    /// assign one; a nonzero id resumes that identity (routing/dedup state
-    /// is keyed by it).
-    Hello {
-        /// Proposed client id, 0 to request assignment.
-        client_id: u64,
-    },
-    /// Server → client: the id this connection speaks as.
+    /// Client → server connection opener: the protocol magic and version.
+    Hello,
+    /// Server → client: the id the server assigned this connection.
     HelloAck {
-        /// The (possibly server-assigned) client id.
+        /// The server-assigned client id.
         client_id: u64,
     },
-    /// Client → server: run a comparison.
+    /// Client → server: run a comparison. The server answers with `Tile`
+    /// frames (streaming mode only), then one `Summary` or `Error`.
     Query {
-        /// Client-chosen id, unique per client; retries reuse it.
+        /// Client-chosen id, echoed in every answering frame.
         request_id: u64,
         /// Whether per-tile frames should stream before the summary.
         streaming: bool,
         /// The query itself.
         spec: WireRequestSpec,
-    },
-    /// Server → client: the query was received; stop retrying.
-    Ack {
-        /// The acknowledged request.
-        request_id: u64,
     },
     /// Server → client: one tile of a streaming query, pushed the moment its
     /// shard completed.
@@ -716,10 +724,9 @@ impl Message {
     pub fn to_frame(&self) -> Frame {
         let mut w = BodyWriter::new();
         let kind = match self {
-            Message::Hello { client_id } => {
+            Message::Hello => {
                 w.u32(MAGIC);
                 w.u8(VERSION);
-                w.u64(*client_id);
                 FrameKind::Hello
             }
             Message::HelloAck { client_id } => {
@@ -756,10 +763,6 @@ impl Message {
                     }
                 }
                 FrameKind::Query
-            }
-            Message::Ack { request_id } => {
-                w.u64(*request_id);
-                FrameKind::Ack
             }
             Message::Tile {
                 request_id,
@@ -833,9 +836,7 @@ impl Message {
                         value: u64::from(version),
                     });
                 }
-                Message::Hello {
-                    client_id: r.u64("hello.client_id")?,
-                }
+                Message::Hello
             }
             FrameKind::HelloAck => Message::HelloAck {
                 client_id: r.u64("hello_ack.client_id")?,
@@ -849,7 +850,7 @@ impl Message {
                     0 => None,
                     1 => {
                         let count = r.u32("query.tile_count")? as usize;
-                        let mut tiles = Vec::with_capacity(count.min(1 << 16));
+                        let mut tiles = Vec::with_capacity(r.capacity(count, 8));
                         for _ in 0..count {
                             tiles.push(r.u64("query.tile")?);
                         }
@@ -889,9 +890,6 @@ impl Message {
                     },
                 }
             }
-            FrameKind::Ack => Message::Ack {
-                request_id: r.u64("ack.request_id")?,
-            },
             FrameKind::Tile => Message::Tile {
                 request_id: r.u64("tile.request_id")?,
                 position: r.u64("tile.position")?,
@@ -909,7 +907,8 @@ impl Message {
                 let tiles_included = r.bool("summary.tiles_included")?;
                 let tiles = if tiles_included {
                     let count = r.u32("summary.tile_count")? as usize;
-                    let mut tiles = Vec::with_capacity(count.min(1 << 16));
+                    let mut tiles =
+                        Vec::with_capacity(r.capacity(count, WireTile::MIN_ENCODED_LEN));
                     for _ in 0..count {
                         tiles.push(WireTile::decode(&mut r)?);
                     }
@@ -954,14 +953,9 @@ impl Message {
 mod tests {
     use super::*;
 
-    fn roundtrip(message: Message) {
-        let frame = message.to_frame();
-        let decoded = Message::of_frame(&frame).expect("decodes");
-        assert_eq!(decoded, message);
-    }
-
-    #[test]
-    fn every_message_roundtrips() {
+    /// One message of every kind, with every optional field present and a
+    /// `Summary` in each mode.
+    fn sample_messages() -> Vec<Message> {
         let summary = WireSummary {
             similarity_bits: 0.728_f64.to_bits(),
             intersecting_pairs: 41,
@@ -976,52 +970,70 @@ mod tests {
             candidate_pairs: 77,
             summary,
         };
-        roundtrip(Message::Hello { client_id: 0 });
-        roundtrip(Message::HelloAck { client_id: 9 });
-        roundtrip(Message::Query {
-            request_id: 17,
-            streaming: true,
-            spec: WireRequestSpec {
-                first: 4,
-                second: 5,
-                tiles: Some(vec![2, 0, 1]),
-                device: Some(AggregationDevice::Hybrid),
-                variant: Some(Variant::NoSep),
-                priority: QueryPriority::High,
-                deadline_ms: Some(2_500),
+        let response = WireResponse {
+            first: 4,
+            second: 5,
+            tiles: vec![tile.clone()],
+            summary,
+            shards: 1,
+            cache_hit: false,
+            priority: QueryPriority::Normal,
+            device: None,
+        };
+        vec![
+            Message::Hello,
+            Message::HelloAck { client_id: 9 },
+            Message::Query {
+                request_id: 17,
+                streaming: true,
+                spec: WireRequestSpec {
+                    first: 4,
+                    second: 5,
+                    tiles: Some(vec![2, 0, 1]),
+                    device: Some(AggregationDevice::Hybrid),
+                    variant: Some(Variant::NoSep),
+                    priority: QueryPriority::High,
+                    deadline_ms: Some(2_500),
+                },
             },
-        });
-        roundtrip(Message::Ack { request_id: 17 });
-        roundtrip(Message::Tile {
-            request_id: 17,
-            position: 2,
-            tile: tile.clone(),
-        });
-        roundtrip(Message::Summary {
-            request_id: 17,
-            tiles_included: true,
-            response: WireResponse {
-                first: 4,
-                second: 5,
-                tiles: vec![tile],
-                summary,
-                shards: 1,
-                cache_hit: false,
-                priority: QueryPriority::Normal,
-                device: None,
+            Message::Tile {
+                request_id: 17,
+                position: 2,
+                tile,
             },
-        });
-        roundtrip(Message::Error {
-            request_id: 18,
-            failure: WireFailure::of_error(&SccgError::Overloaded {
-                in_flight: 4,
-                bound: 4,
-            }),
-        });
-        roundtrip(Message::StatsRequest);
-        roundtrip(Message::Stats {
-            stats: sample_stats(),
-        });
+            Message::Summary {
+                request_id: 17,
+                tiles_included: true,
+                response: response.clone(),
+            },
+            Message::Summary {
+                request_id: 17,
+                tiles_included: false,
+                response: WireResponse {
+                    tiles: Vec::new(),
+                    ..response
+                },
+            },
+            Message::Error {
+                request_id: 18,
+                failure: WireFailure::of_error(&SccgError::Overloaded {
+                    in_flight: 4,
+                    bound: 4,
+                }),
+            },
+            Message::StatsRequest,
+            Message::Stats {
+                stats: sample_stats(),
+            },
+        ]
+    }
+
+    #[test]
+    fn every_message_roundtrips() {
+        for message in sample_messages() {
+            let decoded = Message::of_frame(&message.to_frame()).expect("decodes");
+            assert_eq!(decoded, message);
+        }
     }
 
     fn sample_stats() -> WireStats {
@@ -1043,12 +1055,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn truncated_stats_bodies_fail_without_panicking() {
-        let frame = Message::Stats {
-            stats: sample_stats(),
-        }
-        .to_frame();
+    /// `message` cut at every length short of its full body fails with a
+    /// typed error: no field is optional at the end of a body.
+    fn assert_every_cut_fails(message: &Message) {
+        let frame = message.to_frame();
         for cut in 0..frame.body.len() {
             let truncated = Frame {
                 kind: frame.kind,
@@ -1056,9 +1066,51 @@ mod tests {
             };
             assert!(
                 Message::of_frame(&truncated).is_err(),
-                "cut at {cut} must fail"
+                "{:?} cut at {cut} must fail",
+                frame.kind
             );
         }
+    }
+
+    #[test]
+    fn truncated_bodies_fail_without_panicking() {
+        for message in sample_messages() {
+            assert_every_cut_fails(&message);
+        }
+    }
+
+    /// The per-engine shard list is the one counted field of `Stats`: a cut
+    /// inside it must not be read as a shorter list.
+    #[test]
+    fn truncated_stats_bodies_fail_without_panicking() {
+        assert_every_cut_fails(&Message::Stats {
+            stats: sample_stats(),
+        });
+    }
+
+    #[test]
+    fn a_corrupt_count_reserves_no_more_than_the_body_holds() {
+        let mut r = BodyReader::new(&[0; 20]);
+        assert_eq!(r.capacity(u32::MAX as usize, 8), 2);
+        assert_eq!(r.capacity(1, 8), 1);
+        r.take(20, "all").expect("20 bytes");
+        assert_eq!(r.capacity(5, WireTile::MIN_ENCODED_LEN), 0);
+        let tile = WireTile {
+            tile: 0,
+            engine: 0,
+            backend: String::new(),
+            candidate_pairs: 0,
+            summary: WireSummary {
+                similarity_bits: 0,
+                intersecting_pairs: 0,
+                candidate_pairs: 0,
+                total_intersection_area: 0,
+                total_union_area: 0,
+            },
+        };
+        let mut w = BodyWriter::new();
+        tile.encode(&mut w);
+        assert_eq!(w.buf.len(), WireTile::MIN_ENCODED_LEN);
     }
 
     #[test]
@@ -1130,7 +1182,7 @@ mod tests {
 
     #[test]
     fn hello_rejects_wrong_magic_and_version() {
-        let mut frame = Message::Hello { client_id: 1 }.to_frame();
+        let mut frame = Message::Hello.to_frame();
         frame.body[0] ^= 0xFF;
         assert!(matches!(
             Message::of_frame(&frame),
@@ -1139,7 +1191,7 @@ mod tests {
                 ..
             })
         ));
-        let mut frame = Message::Hello { client_id: 1 }.to_frame();
+        let mut frame = Message::Hello.to_frame();
         frame.body[4] = VERSION + 1;
         assert!(matches!(
             Message::of_frame(&frame),
@@ -1148,33 +1200,5 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn truncated_bodies_fail_without_panicking() {
-        let frame = Message::Query {
-            request_id: 17,
-            streaming: false,
-            spec: WireRequestSpec {
-                first: 4,
-                second: 5,
-                tiles: Some(vec![2, 0, 1]),
-                device: None,
-                variant: None,
-                priority: QueryPriority::Normal,
-                deadline_ms: Some(100),
-            },
-        }
-        .to_frame();
-        for cut in 0..frame.body.len() {
-            let truncated = Frame {
-                kind: frame.kind,
-                body: frame.body[..cut].to_vec(),
-            };
-            assert!(
-                Message::of_frame(&truncated).is_err(),
-                "cut at {cut} must fail"
-            );
-        }
     }
 }

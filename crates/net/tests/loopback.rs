@@ -1,11 +1,12 @@
 //! Loopback integration tests of the wire front-end: bit-identity of
-//! streamed responses, the blocking degenerate case, retry idempotency,
-//! remote error reconstruction, graceful drain, and the load generator.
+//! streamed responses, the blocking degenerate case, the one-exchange frame
+//! sequence, remote error reconstruction, graceful drain, concurrent
+//! clients, and connection loss typed by what arrived.
 
 use sccg_datagen::{generate_dataset, DatasetSpec};
 use sccg_net::frame::FrameDecoder;
 use sccg_net::wire::{Message, WireRequestSpec, WireResponse};
-use sccg_net::{ClientConfig, LoadGenConfig, NetConfig, WireClient, WireError, WireServer};
+use sccg_net::{ClientConfig, NetConfig, WireClient, WireError, WireServer};
 use sccg_serve::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -121,11 +122,13 @@ fn blocking_mode_is_the_one_frame_degenerate_case() {
     assert_eq!(remote.cache_hits, 1, "the streamed repeat hit the cache");
 }
 
-/// Raw-socket probe: a duplicated request (the client retry case) is
-/// re-acked and answered from the routing cache without recomputing.
+/// Raw-socket probe of one exchange: a streamed query yields exactly one
+/// `Tile` per shard, then its `Summary`, and no other frame. The server keeps
+/// no per-request state, so a second `Query` under the same id simply runs
+/// again.
 #[test]
-fn duplicate_requests_replay_without_recomputation() {
-    let (service, first, second) = service(2, 43);
+fn a_streamed_query_is_one_exchange_and_a_repeated_id_runs_again() {
+    let (service, first, second) = service(3, 43);
     let server = WireServer::start(Arc::clone(&service), "127.0.0.1:0", NetConfig::default())
         .expect("server starts");
 
@@ -140,61 +143,73 @@ fn duplicate_requests_replay_without_recomputation() {
         sccg_net::frame::encode_frame(frame.kind, &frame.body, &mut bytes);
         stream.write_all(&bytes).expect("send");
     };
-    let mut recv = |stream: &mut TcpStream| -> Message {
+    // `None` once the server has closed the connection.
+    let mut recv = |stream: &mut TcpStream| -> Option<Message> {
         let mut buf = [0u8; 4096];
         loop {
             if let Some(frame) = decoder.next_frame().expect("valid frame") {
-                return Message::of_frame(&frame).expect("valid message");
+                return Some(Message::of_frame(&frame).expect("valid message"));
             }
             let n = stream.read(&mut buf).expect("read");
-            assert!(n > 0, "server closed early");
+            if n == 0 {
+                assert_eq!(decoder.pending(), 0, "no partial frame at close");
+                return None;
+            }
             decoder.feed(&buf[..n]);
         }
     };
 
-    send(&mut stream, &Message::Hello { client_id: 0 });
-    let client_id = match recv(&mut stream) {
-        Message::HelloAck { client_id } => client_id,
-        other => panic!("expected HelloAck, got {other:?}"),
-    };
-    assert!(client_id > 0);
+    send(&mut stream, &Message::Hello);
+    assert!(matches!(
+        recv(&mut stream),
+        Some(Message::HelloAck { client_id: 1 })
+    ));
 
     let query = Message::Query {
         request_id: 7,
-        streaming: false,
+        streaming: true,
         spec: WireRequestSpec::new(first, second),
     };
-    send(&mut stream, &query);
-    assert!(matches!(recv(&mut stream), Message::Ack { request_id: 7 }));
-    let original = match recv(&mut stream) {
-        Message::Summary { response, .. } => response,
-        other => panic!("expected Summary, got {other:?}"),
-    };
-    let submitted_once = service.stats().submitted;
-
-    // The retry: same request id. Must be re-acked and replayed, not rerun.
-    send(&mut stream, &query);
-    assert!(matches!(recv(&mut stream), Message::Ack { request_id: 7 }));
-    let replayed = match recv(&mut stream) {
-        Message::Summary {
-            tiles_included,
-            response,
-            ..
-        } => {
-            assert!(tiles_included, "replays are self-contained");
-            response
+    let mut exchange = |stream: &mut TcpStream| {
+        send(stream, &query);
+        let mut tiles = Vec::new();
+        loop {
+            match recv(stream).expect("the server answers") {
+                Message::Tile {
+                    request_id: 7,
+                    position,
+                    tile,
+                } => tiles.push((position, tile)),
+                Message::Summary {
+                    request_id: 7,
+                    tiles_included: false,
+                    response,
+                } => {
+                    // Shards complete in any order; compare in merge order.
+                    tiles.sort_unstable_by_key(|&(position, _)| position);
+                    let positions: Vec<u64> = tiles.iter().map(|&(p, _)| p).collect();
+                    assert_eq!(positions, vec![0, 1, 2], "one tile frame per shard");
+                    assert!(response.tiles.is_empty(), "the tiles went out alone");
+                    return (tiles, without_cache_flag(response));
+                }
+                other => panic!("expected a Tile or the Summary, got {other:?}"),
+            }
         }
-        other => panic!("expected replayed Summary, got {other:?}"),
     };
-    assert_eq!(
-        replayed, original,
-        "replay is byte-for-byte the stored response"
-    );
+
+    let original = exchange(&mut stream);
+    let submitted = service.stats().submitted;
+    let repeated = exchange(&mut stream);
     assert_eq!(
         service.stats().submitted,
-        submitted_once,
-        "the duplicate never reached the service"
+        submitted + 1,
+        "the repeated id reached the service"
     );
+    assert_eq!(repeated, original, "and got the bit-identical answer");
+
+    // Nothing else was sent: after our half-close the server closes too.
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    assert_eq!(recv(&mut stream), None, "no frame after the Summary");
 }
 
 #[test]
@@ -241,25 +256,19 @@ fn graceful_drain_finishes_in_flight_work_and_stops_accepting() {
     server.shutdown();
 
     // Queries after the drain fail cleanly rather than hanging.
-    let config = ClientConfig::default()
-        .with_ack_timeout(Duration::from_millis(50))
-        .with_max_retries(1);
     let err = client
         .query_streaming(&WireRequestSpec::new(first, second), |_, _| {})
         .expect_err("drained server answers nothing");
-    assert!(
-        matches!(err, WireError::Disconnected | WireError::Timeout { .. }),
-        "got {err:?}"
-    );
+    assert!(matches!(err, WireError::Disconnected), "got {err:?}");
     // And new connections are refused or immediately closed.
-    match WireClient::connect(addr, config) {
+    match WireClient::connect(addr, ClientConfig::default()) {
         Err(_) => {}
         Ok(_) => panic!("drained server accepted a new connection"),
     }
 }
 
 #[test]
-fn loadgen_drives_concurrent_clients_and_reports_latency() {
+fn concurrent_clients_get_bit_identical_streamed_answers() {
     let (service, first, second) = service(4, 46);
     let server = WireServer::start(Arc::clone(&service), "127.0.0.1:0", NetConfig::default())
         .expect("server starts");
@@ -269,27 +278,47 @@ fn loadgen_drives_concurrent_clients_and_reports_latency() {
         .unwrap()
         .wait()
         .unwrap();
-    let baseline = WireResponse::of_response(&baseline);
+    let baseline = without_cache_flag(WireResponse::of_response(&baseline));
 
-    let config = LoadGenConfig::new(vec![WireRequestSpec::new(first, second)])
-        .with_clients(4)
-        .with_queries_per_client(3);
-    let report = sccg_net::run_loadgen(server.local_addr(), &config).expect("load run completes");
+    // 4 connections, 3 streamed queries each, all at once.
+    let answers: Vec<WireResponse> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client =
+                        WireClient::connect(server.local_addr(), ClientConfig::default())
+                            .expect("connects");
+                    (0..3)
+                        .map(|_| {
+                            let outcome = client
+                                .query_streaming(&WireRequestSpec::new(first, second), |_, _| {})
+                                .expect("query resolves");
+                            assert_eq!(outcome.tile_frames, 4, "every tile streamed");
+                            outcome.response
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|client| client.join().expect("client thread"))
+            .collect()
+    });
 
-    assert_eq!(report.queries, 12);
-    assert!(report.qps > 0.0);
-    assert!(report.p50_ms > 0.0 && report.p99_ms >= report.p50_ms);
-    assert!(report.max_ms >= report.p99_ms);
-    assert!(report.tile_frames >= 4, "streaming tiles flowed");
-    for outcome in &report.outcomes {
+    assert_eq!(answers.len(), 12);
+    for answer in answers {
         assert_eq!(
-            without_cache_flag(outcome.outcome.response.clone()),
-            without_cache_flag(baseline.clone()),
-            "every concurrent response is bit-identical to the baseline"
+            without_cache_flag(answer),
+            baseline,
+            "every concurrent response is bit-identical to the in-process answer"
         );
     }
 }
 
+/// Connection loss is typed by what the client saw: nothing of the request
+/// (`Disconnected`) or part of its stream (`ResetMidStream`). Both are safe
+/// to re-send on a fresh connection, which answers bit-identically.
 #[test]
 fn injected_connection_reset_surfaces_typed_and_a_fresh_client_retries() {
     use sccg::{FaultInjector, FaultPlan};
@@ -302,44 +331,54 @@ fn injected_connection_reset_surfaces_typed_and_a_fresh_client_retries() {
         .unwrap();
     let baseline = WireResponse::of_response(&baseline);
 
-    // The server assigns client ids from 1; the first connection is client
-    // 1. Its connection drops after 2 post-handshake frames: the ack plus
-    // one tile — squarely mid-stream.
-    let injector = Arc::new(FaultInjector::new(FaultPlan::new(3).reset_connection(1, 2)));
+    // The server assigns client ids from 1, in connection order. Client 1's
+    // connection drops before its first post-handshake frame, client 2's
+    // after one frame: the first tile, squarely mid-stream.
+    let injector = Arc::new(FaultInjector::new(
+        FaultPlan::new(3)
+            .reset_connection(1, 0)
+            .reset_connection(2, 1),
+    ));
     let server = WireServer::start(
         Arc::clone(&service),
         "127.0.0.1:0",
         NetConfig::default().with_faults(Arc::clone(&injector)),
     )
     .expect("server starts");
+    let spec = WireRequestSpec::new(first, second);
 
-    let mut victim =
+    let mut silent =
         WireClient::connect(server.local_addr(), ClientConfig::default()).expect("connects");
-    assert_eq!(victim.client_id(), 1);
-    let err = victim
-        .query_streaming(&WireRequestSpec::new(first, second), |_, _| {})
-        .expect_err("the stream is cut after one tile");
-    match err {
-        WireError::ResetMidStream {
-            request_id,
-            tiles_received,
-        } => {
-            assert_eq!(request_id, 1);
-            assert!(
-                tiles_received <= 1,
-                "at most the one pre-reset tile arrived, got {tiles_received}"
-            );
-        }
-        other => panic!("expected ResetMidStream, got {other:?}"),
-    }
-    assert_eq!(injector.stats().connection_resets, 1);
+    assert_eq!(silent.client_id(), 1);
+    let err = silent
+        .query_streaming(&spec, |_, _| {})
+        .expect_err("the connection drops before any frame");
+    assert!(matches!(err, WireError::Disconnected), "got {err:?}");
 
-    // The reset is retryable: a fresh connection (a new client id, so no
-    // scheduled fault) replays the query and gets the bit-identical result.
+    let mut cut =
+        WireClient::connect(server.local_addr(), ClientConfig::default()).expect("connects");
+    assert_eq!(cut.client_id(), 2);
+    let err = cut
+        .query_streaming(&spec, |_, _| {})
+        .expect_err("the stream is cut after one tile");
+    assert!(
+        matches!(
+            err,
+            WireError::ResetMidStream {
+                request_id: 1,
+                tiles_received: 1
+            }
+        ),
+        "got {err:?}"
+    );
+    assert_eq!(injector.stats().connection_resets, 2);
+
+    // A fresh connection (a new client id, so no scheduled fault) re-sends
+    // the query and gets the bit-identical result.
     let mut retry =
         WireClient::connect(server.local_addr(), ClientConfig::default()).expect("reconnects");
     let outcome = retry
-        .query_streaming(&WireRequestSpec::new(first, second), |_, _| {})
+        .query_streaming(&spec, |_, _| {})
         .expect("retry on a fresh connection succeeds");
     assert_eq!(
         without_cache_flag(outcome.response),

@@ -4,8 +4,8 @@
 //! workloads (re-rendered viewers, dashboards, parameter sweeps that revisit
 //! a baseline), so the service memoizes full [`crate::QueryResponse`]s in an
 //! [`LruCache`]. The cache implementation itself is the workspace-shared
-//! [`sccg::collections::LruCache`] (the storage layer's tile pager and the
-//! wire front-end's routing cache use the same one); this module re-exports
+//! [`sccg::collections::LruCache`] (the storage layer's tile pager uses the
+//! same one); this module re-exports
 //! it and owns what is serve-specific: the cache key and the configuration
 //! fingerprint. The key captures everything that determines the result *and*
 //! the response shape: the slide pair, the resolved tile index list (in

@@ -11,8 +11,8 @@
 //!   ([`sccg_store::TileStorage`]).
 //! * [`sccg_serve`] — the slide-serving query API: [`sccg_serve::SlideStore`]
 //!   and [`sccg_serve::ComparisonService`] over a pooled engine fleet.
-//! * [`sccg_net`] — the framed TCP wire front-end: [`sccg_net::WireServer`],
-//!   [`sccg_net::WireClient`] and the loopback load generator.
+//! * [`sccg_net`] — the framed TCP wire front-end: [`sccg_net::WireServer`]
+//!   and [`sccg_net::WireClient`].
 //! * [`sccg_geometry`] — rectilinear polygon geometry.
 //! * [`sccg_rtree`] — Hilbert R-tree index and MBR join.
 //! * [`sccg_clip`] — exact overlay (the GEOS stand-in) and Monte-Carlo baseline.

@@ -79,13 +79,13 @@ fn seeded_fault_plan_is_contained_typed_and_bit_identical() {
     // The seeded plan, shared by storage, serving and wire layers: worker 0
     // dies on its first popped shard, tile 7 corrupts on every disk read,
     // tile 2 charges virtual latency, and the server connection of wire
-    // client 3 (one of the workload clients below) drops after two frames —
-    // mid-stream of its first streaming query.
+    // client 3 (one of the workload clients below) drops after one frame —
+    // the first tile of its first streaming query, so mid-stream.
     let plan = FaultPlan::new(42)
         .kill_engine(0, 1)
         .corrupt_tile(CORRUPT_TILE)
         .slow_read(SLOW_TILE, 1_500_000)
-        .reset_connection(3, 2);
+        .reset_connection(3, 1);
     let injector = Arc::new(FaultInjector::new(plan));
 
     let dir = std::env::temp_dir().join(format!("sccg-chaos-{}", std::process::id()));
