@@ -135,10 +135,6 @@ impl ComputeBackend for GpuBackend {
             // `None` — `launch.is_some()` means "the GPU actually ran".
             return BackendBatch::default();
         }
-        // The simulated device walks the batch on the host thread, so cold
-        // edge tables would all build serially on first touch; prewarm them
-        // across the pool first (resident tables are skipped).
-        super::prewarm_pair_edge_tables(pairs, crate::parallel::default_workers());
         let result = self.engine.compute_batch(pairs, config);
         let total = result.total_seconds();
         BackendBatch {
@@ -282,12 +278,13 @@ impl ComputeBackend for HybridBackend {
 
         if !pairs.is_empty() {
             // The GPU timing signal is the *larger* of the host wall-clock of
-            // driving the device and the simulated device seconds. On a real
-            // GPU the two coincide (the host waits out the kernel); here the
-            // functional simulation runs at host speed regardless of the
-            // modelled device, so a deliberately slowed device
-            // (`DeviceConfig::slowed_down`, §5.6) must still be able to push
-            // the split toward the CPU.
+            // the GPU share and its simulated device seconds. The share's
+            // areas are computed on the host's worker pool, so its host
+            // seconds are a real cost, paid like the CPU share's; the simulated
+            // half still lets a deliberately slowed device
+            // (`DeviceConfig::slowed_down`, §5.6) push the split toward the
+            // CPU. Replacing the blend with the modelled seconds alone waits
+            // for a calibrated cost model.
             let gpu_simulated = gpu_batch.total_simulated_seconds();
             self.controller.record(BatchObservation {
                 gpu_pairs: gpu_pairs.len(),

@@ -9,19 +9,13 @@
 //! single-core reference point (`PixelBox-CPU-S`, Figure 7) and as the
 //! migration target when the GPU is congested (§4.2).
 
-use super::algorithm::{compute_pair, Trace};
+use super::algorithm::compute_pair;
 use super::{PairAreas, PixelBoxConfig, PolygonPair};
 use crate::parallel::WorkerPool;
 
 /// Computes the areas of one pair on the CPU.
 pub fn compute_pair_cpu(pair: &PolygonPair, config: &PixelBoxConfig) -> PairAreas {
     compute_pair(pair, config.threshold, config.cpu_fanout, config.variant).0
-}
-
-/// Computes the areas of one pair on the CPU, also returning the execution
-/// trace (used by benchmarks and the performance model).
-pub fn compute_pair_cpu_traced(pair: &PolygonPair, config: &PixelBoxConfig) -> (PairAreas, Trace) {
-    compute_pair(pair, config.threshold, config.cpu_fanout, config.variant)
 }
 
 /// Computes a whole batch of pairs on `workers` CPU threads
@@ -89,7 +83,8 @@ mod tests {
     fn traced_computation_returns_work_counts() {
         let config = PixelBoxConfig::paper_default().with_threshold(16);
         let pair = &sample_pairs()[5];
-        let (areas, trace) = compute_pair_cpu_traced(pair, &config);
+        let (areas, trace) =
+            compute_pair(pair, config.threshold, config.cpu_fanout, config.variant);
         assert!(areas.union >= areas.intersection);
         assert!(trace.pixel_tests + trace.box_tests > 0);
     }

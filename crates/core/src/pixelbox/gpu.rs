@@ -1,18 +1,28 @@
-//! The PixelBox GPU kernel, executed on the simulated SIMT device.
+//! The PixelBox GPU kernel, costed on the simulated SIMT device.
 //!
 //! This is the Rust rendition of Algorithm 1: polygon pairs are distributed
 //! round-robin over thread blocks; each block processes its pairs with the
 //! sampling-box / pixelization scan, keeping the sampling-box stack and
-//! (optionally) the polygon vertex data in shared memory. The functional
-//! results come from the shared [`algorithm`](super::algorithm) core; the
-//! execution [`Trace`] of each pair is converted into simulated cycles,
-//! shared-memory traffic, bank conflicts, global transactions and barriers on
-//! the block's [`BlockContext`], honouring the optimization toggles compared
-//! in Figure 9.
+//! (optionally) the polygon vertex data in shared memory. A batch is
+//! computed and costed in two separate steps:
+//!
+//! 1. **Compute.** Every pair's areas and execution [`Trace`] come from the
+//!    shared [`algorithm`](super::algorithm) core, run once per pair on the
+//!    process-wide [`WorkerPool`] at the GPU's partition fanout
+//!    (`block_size`), exactly as the CPU port runs it at `cpu_fanout`.
+//! 2. **Cost.** `charge_pair` converts one pair's vertex count and trace
+//!    into simulated cycles, shared-memory traffic, bank conflicts, global
+//!    transactions and barriers on its block's [`BlockCost`], honouring the
+//!    optimization toggles compared in Figure 9. The device then folds the
+//!    blocks into the launch's time.
+//!
+//! The cost is a pure function of the traces and the configuration, so the
+//! device's numbers do not depend on how the host scheduled the compute.
 
 use super::algorithm::{compute_pair, Trace};
-use super::{PairAreas, PixelBoxConfig, PolygonPair};
-use sccg_gpu_sim::{BlockContext, Device, LaunchConfig, LaunchStats};
+use super::{OptimizationFlags, PairAreas, PixelBoxConfig, PolygonPair};
+use crate::parallel::{default_workers, WorkerPool};
+use sccg_gpu_sim::{BlockCost, Device, LaunchConfig, LaunchStats, SharedPattern};
 use std::sync::Arc;
 
 /// Bytes of shared memory reserved per block for the sampling-box stack
@@ -50,12 +60,18 @@ impl GpuBatchResult {
 #[derive(Debug, Clone)]
 pub struct GpuPixelBox {
     device: Arc<Device>,
+    /// Pool workers a batch's compute may use: one per core, counted once
+    /// here because counting reads the OS's CPU quota.
+    workers: usize,
 }
 
 impl GpuPixelBox {
     /// Creates an engine on the given device.
     pub fn new(device: Arc<Device>) -> Self {
-        GpuPixelBox { device }
+        GpuPixelBox {
+            device,
+            workers: default_workers(),
+        }
     }
 
     /// The underlying simulated device.
@@ -67,16 +83,17 @@ impl GpuPixelBox {
     /// pairs with one kernel launch (plus the host↔device transfers for the
     /// batch), mirroring the aggregator stage's batched invocation (§4.1).
     pub fn compute_batch(&self, pairs: &[PolygonPair], config: &PixelBoxConfig) -> GpuBatchResult {
-        let mut areas = vec![PairAreas::default(); pairs.len()];
-        let mut trace_total = Trace::default();
         if pairs.is_empty() {
             return GpuBatchResult {
-                areas,
+                areas: Vec::new(),
                 launch: LaunchStats::default(),
                 transfer_seconds: 0.0,
-                trace: trace_total,
+                trace: Trace::default(),
             };
         }
+        let computed = WorkerPool::global().map(pairs, self.workers, 64, |pair| {
+            compute_pair(pair, config.threshold, config.block_size, config.variant)
+        });
 
         // Host → device: vertex arrays and MBRs of every pair; device → host:
         // the per-thread partial areas (block_size values per pair).
@@ -97,41 +114,61 @@ impl GpuPixelBox {
         let launch_config =
             LaunchConfig::new(grid_dim, config.block_size).with_shared_mem(shared_bytes);
 
-        // Results and traces are collected per block through interior indices
-        // (round-robin assignment, Algorithm 1 line 10).
-        let areas_cell = std::cell::RefCell::new(&mut areas);
-        let trace_cell = std::cell::RefCell::new(&mut trace_total);
-        let launch = self.device.launch(&launch_config, |block| {
-            let mut pair_idx = block.block_idx() as usize;
-            while pair_idx < pairs.len() {
-                let pair = &pairs[pair_idx];
-                let (pair_areas, trace) =
-                    compute_pair(pair, config.threshold, config.block_size, config.variant);
-                charge_pair(block, pair, &trace, config);
-                areas_cell.borrow_mut()[pair_idx] = pair_areas;
-                trace_cell.borrow_mut().merge(&trace);
-                pair_idx += grid_dim as usize;
-            }
-        });
-        let (_, _) = (areas_cell, trace_cell); // end the interior borrows
+        // Pair `i` runs on block `i mod grid_dim` (round-robin assignment,
+        // Algorithm 1 line 10).
+        let empty = BlockCost::new(self.device.config(), &launch_config);
+        let stack_push = stack_push_pattern(&empty, &config.opts);
+        let mut blocks = vec![empty; grid_dim as usize];
+        let mut trace = Trace::default();
+        for (index, (pair, (_, pair_trace))) in pairs.iter().zip(&computed).enumerate() {
+            let vertices = (pair.p.vertex_count() + pair.q.vertex_count()) as u64;
+            let block = &mut blocks[index % grid_dim as usize];
+            charge_pair(block, vertices, pair_trace, config, &stack_push);
+            trace.merge(pair_trace);
+        }
+        let launch = self.device.launch(&launch_config, &blocks);
 
         transfer_seconds += self.device.transfer(output_bytes);
         GpuBatchResult {
-            areas,
+            areas: computed.into_iter().map(|(areas, _)| areas).collect(),
             launch,
             transfer_seconds,
-            trace: trace_total,
+            trace,
         }
     }
 }
 
-/// Converts the algorithmic trace of one pair into simulated costs on the
-/// block context, honouring the optimization flags.
+/// The bank-conflict analysis of one partition round's sampling-box push:
+/// every lane pushes one sub-box, five words each. The sub-stacks are laid
+/// out either as five separate arrays (stride-1, conflict-free) or as an
+/// array of five-word structures padded to eight words (stride-8, 8-way
+/// conflicts on a 32-bank device), per §3.3 "Avoid memory bank conflicts".
+/// The pattern depends only on the launch, so it is analysed once per launch.
+fn stack_push_pattern(block: &BlockCost, opts: &OptimizationFlags) -> SharedPattern {
+    let stride: u32 = if opts.avoid_bank_conflicts { 1 } else { 8 };
+    let lanes = block.threads();
+    let mut pattern = SharedPattern::default();
+    let mut addresses = Vec::with_capacity(lanes as usize);
+    for field in 0..5u32 {
+        addresses.clear();
+        addresses.extend(
+            (0..lanes).map(|tid| tid * stride + field * if stride == 1 { lanes } else { 1 }),
+        );
+        pattern += block.analyse_shared(&addresses);
+    }
+    pattern
+}
+
+/// Charges one pair to its block: converts the pair's total vertex count
+/// and algorithmic trace into simulated costs, honouring the optimization
+/// flags. `stack_push` is the launch's [`stack_push_pattern`]. A pure
+/// function of its inputs; it allocates nothing.
 fn charge_pair(
-    block: &mut BlockContext,
-    pair: &PolygonPair,
+    block: &mut BlockCost,
+    total_vertices: u64,
     trace: &Trace,
     config: &PixelBoxConfig,
+    stack_push: &SharedPattern,
 ) {
     let lanes = u64::from(block.threads().max(1));
     let opts = &config.opts;
@@ -143,7 +180,6 @@ fn charge_pair(
     const VERTEX_BYTES: u32 = 8;
 
     // --- Input staging -----------------------------------------------------
-    let total_vertices = (pair.p.vertex_count() + pair.q.vertex_count()) as u64;
     let vertex_loads = total_vertices.div_ceil(lanes).max(1);
     // MBR + bookkeeping.
     block.global_access(16, true);
@@ -196,23 +232,10 @@ fn charge_pair(
     }
 
     // --- Sampling-box stack traffic ----------------------------------------
-    // Every partition round pushes `block_size` sub-boxes (five words each)
-    // and every processed box is popped by all threads; pushes are laid out
-    // either as five separate arrays (stride-1, conflict-free) or as an
-    // array of five-word structures padded to eight words (stride-8, 8-way
-    // conflicts on a 32-bank device), per §3.3 "Avoid memory bank conflicts".
+    // Every partition round pushes `block_size` sub-boxes and every processed
+    // box is popped by all threads.
     if trace.partitions > 0 {
-        let stride: u32 = if opts.avoid_bank_conflicts { 1 } else { 8 };
-        let lanes_u32 = block.threads();
-        let mut addresses = Vec::with_capacity(lanes_u32 as usize);
-        for field in 0..5u32 {
-            addresses.clear();
-            for tid in 0..lanes_u32 {
-                addresses.push(tid * stride + field * if stride == 1 { lanes_u32 } else { 1 });
-            }
-            // One push per partition round per field.
-            block.shared_access_many(&addresses, trace.partitions);
-        }
+        block.shared_access_many(stack_push, trace.partitions);
         // Position tests write/read the flag column and pop boxes.
         block.shared_access_uniform(trace.stack_pushes.div_ceil(lanes) * 5);
     }

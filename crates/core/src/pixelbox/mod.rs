@@ -28,7 +28,9 @@
 //!   per-pixel loop ([`algorithm::compute_pair_reference`]) is the oracle it
 //!   is verified bit-identical against — areas *and* traces.
 //! * [`cpu`] — `PixelBox-CPU`: the multi-core CPU port (§4.2).
-//! * [`gpu`] — the CUDA-style kernel executed on the `sccg-gpu-sim` device,
+//! * [`gpu`] — the CUDA-style kernel: its areas and traces are computed on
+//!   the shared worker pool like the CPU port's, and its cost is charged on
+//!   the `sccg-gpu-sim` device by a pure function of each pair's trace,
 //!   including the implementation-optimization toggles evaluated in Figure 9.
 //! * [`backend`] — the [`ComputeBackend`] dispatch trait unifying the CPU,
 //!   GPU and hybrid CPU+GPU substrates behind one interface.
@@ -55,11 +57,8 @@ use sccg_geometry::RectilinearPolygon;
 /// does not already have one resident, fanning the builds out over the
 /// persistent [`WorkerPool`](crate::parallel::WorkerPool).
 ///
-/// Each polygon's table lives in a `OnceLock`, so on a cold batch the first
-/// toucher of each polygon pays its whole build inline — and a host loop
-/// that walks pairs sequentially (the GPU simulator's round-robin dispatch)
-/// serializes *every* build on one thread. Prewarming through the pool
-/// amortizes the builds across workers instead; already-resident tables
+/// The pipeline's builder stage calls this ahead of the aggregator, so the
+/// table builds are off the aggregation path. Already-resident tables
 /// (checked via [`RectilinearPolygon::edge_table_if_built`]) are skipped
 /// without contending on the lock.
 ///
@@ -78,15 +77,6 @@ pub fn build_edge_tables_batch(polygons: &[&RectilinearPolygon], max_workers: us
         poly.edge_table();
     });
     cold.len()
-}
-
-/// [`build_edge_tables_batch`] over the polygons of a pair batch: prewarms
-/// both members of every pair before a sequential host loop first touches
-/// them. Returns the number of tables built.
-pub fn prewarm_pair_edge_tables(pairs: &[PolygonPair], max_workers: usize) -> usize {
-    let polygons: Vec<&RectilinearPolygon> =
-        pairs.iter().flat_map(|pair| [&pair.p, &pair.q]).collect();
-    build_edge_tables_batch(&polygons, max_workers)
 }
 
 /// One input pair for cross-comparison: a polygon from each segmentation
@@ -287,14 +277,13 @@ mod tests {
     fn batch_prewarm_builds_cold_tables_and_skips_resident_ones() {
         let p = RectilinearPolygon::rectangle(Rect::new(0, 0, 8, 8)).unwrap();
         let q = RectilinearPolygon::rectangle(Rect::new(4, 4, 12, 12)).unwrap();
-        let pairs = vec![PolygonPair::new(p, q)];
-        assert!(pairs[0].p.edge_table_if_built().is_none());
-        assert_eq!(prewarm_pair_edge_tables(&pairs, 4), 2);
-        assert!(pairs[0].p.edge_table_if_built().is_some());
-        assert!(pairs[0].q.edge_table_if_built().is_some());
+        assert!(p.edge_table_if_built().is_none());
+        assert_eq!(build_edge_tables_batch(&[&p, &q], 4), 2);
+        assert!(p.edge_table_if_built().is_some());
+        assert!(q.edge_table_if_built().is_some());
         // Everything is resident now: nothing is scheduled again.
-        assert_eq!(prewarm_pair_edge_tables(&pairs, 4), 0);
-        assert_eq!(build_edge_tables_batch(&[&pairs[0].p, &pairs[0].q], 1), 0);
+        assert_eq!(build_edge_tables_batch(&[&p, &q], 4), 0);
+        assert_eq!(build_edge_tables_batch(&[&p, &q], 1), 0);
     }
 
     #[test]

@@ -310,14 +310,15 @@ impl RectilinearPolygon {
     /// it, every other concurrent caller blocks until that build finishes
     /// and then shares the same table (a racing thread's redundantly
     /// constructed value is dropped, never published). The flip side is
-    /// *first-touch serialization*: a batch whose tables are all cold pays
-    /// the builds one after another on whichever thread touches each polygon
-    /// first. A build is linear in the table it produces, so a prewarm pass
+    /// *first-touch serialization*: each cold table is built by whichever
+    /// thread touches its polygon first. A build is linear in the table it
+    /// produces, so a kernel that spreads its pairs over worker threads (as
+    /// every PixelBox backend does) builds its cold tables inline, spread
+    /// the same way. A separate build pass
     /// (`sccg::pixelbox::build_edge_tables_batch`, which uses
     /// [`RectilinearPolygon::edge_table_if_built`] to skip resident tables)
-    /// pays for its hand-off only on batches of thousands of cold polygons
-    /// walked by one thread; a kernel that touches each pair once can build
-    /// inline.
+    /// pays off where one polygon serves many pairs: the pipeline's builder
+    /// stage runs it once per polygon of a tile, ahead of the kernel.
     pub fn edge_table(&self) -> &EdgeTable {
         self.edge_table
             .get_or_init(|| Arc::new(EdgeTable::from_vertices(&self.vertices)))

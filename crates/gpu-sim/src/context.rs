@@ -1,14 +1,19 @@
-//! Per-block execution context: the cost-model half of a kernel.
+//! Per-block cost meter: the cost-model half of a kernel.
 //!
-//! The functional half of a kernel is ordinary Rust code iterating over the
-//! block's threads; the cost half is a sequence of calls on [`BlockContext`]
-//! describing what the warps executed. The context accumulates issue cycles,
-//! memory stalls, bank conflicts, divergence and barriers for the block.
+//! The functional half of a kernel runs elsewhere, at host speed. The cost
+//! half is a sequence of charges on one [`BlockCost`] per thread block,
+//! describing what the block's warps executed. The meter accumulates issue
+//! cycles, memory stalls, bank conflicts and barriers; [`Device::launch`]
+//! folds the meters of a grid into the launch's timing.
+//!
+//! [`Device::launch`]: crate::Device::launch
 
-/// Execution context handed to a kernel closure, one per thread block.
+use crate::config::{DeviceConfig, LaunchConfig};
+use std::ops::AddAssign;
+
+/// The cost of one thread block: every charge its warps executed.
 #[derive(Debug, Clone)]
-pub struct BlockContext {
-    block_idx: u32,
+pub struct BlockCost {
     block_dim: u32,
     warp_size: u32,
     banks: u32,
@@ -20,40 +25,48 @@ pub struct BlockContext {
     pub(crate) bank_conflicts: u64,
     pub(crate) shared_accesses: u64,
     pub(crate) global_transactions: u64,
-    pub(crate) divergent_lane_cycles: u64,
     pub(crate) syncs: u64,
 }
 
-impl BlockContext {
-    pub(crate) fn new(
-        block_idx: u32,
-        block_dim: u32,
-        warp_size: u32,
-        banks: u32,
-        shared_latency: u64,
-        global_latency: u64,
-    ) -> Self {
-        BlockContext {
-            block_idx,
-            block_dim,
-            warp_size,
-            banks,
-            shared_latency,
-            global_latency,
+/// One shared-memory access by a block's lanes, with its bank conflicts
+/// analysed by [`BlockCost::analyse_shared`].
+///
+/// A pattern depends only on the lane addresses and the device's warp size
+/// and bank count, so a kernel that repeats one pattern analyses it once per
+/// launch and charges it with [`BlockCost::shared_access_many`]. Patterns
+/// add up: `a += b` is the access `a` followed by `b`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SharedPattern {
+    accesses: u64,
+    conflicts: u64,
+    /// Serialized access rounds: the sum of every warp's conflict degree.
+    rounds: u64,
+}
+
+impl AddAssign for SharedPattern {
+    fn add_assign(&mut self, other: SharedPattern) {
+        self.accesses += other.accesses;
+        self.conflicts += other.conflicts;
+        self.rounds += other.rounds;
+    }
+}
+
+impl BlockCost {
+    /// An empty meter for one block of `launch` on `device`.
+    pub fn new(device: &DeviceConfig, launch: &LaunchConfig) -> Self {
+        BlockCost {
+            block_dim: launch.block_dim,
+            warp_size: device.warp_size,
+            banks: device.shared_mem_banks,
+            shared_latency: device.shared_latency_cycles,
+            global_latency: device.global_latency_cycles,
             compute_cycles: 0,
             memory_stall_cycles: 0,
             bank_conflicts: 0,
             shared_accesses: 0,
             global_transactions: 0,
-            divergent_lane_cycles: 0,
             syncs: 0,
         }
-    }
-
-    /// Index of this block within the grid (`blockIdx.x`).
-    #[inline]
-    pub fn block_idx(&self) -> u32 {
-        self.block_idx
     }
 
     /// Number of threads in the block (`blockDim.x`).
@@ -68,35 +81,11 @@ impl BlockContext {
         self.block_dim.div_ceil(self.warp_size)
     }
 
-    /// SIMD width of the device.
-    #[inline]
-    pub fn warp_size(&self) -> u32 {
-        self.warp_size
-    }
-
     /// Charges `ops` arithmetic/logic instructions executed by every lane of
     /// every warp of the block (uniform, fully converged execution).
     #[inline]
     pub fn charge_alu(&mut self, ops: u64) {
         self.compute_cycles += ops * u64::from(self.warps());
-    }
-
-    /// Charges `ops` instructions on a *divergent* region where only
-    /// `active_lanes` of the block's threads do useful work. The whole warp
-    /// still issues every instruction (SIMT lock-step), so the cycle cost is
-    /// identical to [`Self::charge_alu`]; the wasted lane-cycles are recorded so the
-    /// divergence penalty is observable in statistics.
-    pub fn charge_alu_divergent(&mut self, ops: u64, active_lanes: u32) {
-        let active = active_lanes.min(self.block_dim);
-        // Warps that contain at least one active lane must issue.
-        let issuing_warps = if active == 0 {
-            0
-        } else {
-            active.div_ceil(self.warp_size).max(1)
-        };
-        self.compute_cycles += ops * u64::from(issuing_warps);
-        let wasted_lanes = u64::from(issuing_warps) * u64::from(self.warp_size) - u64::from(active);
-        self.divergent_lane_cycles += ops * wasted_lanes;
     }
 
     /// Charges loop bookkeeping (compare + branch + induction update) for
@@ -109,28 +98,27 @@ impl BlockContext {
         self.compute_cycles += iterations * OVERHEAD_OPS_PER_ITERATION * u64::from(self.warps());
     }
 
-    /// Issues one shared-memory access per provided lane address (in 32-bit
-    /// word units) and charges bank-conflict serialization: within each warp,
-    /// accesses mapping to the same bank but *different* word addresses are
-    /// serialized (identical addresses broadcast for free).
-    pub fn shared_access(&mut self, word_addresses: &[u32]) {
-        self.shared_access_many(word_addresses, 1);
-    }
-
-    /// Issues `count` repetitions of one shared-memory access pattern.
-    /// Equivalent to calling [`BlockContext::shared_access`] `count` times
-    /// with the same addresses, with the conflict analysis done once —
-    /// kernels use it for a push repeated once per partition round.
-    pub fn shared_access_many(&mut self, word_addresses: &[u32], count: u64) {
-        if count == 0 {
-            return;
-        }
+    /// Analyses one shared-memory access by the lanes at `word_addresses`
+    /// (in 32-bit word units, lane order): within each warp, accesses mapping
+    /// to the same bank but *different* word addresses are serialized
+    /// (identical addresses broadcast for free).
+    pub fn analyse_shared(&self, word_addresses: &[u32]) -> SharedPattern {
+        let mut pattern = SharedPattern::default();
         for warp in word_addresses.chunks(self.warp_size as usize) {
             let degree = conflict_degree(warp, self.banks);
-            self.shared_accesses += warp.len() as u64 * count;
-            self.bank_conflicts += (degree - 1) * count;
-            self.memory_stall_cycles += self.shared_latency * degree * count;
+            pattern.accesses += warp.len() as u64;
+            pattern.conflicts += degree - 1;
+            pattern.rounds += degree;
         }
+        pattern
+    }
+
+    /// Issues `count` repetitions of an analysed shared-memory access
+    /// pattern, charging its bank-conflict serialization every time.
+    pub fn shared_access_many(&mut self, pattern: &SharedPattern, count: u64) {
+        self.shared_accesses += pattern.accesses * count;
+        self.bank_conflicts += pattern.conflicts * count;
+        self.memory_stall_cycles += self.shared_latency * pattern.rounds * count;
     }
 
     /// Shorthand for a conflict-free shared-memory access pattern executed
@@ -140,69 +128,45 @@ impl BlockContext {
         self.memory_stall_cycles += self.shared_latency * count * u64::from(self.warps());
     }
 
+    /// Global-memory transactions of one access of `bytes_per_lane` bytes by
+    /// every lane.
+    fn global_transactions_per_access(&self, bytes_per_lane: u32, coalesced: bool) -> u64 {
+        const TRANSACTION_BYTES: u64 = 128;
+        if coalesced {
+            let warp_bytes = u64::from(bytes_per_lane) * u64::from(self.warp_size);
+            u64::from(self.warps()) * warp_bytes.div_ceil(TRANSACTION_BYTES).max(1)
+        } else {
+            u64::from(self.block_dim) * u64::from(bytes_per_lane).div_ceil(TRANSACTION_BYTES).max(1)
+        }
+    }
+
     /// Issues a global-memory access of `bytes_per_lane` bytes by every lane.
     /// When `coalesced`, each warp's accesses merge into 128-byte
     /// transactions; otherwise every lane pays its own transaction.
     pub fn global_access(&mut self, bytes_per_lane: u32, coalesced: bool) {
-        const TRANSACTION_BYTES: u64 = 128;
-        let lanes = u64::from(self.block_dim);
-        let warps = u64::from(self.warps());
-        let transactions = if coalesced {
-            let warp_bytes = u64::from(bytes_per_lane) * u64::from(self.warp_size);
-            warps * warp_bytes.div_ceil(TRANSACTION_BYTES).max(1)
-        } else {
-            lanes * u64::from(bytes_per_lane).div_ceil(TRANSACTION_BYTES).max(1)
-        };
+        let transactions = self.global_transactions_per_access(bytes_per_lane, coalesced);
         self.global_transactions += transactions;
         // One latency charge per warp (transactions within a warp pipeline),
         // plus a small per-transaction throughput cost.
-        self.memory_stall_cycles += self.global_latency * warps + transactions * 4;
-    }
-
-    /// Issues `count` repetitions of a global-memory access of
-    /// `bytes_per_lane` bytes by every lane. Equivalent to calling
-    /// [`BlockContext::global_access`] `count` times, without the per-call
-    /// loop on the host side — kernels use it to report aggregated streaming
-    /// access patterns (e.g. one vertex read per edge test).
-    pub fn global_access_many(&mut self, bytes_per_lane: u32, coalesced: bool, count: u64) {
-        if count == 0 {
-            return;
-        }
-        const TRANSACTION_BYTES: u64 = 128;
-        let lanes = u64::from(self.block_dim);
-        let warps = u64::from(self.warps());
-        let per_call = if coalesced {
-            let warp_bytes = u64::from(bytes_per_lane) * u64::from(self.warp_size);
-            warps * warp_bytes.div_ceil(TRANSACTION_BYTES).max(1)
-        } else {
-            lanes * u64::from(bytes_per_lane).div_ceil(TRANSACTION_BYTES).max(1)
-        };
-        self.global_transactions += per_call * count;
-        self.memory_stall_cycles += (self.global_latency * warps + per_call * 4) * count;
+        self.memory_stall_cycles +=
+            self.global_latency * u64::from(self.warps()) + transactions * 4;
     }
 
     /// Issues a *streamed* sequence of `count` global-memory accesses of
-    /// `bytes_per_lane` bytes by every lane. Unlike
-    /// [`BlockContext::global_access_many`], the stream exposes the memory
-    /// latency only once (subsequent accesses are pipelined / prefetched
-    /// behind it) and then pays a per-transaction throughput cost — the
-    /// appropriate model for sequential scans such as reading a polygon's
-    /// vertex array once per edge test.
+    /// `bytes_per_lane` bytes by every lane. Unlike `count` calls of
+    /// [`BlockCost::global_access`], the stream exposes the memory latency
+    /// only once (subsequent accesses are pipelined / prefetched behind it)
+    /// and then pays a per-transaction throughput cost — the appropriate
+    /// model for sequential scans such as reading a polygon's vertex array
+    /// once per edge test.
     pub fn global_stream(&mut self, bytes_per_lane: u32, coalesced: bool, count: u64) {
         if count == 0 {
             return;
         }
-        const TRANSACTION_BYTES: u64 = 128;
-        let lanes = u64::from(self.block_dim);
-        let warps = u64::from(self.warps());
-        let per_call = if coalesced {
-            let warp_bytes = u64::from(bytes_per_lane) * u64::from(self.warp_size);
-            warps * warp_bytes.div_ceil(TRANSACTION_BYTES).max(1)
-        } else {
-            lanes * u64::from(bytes_per_lane).div_ceil(TRANSACTION_BYTES).max(1)
-        };
-        self.global_transactions += per_call * count;
-        self.memory_stall_cycles += self.global_latency * warps + per_call * count * 4;
+        let per_access = self.global_transactions_per_access(bytes_per_lane, coalesced);
+        self.global_transactions += per_access * count;
+        self.memory_stall_cycles +=
+            self.global_latency * u64::from(self.warps()) + per_access * count * 4;
     }
 
     /// Executes `count` `__syncthreads()` barriers.
@@ -212,15 +176,9 @@ impl BlockContext {
     }
 
     /// Executes a `__syncthreads()` barrier: all warps drain and re-converge.
+    /// Barrier cost grows with the number of warps that must arrive.
     pub fn sync_threads(&mut self) {
-        self.syncs += 1;
-        // Barrier cost grows with the number of warps that must arrive.
-        self.compute_cycles += 8 + 2 * u64::from(self.warps());
-    }
-
-    /// Total cycles attributed to this block before latency hiding.
-    pub fn block_cycles(&self) -> u64 {
-        self.compute_cycles + self.memory_stall_cycles
+        self.sync_threads_many(1);
     }
 }
 
@@ -255,8 +213,16 @@ fn conflict_degree(warp: &[u32], banks: u32) -> u64 {
 mod tests {
     use super::*;
 
-    fn ctx(block_dim: u32) -> BlockContext {
-        BlockContext::new(0, block_dim, 32, 32, 2, 400)
+    /// A meter for one `block_dim`-thread block on a device with 32-lane
+    /// warps, 32 banks, 2-cycle shared and 400-cycle global latency.
+    fn ctx(block_dim: u32) -> BlockCost {
+        BlockCost::new(&DeviceConfig::gtx580(), &LaunchConfig::new(1, block_dim))
+    }
+
+    /// Charges one access by the lanes at `addresses`.
+    fn shared_access(cost: &mut BlockCost, addresses: &[u32]) {
+        let pattern = cost.analyse_shared(addresses);
+        cost.shared_access_many(&pattern, 1);
     }
 
     #[test]
@@ -270,22 +236,10 @@ mod tests {
     }
 
     #[test]
-    fn divergent_charge_records_wasted_lanes() {
-        let mut c = ctx(64);
-        c.charge_alu_divergent(10, 16);
-        // 16 active lanes fit in one warp: 10 ops issued by 1 warp.
-        assert_eq!(c.compute_cycles, 10);
-        assert_eq!(c.divergent_lane_cycles, 10 * (32 - 16));
-        let mut d = ctx(64);
-        d.charge_alu_divergent(10, 0);
-        assert_eq!(d.compute_cycles, 0);
-    }
-
-    #[test]
     fn conflict_free_shared_access() {
         let mut c = ctx(32);
         let addrs: Vec<u32> = (0..32).collect(); // one word per bank
-        c.shared_access(&addrs);
+        shared_access(&mut c, &addrs);
         assert_eq!(c.bank_conflicts, 0);
         assert_eq!(c.shared_accesses, 32);
         assert_eq!(c.memory_stall_cycles, 2);
@@ -297,7 +251,7 @@ mod tests {
         // Stride of 32 words: every lane hits bank 0 with a distinct address
         // -> a 32-way conflict, serialized into 32 accesses.
         let addrs: Vec<u32> = (0..32).map(|i| i * 32).collect();
-        c.shared_access(&addrs);
+        shared_access(&mut c, &addrs);
         assert_eq!(c.bank_conflicts, 31);
         assert_eq!(c.memory_stall_cycles, 2 * 32);
     }
@@ -305,8 +259,7 @@ mod tests {
     #[test]
     fn broadcast_shared_access_is_free_of_conflicts() {
         let mut c = ctx(32);
-        let addrs = vec![7u32; 32];
-        c.shared_access(&addrs);
+        shared_access(&mut c, &[7u32; 32]);
         assert_eq!(c.bank_conflicts, 0);
     }
 
@@ -340,21 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregated_global_access_matches_repeated_calls() {
-        let mut repeated = ctx(64);
-        for _ in 0..10 {
-            repeated.global_access(8, true);
-        }
-        let mut aggregated = ctx(64);
-        aggregated.global_access_many(8, true, 10);
-        assert_eq!(repeated.global_transactions, aggregated.global_transactions);
-        assert_eq!(repeated.memory_stall_cycles, aggregated.memory_stall_cycles);
-        let mut none = ctx(64);
-        none.global_access_many(8, true, 0);
-        assert_eq!(none.global_transactions, 0);
-    }
-
-    #[test]
     fn aggregated_shared_access_matches_repeated_calls() {
         // Conflict-free, an 8-way strided conflict, a broadcast, duplicates
         // inside a conflicting bank, a ragged last warp, and a warp wider
@@ -368,18 +306,31 @@ mod tests {
             (96, (0..96).map(|tid| tid % 7 * 32 + tid % 3).collect()),
         ];
         for (warp_size, addresses) in patterns {
-            let fresh = || BlockContext::new(0, addresses.len() as u32, warp_size, 32, 2, 400);
+            let device = DeviceConfig {
+                warp_size,
+                ..DeviceConfig::gtx580()
+            };
+            let fresh = || BlockCost::new(&device, &LaunchConfig::new(1, addresses.len() as u32));
             let mut repeated = fresh();
             for _ in 0..7 {
-                repeated.shared_access(&addresses);
+                shared_access(&mut repeated, &addresses);
             }
             let mut aggregated = fresh();
-            aggregated.shared_access_many(&addresses, 7);
+            let pattern = aggregated.analyse_shared(&addresses);
+            aggregated.shared_access_many(&pattern, 7);
             assert_eq!(repeated.shared_accesses, aggregated.shared_accesses);
             assert_eq!(repeated.bank_conflicts, aggregated.bank_conflicts);
             assert_eq!(repeated.memory_stall_cycles, aggregated.memory_stall_cycles);
+            // Patterns add like consecutive accesses.
+            let mut twice = pattern;
+            twice += pattern;
+            let mut doubled = fresh();
+            doubled.shared_access_many(&twice, 1);
+            let mut two = fresh();
+            two.shared_access_many(&pattern, 2);
+            assert_eq!(doubled.memory_stall_cycles, two.memory_stall_cycles);
             // And the conflict analysis is the per-bank distinct-address
-            // count it replaced.
+            // count by definition.
             let by_definition: u64 = addresses
                 .chunks(warp_size as usize)
                 .map(|warp| {
@@ -396,7 +347,8 @@ mod tests {
             assert_eq!(by_definition * 7, repeated.bank_conflicts);
         }
         let mut none = ctx(64);
-        none.shared_access_many(&[0, 1, 2], 0);
+        let pattern = none.analyse_shared(&[0, 1, 2]);
+        none.shared_access_many(&pattern, 0);
         assert_eq!(none.shared_accesses, 0);
         assert_eq!(none.memory_stall_cycles, 0);
     }
@@ -406,9 +358,17 @@ mod tests {
         let mut stream = ctx(64);
         stream.global_stream(8, true, 100);
         let mut repeated = ctx(64);
-        repeated.global_access_many(8, true, 100);
+        for _ in 0..100 {
+            repeated.global_access(8, true);
+        }
         assert_eq!(stream.global_transactions, repeated.global_transactions);
         assert!(stream.memory_stall_cycles < repeated.memory_stall_cycles);
+        // One exposed latency per warp, then the repeated accesses' throughput.
+        let latency = 400 * u64::from(stream.warps());
+        assert_eq!(
+            stream.memory_stall_cycles,
+            repeated.memory_stall_cycles - 99 * latency
+        );
         let mut empty = ctx(64);
         empty.global_stream(8, true, 0);
         assert_eq!(empty.memory_stall_cycles, 0);
@@ -424,14 +384,5 @@ mod tests {
         aggregated.sync_threads_many(5);
         assert_eq!(repeated.syncs, aggregated.syncs);
         assert_eq!(repeated.compute_cycles, aggregated.compute_cycles);
-    }
-
-    #[test]
-    fn block_cycles_sums_compute_and_memory() {
-        let mut c = ctx(32);
-        c.charge_alu(10);
-        c.global_access(4, true);
-        assert_eq!(c.block_cycles(), c.compute_cycles + c.memory_stall_cycles);
-        assert!(c.block_cycles() > 10);
     }
 }

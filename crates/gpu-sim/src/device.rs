@@ -1,16 +1,17 @@
 //! The simulated device: block scheduling, occupancy and timing.
 
 use crate::config::{DeviceConfig, LaunchConfig};
-use crate::context::BlockContext;
+use crate::context::BlockCost;
 use crate::stats::{DeviceStats, LaunchStats};
 use parking_lot::Mutex;
 
 /// A simulated GPU device.
 ///
-/// The device is shared state guarded by a mutex, mirroring the exclusive,
-/// non-preemptive nature of real GPU kernel execution that the paper's
-/// pipelined framework is designed around (§4): concurrent launches from
-/// multiple host threads serialize on the device.
+/// The device holds its configuration and its cumulative statistics. A
+/// launch is a pure fold of per-block costs; only the statistics update
+/// takes the device's lock, so concurrent launches from several host
+/// threads do not wait on one another's kernels. Each launch is timed as if
+/// it had the device to itself.
 #[derive(Debug)]
 pub struct Device {
     config: DeviceConfig,
@@ -60,22 +61,24 @@ impl Device {
             / f64::from(self.config.max_warps_per_sm())
     }
 
-    /// Executes a kernel: the closure is invoked once per thread block with a
-    /// fresh [`BlockContext`], functional results are produced through
-    /// whatever captured state the closure mutates, and a [`LaunchStats`] is
-    /// returned describing the simulated cost.
+    /// Folds the per-block costs of one kernel launch into its timing and
+    /// records the launch in the device's statistics. `blocks` holds one
+    /// [`BlockCost`] per block of the grid, in block order; the kernel's
+    /// functional results are computed elsewhere.
     ///
     /// Scheduling model: blocks are assigned round-robin to SMs. On each SM,
     /// resident blocks overlap their memory stalls (latency hiding) according
     /// to how many warps are resident; compute cycles serialize. The launch
     /// finishes when the busiest SM finishes.
-    pub fn launch<F>(&self, launch: &LaunchConfig, mut kernel: F) -> LaunchStats
-    where
-        F: FnMut(&mut BlockContext),
-    {
-        let sms = self.config.multiprocessors.max(1);
-        let mut sm_compute = vec![0u64; sms as usize];
-        let mut sm_memory = vec![0u64; sms as usize];
+    pub fn launch(&self, launch: &LaunchConfig, blocks: &[BlockCost]) -> LaunchStats {
+        assert_eq!(
+            blocks.len(),
+            launch.grid_dim as usize,
+            "one cost per block of the grid"
+        );
+        let sms = self.config.multiprocessors.max(1) as usize;
+        // Per SM: (compute cycles, memory stall cycles).
+        let mut sm_cycles = vec![(0u64, 0u64); sms];
 
         let mut agg = LaunchStats {
             blocks_launched: launch.grid_dim,
@@ -84,26 +87,16 @@ impl Device {
             ..LaunchStats::default()
         };
 
-        for block_idx in 0..launch.grid_dim {
-            let mut ctx = BlockContext::new(
-                block_idx,
-                launch.block_dim,
-                self.config.warp_size,
-                self.config.shared_mem_banks,
-                self.config.shared_latency_cycles,
-                self.config.global_latency_cycles,
-            );
-            kernel(&mut ctx);
-            let sm = (block_idx % sms) as usize;
-            sm_compute[sm] += ctx.compute_cycles;
-            sm_memory[sm] += ctx.memory_stall_cycles;
-            agg.compute_cycles += ctx.compute_cycles;
-            agg.memory_stall_cycles += ctx.memory_stall_cycles;
-            agg.bank_conflicts += ctx.bank_conflicts;
-            agg.shared_accesses += ctx.shared_accesses;
-            agg.global_transactions += ctx.global_transactions;
-            agg.divergent_lane_cycles += ctx.divergent_lane_cycles;
-            agg.syncs += ctx.syncs;
+        for (block_idx, block) in blocks.iter().enumerate() {
+            let sm = block_idx % sms;
+            sm_cycles[sm].0 += block.compute_cycles;
+            sm_cycles[sm].1 += block.memory_stall_cycles;
+            agg.compute_cycles += block.compute_cycles;
+            agg.memory_stall_cycles += block.memory_stall_cycles;
+            agg.bank_conflicts += block.bank_conflicts;
+            agg.shared_accesses += block.shared_accesses;
+            agg.global_transactions += block.global_transactions;
+            agg.syncs += block.syncs;
         }
 
         // Latency hiding: with more resident warps per SM, memory stalls
@@ -117,10 +110,9 @@ impl Device {
         let residual = 0.15; // even fully hidden traffic costs some throughput
         let memory_scale = (1.0 - hiding) + hiding * residual;
 
-        let critical_cycles = sm_compute
+        let critical_cycles = sm_cycles
             .iter()
-            .zip(sm_memory.iter())
-            .map(|(&c, &m)| c + (m as f64 * memory_scale).ceil() as u64)
+            .map(|&(c, m)| c + (m as f64 * memory_scale).ceil() as u64)
             .max()
             .unwrap_or(0);
 
@@ -157,16 +149,27 @@ mod tests {
         Device::new(DeviceConfig::tiny_test_device())
     }
 
+    /// One meter per block of `launch`, each charged by `charge`.
+    fn costs(device: &Device, launch: &LaunchConfig, charge: fn(&mut BlockCost)) -> Vec<BlockCost> {
+        let mut block = BlockCost::new(device.config(), launch);
+        charge(&mut block);
+        vec![block; launch.grid_dim as usize]
+    }
+
     #[test]
     fn launch_runs_every_block_and_counts_cycles() {
         let device = tiny();
         let launch = LaunchConfig::new(8, 16);
-        let mut visited = Vec::new();
-        let stats = device.launch(&launch, |block| {
-            visited.push(block.block_idx());
-            block.charge_alu(10);
-        });
-        assert_eq!(visited.len(), 8);
+        let blocks: Vec<BlockCost> = (0..8)
+            .map(|ops| {
+                let mut block = BlockCost::new(device.config(), &launch);
+                block.charge_alu(ops);
+                block
+            })
+            .collect();
+        let stats = device.launch(&launch, &blocks);
+        // 16 threads are 4 warps on the tiny device: 4 * (0 + 1 + ... + 7).
+        assert_eq!(stats.compute_cycles, 4 * 28);
         assert_eq!(stats.blocks_launched, 8);
         assert!(stats.cycles > 0);
         assert!(stats.time_seconds > 0.0);
@@ -199,9 +202,13 @@ mod tests {
         let fast = Device::new(fast_cfg);
         let slow = tiny(); // 2 SMs
         let launch = LaunchConfig::new(32, 16);
-        let work = |block: &mut BlockContext| block.charge_alu(1_000);
-        let t_fast = fast.launch(&launch, work).time_seconds;
-        let t_slow = slow.launch(&launch, work).time_seconds;
+        let work = |block: &mut BlockCost| block.charge_alu(1_000);
+        let t_fast = fast
+            .launch(&launch, &costs(&fast, &launch, work))
+            .time_seconds;
+        let t_slow = slow
+            .launch(&launch, &costs(&slow, &launch, work))
+            .time_seconds;
         assert!(t_fast < t_slow);
     }
 
@@ -212,23 +219,27 @@ mod tests {
         // resident per SM (forced via shared memory), so stalls are exposed.
         let exposed = LaunchConfig::new(16, 32).with_shared_mem(48 * 1024);
         let hidden = LaunchConfig::new(16, 32).with_shared_mem(1024);
-        let work = |block: &mut BlockContext| {
+        let work = |block: &mut BlockCost| {
             block.global_access(16, true);
             block.charge_alu(100);
         };
-        let t_exposed = device.launch(&exposed, work).cycles;
-        let t_hidden = device.launch(&hidden, work).cycles;
+        let t_exposed = device
+            .launch(&exposed, &costs(&device, &exposed, work))
+            .cycles;
+        let t_hidden = device
+            .launch(&hidden, &costs(&device, &hidden, work))
+            .cycles;
         assert!(t_hidden < t_exposed);
     }
 
     #[test]
     fn slowdown_scales_time_not_cycles() {
         let launch = LaunchConfig::new(8, 32);
-        let work = |block: &mut BlockContext| block.charge_alu(500);
         let normal = Device::new(DeviceConfig::gtx580());
         let shared = Device::new(DeviceConfig::gtx580().slowed_down(4.0));
-        let a = normal.launch(&launch, work);
-        let b = shared.launch(&launch, work);
+        let blocks = costs(&normal, &launch, |block| block.charge_alu(500));
+        let a = normal.launch(&launch, &blocks);
+        let b = shared.launch(&launch, &blocks);
         assert_eq!(a.cycles, b.cycles);
         assert!(b.time_seconds > 3.9 * a.time_seconds);
     }
@@ -248,14 +259,14 @@ mod tests {
     fn deterministic_launch_cost() {
         let device = Device::new(DeviceConfig::gtx580());
         let launch = LaunchConfig::new(64, 64).with_shared_mem(2048);
-        let work = |block: &mut BlockContext| {
+        let blocks = costs(&device, &launch, |block| {
             block.charge_alu(123);
             block.shared_access_uniform(7);
             block.global_access(8, true);
             block.sync_threads();
-        };
-        let a = device.launch(&launch, work);
-        let b = device.launch(&launch, work);
+        });
+        let a = device.launch(&launch, &blocks);
+        let b = device.launch(&launch, &blocks);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.bank_conflicts, b.bank_conflicts);
     }

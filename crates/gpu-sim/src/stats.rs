@@ -24,8 +24,6 @@ pub struct LaunchStats {
     pub shared_accesses: u64,
     /// Number of global-memory transactions issued.
     pub global_transactions: u64,
-    /// Lane-cycles wasted to branch divergence (inactive lanes in issued warps).
-    pub divergent_lane_cycles: u64,
     /// Number of `__syncthreads()` barriers executed.
     pub syncs: u64,
 }
