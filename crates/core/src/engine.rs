@@ -34,7 +34,8 @@ pub struct EngineConfig {
     pub device: AggregationDevice,
     /// Simulated GPU to use when `device` involves the GPU.
     pub gpu: DeviceConfig,
-    /// CPU worker threads to use when `device` involves the CPU.
+    /// Shared-pool workers one CPU batch may fan out to when `device`
+    /// involves the CPU (`1` runs the batch sequentially).
     pub cpu_workers: usize,
     /// Seed GPU fraction when `device` is [`AggregationDevice::Hybrid`]
     /// (clamped to `[0, 1]`): the warm-up/fallback fraction under

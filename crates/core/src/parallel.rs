@@ -7,6 +7,14 @@
 //! cursor and writing results straight into pre-split disjoint slots of the
 //! output vector.
 //!
+//! The pool's threads are the process's only compute threads. Like TBB's
+//! single task scheduler, one queue carries two kinds of job: help
+//! tickets of a `map` or `join` call, and the polls of woken
+//! [`Executor`](crate::pipeline::exec::Executor) tasks — so the streaming
+//! pipeline's stages, the service's engine tasks and the kernels they fan
+//! out to all share the same threads, and a task's nested `map` is helped
+//! by whichever worker is free.
+//!
 //! The original implementation re-spawned `workers` OS threads per call and
 //! round-tripped every chunk's results through an unbounded channel into a
 //! `vec![R::default(); len]` pre-fill — three allocations and a thread-spawn
@@ -37,19 +45,34 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 /// Number of worker threads to use by default: one per available core.
+/// Counted once per process: asking the OS reads its CPU quota files.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
-/// A lifetime-erased invitation to help execute one `map` job. Stale tickets
-/// (popped after their job completed) return immediately from the claim
-/// loop without touching the job's borrowed data.
-type Ticket = Arc<dyn Fn() + Send + Sync + 'static>;
+/// One unit of work on the pool's queue: a help ticket of a `map` or `join`
+/// call, or one poll of a woken executor task. A worker pops a job, runs it
+/// and drops its handle; a job never unwinds into the worker (chunks, join
+/// tasks and polls each catch their own panics).
+pub(crate) trait Job: Send + Sync {
+    fn run(self: Arc<Self>);
+}
+
+/// A `map` or `join` help ticket. Stale tickets (popped after their call
+/// returned) fail their claim and return without touching borrowed data.
+impl<F: Fn() + Send + Sync> Job for F {
+    fn run(self: Arc<Self>) {
+        (*self)()
+    }
+}
 
 struct PoolQueue {
-    tickets: VecDeque<Ticket>,
+    jobs: VecDeque<Arc<dyn Job>>,
     shutdown: bool,
 }
 
@@ -103,12 +126,14 @@ impl<T, R, F> Copy for RawJob<T, R, F> {}
 unsafe impl<T: Sync, R: Send, F: Sync> Send for RawJob<T, R, F> {}
 unsafe impl<T: Sync, R: Send, F: Sync> Sync for RawJob<T, R, F> {}
 
-/// A persistent pool of worker threads executing `map` jobs.
+/// A persistent pool of worker threads executing `map` and `join` jobs and
+/// executor task polls.
 ///
 /// Threads are spawned at construction and live until the pool is dropped;
 /// each [`WorkerPool::map`] call enqueues lightweight help tickets, and the
 /// calling thread itself always participates, so a job completes even when
-/// every pool thread is busy elsewhere (no nested-job deadlock).
+/// every pool thread is busy elsewhere (no nested-job deadlock) — including
+/// when the caller is itself a pool thread polling an executor task.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     threads: usize,
@@ -130,7 +155,7 @@ impl WorkerPool {
         let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(PoolQueue {
-                tickets: VecDeque::new(),
+                jobs: VecDeque::new(),
                 shutdown: false,
             }),
             work_available: Condvar::new(),
@@ -162,6 +187,14 @@ impl WorkerPool {
     /// Number of persistent worker threads.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Queues one job for the next free worker.
+    pub(crate) fn push(&self, job: Arc<dyn Job>) {
+        let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
+        queue.jobs.push_back(job);
+        drop(queue);
+        self.shared.work_available.notify_one();
     }
 
     /// Applies `f` to every element of `items`, producing a vector of
@@ -213,10 +246,7 @@ impl WorkerPool {
         // which this call waits to reach `chunk_count` before returning —
         // so no access outlives the borrow. Tickets that outlive the job
         // fail their first claim and return without touching `raw`.
-        let ticket: Ticket = {
-            let local: Arc<dyn Fn() + Send + Sync + '_> = Arc::new(run);
-            unsafe { std::mem::transmute::<Arc<dyn Fn() + Send + Sync + '_>, Ticket>(local) }
-        };
+        let ticket = unsafe { erase(Arc::new(run)) };
 
         // Invite helpers: never more than the pool has threads, never more
         // than there are chunks beyond the submitter's first claim.
@@ -224,7 +254,7 @@ impl WorkerPool {
         if helpers > 0 {
             let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
             for _ in 0..helpers {
-                queue.tickets.push_back(Arc::clone(&ticket));
+                queue.jobs.push_back(Arc::clone(&ticket));
             }
             drop(queue);
             if helpers == 1 {
@@ -235,7 +265,7 @@ impl WorkerPool {
         }
 
         // The submitter works too, then waits for the stragglers.
-        ticket();
+        ticket.run();
         let mut done = job.done.lock().expect("job latch poisoned");
         while !*done {
             done = job.finished.wait(done).expect("job latch poisoned");
@@ -317,15 +347,7 @@ impl WorkerPool {
         // inline) — so no access outlives the borrows. By return time both
         // `task` and `result` have been taken, so a stale ticket's eventual
         // drop frees an empty state and never runs borrowed destructors.
-        let ticket: Ticket = {
-            let local: Arc<dyn Fn() + Send + Sync + '_> = Arc::new(run);
-            unsafe { std::mem::transmute::<Arc<dyn Fn() + Send + Sync + '_>, Ticket>(local) }
-        };
-        {
-            let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
-            queue.tickets.push_back(ticket);
-        }
-        self.shared.work_available.notify_one();
+        self.push(unsafe { erase(Arc::new(run)) });
 
         // `b` runs under `catch_unwind` so that a panic in it cannot unwind
         // out of this frame before the pooled task is settled below — the
@@ -355,8 +377,25 @@ impl WorkerPool {
     }
 }
 
+/// Erases the lifetime of a help ticket's borrows so it can sit on the
+/// pool's `'static` queue.
+///
+/// # Safety
+///
+/// The caller must not return (nor let the borrows end) until every access
+/// the ticket can make to borrowed data has finished; a ticket run after
+/// that point must find nothing to claim.
+unsafe fn erase<'a>(ticket: Arc<dyn Job + 'a>) -> Arc<dyn Job> {
+    // SAFETY: only the trait object's lifetime bound changes (same layout);
+    // the caller upholds the contract above.
+    unsafe { std::mem::transmute::<Arc<dyn Job + 'a>, Arc<dyn Job>>(ticket) }
+}
+
 impl Drop for WorkerPool {
     fn drop(&mut self) {
+        // Raised under the queue lock: a worker checks the flag and starts
+        // waiting without releasing that lock in between, so it either sees
+        // the flag or is already waiting when the notification goes out.
         {
             let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
             queue.shutdown = true;
@@ -428,11 +467,11 @@ fn finish_chunk(job: &JobState) {
 
 fn worker_loop(shared: &PoolShared) {
     loop {
-        let ticket = {
+        let job = {
             let mut queue = shared.queue.lock().expect("pool queue poisoned");
             loop {
-                if let Some(ticket) = queue.tickets.pop_front() {
-                    break ticket;
+                if let Some(job) = queue.jobs.pop_front() {
+                    break job;
                 }
                 if queue.shutdown {
                     return;
@@ -443,15 +482,30 @@ fn worker_loop(shared: &PoolShared) {
                     .expect("pool queue poisoned");
             }
         };
-        // Panics inside a job are caught per chunk in `run_chunks`, so the
-        // ticket call itself cannot unwind and kill the worker.
-        ticket();
+        job.run();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dropping_a_pool_always_stops_its_idle_workers() {
+        // A worker that has just found the queue empty and the shutdown flag
+        // clear is about to wait; the flag and the wake-up must not slip in
+        // between, or the drop joins a thread that sleeps forever. Each round
+        // drops a pool right as its worker goes idle.
+        for _ in 0..20_000 {
+            let pool = WorkerPool::new(1);
+            let (tx, rx) = std::sync::mpsc::channel();
+            pool.push(Arc::new(move || {
+                let _ = tx.send(());
+            }));
+            rx.recv().unwrap();
+            drop(pool);
+        }
+    }
 
     #[test]
     fn maps_in_input_order() {

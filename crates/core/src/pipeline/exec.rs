@@ -5,13 +5,16 @@
 //! module hand-rolls the three primitives the pipeline needs, over `std`
 //! only:
 //!
-//! * [`Executor`] — a fixed pool of worker threads polling tasks from a
-//!   shared ready queue. Tasks are plain `Future<Output = ()>`s; wakers are
-//!   built with [`std::task::Wake`] (no unsafe vtables). A task that is not
-//!   ready occupies **no thread** — it is re-queued only when one of its
-//!   registered wakers fires, which is what lets thousands of tiles stream
-//!   through a handful of threads, and lets a blocked stage or engine wait
-//!   without pinning an OS thread.
+//! * [`Executor`] — task bookkeeping over the process's one set of compute
+//!   threads, the [`WorkerPool`]. Tasks are plain `Future<Output = ()>`s;
+//!   wakers are built with [`std::task::Wake`] (no unsafe vtables). A woken
+//!   task is pushed onto the pool's queue as one more kind of job, beside the
+//!   help tickets of `map` and `join`, so the pipeline's stages, the
+//!   service's engines and the kernels they call share the same threads. A
+//!   task that is not ready occupies **no thread** — it is re-queued only
+//!   when one of its registered wakers fires, which is what lets thousands of
+//!   tiles stream through a handful of threads, and lets a blocked stage or
+//!   engine wait without pinning an OS thread.
 //! * [`channel`] — a *bounded* multi-producer multi-consumer async channel.
 //!   [`Sender::send`] resolves only when buffer space exists, so
 //!   backpressure propagates task-by-task all the way back to the input
@@ -30,6 +33,7 @@
 //! that finds nothing to do re-registers and suspends again — spurious
 //! wake-ups are cheap, lost wake-ups are deadlocks).
 
+use crate::parallel::{Job, WorkerPool};
 use crate::sync::lock;
 use std::collections::VecDeque;
 use std::future::Future;
@@ -37,7 +41,6 @@ use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::task::{Context, Poll, Wake, Waker};
-use std::thread::JoinHandle;
 
 /// Registers `waker` in `wakers` unless an equivalent waker (same task) is
 /// already registered — the building block for hand-written futures (the
@@ -60,8 +63,8 @@ fn wake_all(wakers: &mut Vec<Waker>) -> Vec<Waker> {
 /// Task scheduling states. A task is in exactly one state; the transitions
 /// guarantee it is never queued twice and never misses a wake.
 const IDLE: u8 = 0; // suspended, waiting for a waker to fire
-const SCHEDULED: u8 = 1; // in the ready queue
-const RUNNING: u8 = 2; // currently being polled by a worker
+const SCHEDULED: u8 = 1; // on the pool's queue
+const RUNNING: u8 = 2; // currently being polled by a pool worker
 const NOTIFIED: u8 = 3; // woken *while* being polled; re-queue after the poll
 const DONE: u8 = 4; // completed (or its poll panicked)
 
@@ -73,7 +76,7 @@ struct Task {
 }
 
 impl Task {
-    /// Moves the task toward the ready queue; called by its wakers.
+    /// Moves the task toward the pool's queue; called by its wakers.
     fn schedule(self: &Arc<Self>) {
         loop {
             let state = self.state.load(Ordering::Acquire);
@@ -91,7 +94,7 @@ impl Task {
                 .is_ok()
             {
                 if enqueue {
-                    self.exec.push_ready(Arc::clone(self));
+                    self.exec.pool.push(Arc::clone(self) as Arc<dyn Job>);
                 }
                 return;
             }
@@ -109,10 +112,47 @@ impl Wake for Task {
     }
 }
 
+impl Job for Task {
+    /// Polls the task once on the pool worker that popped it.
+    fn run(self: Arc<Self>) {
+        self.state.store(RUNNING, Ordering::Release);
+        let waker = Waker::from(Arc::clone(&self));
+        let mut cx = Context::from_waker(&waker);
+        let mut slot = lock(&self.future);
+        let Some(future) = slot.as_mut() else {
+            return; // completed task woken spuriously
+        };
+        let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            future.as_mut().poll(&mut cx)
+        }));
+        match polled {
+            Ok(Poll::Pending) => {
+                drop(slot);
+                // Suspend — unless a waker fired during the poll, in which
+                // case the task goes straight back to the queue.
+                if self
+                    .state
+                    .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
+                    .is_err()
+                {
+                    self.state.store(SCHEDULED, Ordering::Release);
+                    let pool = self.exec.pool;
+                    pool.push(self);
+                }
+            }
+            Ok(Poll::Ready(())) | Err(_) => {
+                *slot = None;
+                drop(slot);
+                self.state.store(DONE, Ordering::Release);
+                self.exec.task_finished();
+            }
+        }
+    }
+}
+
 struct ExecShared {
-    ready: Mutex<VecDeque<Arc<Task>>>,
-    work_available: Condvar,
-    shutdown: AtomicBool,
+    /// The threads every task of this executor is polled on.
+    pool: &'static WorkerPool,
     /// Number of spawned-but-not-completed tasks, with a condvar for
     /// [`Executor::wait_idle`].
     live: Mutex<usize>,
@@ -120,11 +160,6 @@ struct ExecShared {
 }
 
 impl ExecShared {
-    fn push_ready(&self, task: Arc<Task>) {
-        lock(&self.ready).push_back(task);
-        self.work_available.notify_one();
-    }
-
     fn task_finished(&self) {
         let mut live = lock(&self.live);
         *live -= 1;
@@ -134,47 +169,45 @@ impl ExecShared {
     }
 }
 
-/// A fixed-size thread pool polling spawned futures to completion. See the
-/// [module docs](self).
+/// A set of spawned futures polled to completion on a [`WorkerPool`]. See
+/// the [module docs](self).
+///
+/// The executor owns no threads: it counts its live tasks so a caller can
+/// [wait](Executor::wait_idle) for them. Dropping it neither cancels nor
+/// waits for them — a suspended task runs again when its waker fires.
 pub struct Executor {
     shared: Arc<ExecShared>,
-    threads: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
-            .field("threads", &self.threads.len())
+            .field("pool", &self.shared.pool)
             .field("live_tasks", &*lock(&self.shared.live))
             .finish()
     }
 }
 
 impl Executor {
-    /// Starts an executor with `threads` worker threads (at least one).
+    /// Creates an executor whose tasks are polled on `pool`'s workers —
+    /// [`WorkerPool::global`] outside tests.
     ///
-    /// The thread count bounds *compute* parallelism only: any number of
-    /// tasks may be live, and tasks waiting on a channel occupy no thread.
-    pub fn new(threads: usize) -> Self {
-        let shared = Arc::new(ExecShared {
-            ready: Mutex::new(VecDeque::new()),
-            work_available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            live: Mutex::new(0),
-            idle: Condvar::new(),
-        });
-        let threads = (0..threads.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        Executor { shared, threads }
+    /// Any number of tasks may be live; the pool's thread count bounds how
+    /// many are polled at once, and tasks waiting on a channel occupy no
+    /// thread.
+    pub fn new(pool: &'static WorkerPool) -> Self {
+        Executor {
+            shared: Arc::new(ExecShared {
+                pool,
+                live: Mutex::new(0),
+                idle: Condvar::new(),
+            }),
+        }
     }
 
     /// Submits a future for execution. The future starts running as soon as
-    /// a worker thread is free and is dropped after completing (or if its
-    /// poll panics — a panicking task never takes a worker thread down).
+    /// a pool worker is free and is dropped after completing (or if its poll
+    /// panics — a panicking task never takes a worker thread down).
     pub fn spawn(&self, future: impl Future<Output = ()> + Send + 'static) {
         *lock(&self.shared.live) += 1;
         let task = Arc::new(Task {
@@ -182,11 +215,14 @@ impl Executor {
             future: Mutex::new(Some(Box::pin(future))),
             exec: Arc::clone(&self.shared),
         });
-        self.shared.push_ready(task);
+        self.shared.pool.push(task);
     }
 
     /// Blocks until every spawned task has completed. New tasks may be
     /// spawned afterwards; the executor stays usable.
+    ///
+    /// Call it from outside the pool: a pool worker blocked here is a worker
+    /// the awaited tasks cannot be polled on.
     pub fn wait_idle(&self) {
         let mut live = lock(&self.shared.live);
         while *live > 0 {
@@ -197,85 +233,23 @@ impl Executor {
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads.len()
-    }
 }
 
-impl Drop for Executor {
-    /// Stops the worker threads. Tasks still suspended at this point are
-    /// dropped without completing — callers that need completion call
-    /// [`Executor::wait_idle`] first.
-    fn drop(&mut self) {
-        // Raised under the queue lock: a worker checks the flag and starts
-        // waiting without releasing that lock in between, so it either sees
-        // the flag or is already waiting when the notification goes out.
-        // Raised outside it, both could land between the worker's check and
-        // its wait, and the join below would never return.
-        {
-            let _ready = lock(&self.shared.ready);
-            self.shared.shutdown.store(true, Ordering::Release);
+/// Suspends the calling task once and re-queues it behind every job already
+/// waiting for the pool, so other tasks get a turn. A task is polled until
+/// it blocks; one that can keep going would otherwise hold its worker for as
+/// long as it has input.
+pub async fn yield_now() {
+    let mut yielded = false;
+    std::future::poll_fn(|cx| {
+        if yielded {
+            return Poll::Ready(());
         }
-        self.shared.work_available.notify_all();
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
-        lock(&self.shared.ready).clear();
-    }
-}
-
-fn worker_loop(shared: &Arc<ExecShared>) {
-    loop {
-        let task = {
-            let mut ready = lock(&shared.ready);
-            loop {
-                if let Some(task) = ready.pop_front() {
-                    break task;
-                }
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                ready = shared
-                    .work_available
-                    .wait(ready)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-
-        task.state.store(RUNNING, Ordering::Release);
-        let waker = Waker::from(Arc::clone(&task));
-        let mut cx = Context::from_waker(&waker);
-        let mut slot = lock(&task.future);
-        let Some(future) = slot.as_mut() else {
-            continue; // completed task woken spuriously
-        };
-        let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            future.as_mut().poll(&mut cx)
-        }));
-        match polled {
-            Ok(Poll::Pending) => {
-                drop(slot);
-                // Suspend — unless a waker fired during the poll, in which
-                // case the task goes straight back to the queue.
-                if task
-                    .state
-                    .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
-                    .is_err()
-                {
-                    task.state.store(SCHEDULED, Ordering::Release);
-                    shared.push_ready(Arc::clone(&task));
-                }
-            }
-            Ok(Poll::Ready(())) | Err(_) => {
-                *slot = None;
-                drop(slot);
-                task.state.store(DONE, Ordering::Release);
-                shared.task_finished();
-            }
-        }
-    }
+        yielded = true;
+        cx.waker().wake_by_ref();
+        Poll::Pending
+    })
+    .await
 }
 
 // ---------------------------------------------------------------------------
@@ -639,21 +613,10 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    #[test]
-    fn dropping_an_executor_always_stops_its_idle_workers() {
-        // A worker that has just found the queue empty and the shutdown flag
-        // clear is about to wait; the flag and the wake-up must not slip in
-        // between, or the drop joins a thread that sleeps forever. Each round
-        // drops an executor right as its worker goes idle.
-        for _ in 0..20_000 {
-            let executor = Executor::new(1);
-            let (tx, rx) = std::sync::mpsc::channel();
-            executor.spawn(async move {
-                let _ = tx.send(());
-            });
-            rx.recv().unwrap();
-            drop(executor);
-        }
+    /// A dedicated pool of `threads` workers, leaked to get the `'static`
+    /// borrow an executor needs.
+    fn leaked_pool(threads: usize) -> &'static WorkerPool {
+        Box::leak(Box::new(WorkerPool::new(threads)))
     }
 
     #[test]
@@ -663,7 +626,7 @@ mod tests {
 
     #[test]
     fn executor_runs_spawned_tasks_to_completion() {
-        let executor = Executor::new(2);
+        let executor = Executor::new(WorkerPool::global());
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..100 {
             let counter = Arc::clone(&counter);
@@ -678,7 +641,7 @@ mod tests {
     #[test]
     fn channel_round_trips_in_fifo_order() {
         let (tx, rx) = channel(4);
-        let executor = Executor::new(1);
+        let executor = Executor::new(WorkerPool::global());
         executor.spawn(async move {
             for i in 0..10 {
                 tx.send(i).await.unwrap();
@@ -700,7 +663,7 @@ mod tests {
         // A capacity-2 channel with a slow consumer: the producer cannot run
         // ahead — the buffer never exceeds capacity.
         let (tx, rx) = channel(2);
-        let executor = Executor::new(2);
+        let executor = Executor::new(WorkerPool::global());
         let peak = Arc::new(AtomicUsize::new(0));
         let peak_producer = Arc::clone(&peak);
         let rx_probe = rx.clone();
@@ -748,7 +711,7 @@ mod tests {
     #[test]
     fn multi_consumer_receives_every_message_once() {
         let (tx, rx) = channel(4);
-        let executor = Executor::new(3);
+        let executor = Executor::new(WorkerPool::global());
         let seen = Arc::new(AtomicUsize::new(0));
         for _ in 0..2 {
             let rx = rx.clone();
@@ -791,7 +754,7 @@ mod tests {
     #[test]
     fn watch_subscribers_observe_depth_changes_without_polling() {
         let (tx, rx) = channel(8);
-        let executor = Executor::new(2);
+        let executor = Executor::new(WorkerPool::global());
         let woke_at = Arc::new(AtomicUsize::new(0));
         let woke = Arc::clone(&woke_at);
         let watcher_rx = rx.clone();
@@ -812,9 +775,11 @@ mod tests {
         assert_eq!(rx.len(), 5);
     }
 
+    /// A panicking poll leaves the pool serving: on a one-thread pool the
+    /// task after the panicking one still runs, on the same worker.
     #[test]
     fn panicking_task_does_not_kill_the_executor() {
-        let executor = Executor::new(1);
+        let executor = Executor::new(leaked_pool(1));
         executor.spawn(async {
             panic!("task panic must be contained");
         });
@@ -825,5 +790,53 @@ mod tests {
         });
         executor.wait_idle();
         assert_eq!(done.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn yield_now_lets_queued_tasks_run_first() {
+        let executor = Executor::new(leaked_pool(1));
+        // Hold the only worker until both tasks are queued behind it.
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        executor.spawn(async move {
+            let _ = gate.recv();
+        });
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&order);
+        executor.spawn(async move {
+            lock(&log).push("a before yield");
+            yield_now().await;
+            lock(&log).push("a after yield");
+        });
+        let log = Arc::clone(&order);
+        executor.spawn(async move {
+            lock(&log).push("b");
+        });
+        release.send(()).unwrap();
+        executor.wait_idle();
+        assert_eq!(
+            *lock(&order),
+            ["a before yield", "b", "a after yield"],
+            "the yielding task goes behind the one already queued"
+        );
+    }
+
+    /// Nested parallelism on a one-core host: a task polled by the pool's
+    /// only worker calls `map` and `join` on that same pool. Nobody is free
+    /// to help, so the worker runs every chunk and both join halves itself
+    /// and the task completes.
+    #[test]
+    fn a_task_on_a_one_thread_pool_can_map_and_join() {
+        let pool = leaked_pool(1);
+        let executor = Executor::new(pool);
+        let result = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&result);
+        executor.spawn(async move {
+            let items: Vec<u64> = (0..1000).collect();
+            let doubled = pool.map(&items, 4, 16, |x| x * 2);
+            let (sum, count) = pool.join(|| doubled.iter().sum::<u64>(), || doubled.len());
+            *lock(&slot) = Some((sum, count));
+        });
+        executor.wait_idle();
+        assert_eq!(*lock(&result), Some((999_000, 1000)));
     }
 }

@@ -17,9 +17,13 @@
 //! # Execution model
 //!
 //! Every stage is a future spawned on a small hand-rolled task executor
-//! ([`exec`]); the stages communicate through bounded async channels whose
-//! `send` suspends (without occupying a thread) while the downstream buffer
-//! is full. Backpressure therefore propagates all the way to the input:
+//! ([`exec`]) whose tasks are polled on the process-wide
+//! [`WorkerPool`](crate::parallel::WorkerPool) — the same threads the
+//! kernels and the record-level parse fan out to. The stages communicate
+//! through bounded async channels whose `send` suspends (without occupying
+//! a thread) while the downstream buffer is full, and each stage yields
+//! after handing a tile on, so the stages take turns tile by tile on the
+//! pool's threads. Backpressure propagates all the way to the input:
 //! [`Pipeline::run_streaming`] pulls tasks from the caller's iterator *only
 //! as buffer space frees up*, so a dataset of any length streams through
 //! with **O(buffer capacity) tiles resident**, never O(dataset). The
@@ -36,10 +40,11 @@
 //! forward through the GPU parser path.
 //!
 //! The streaming pipeline here is functionally real — every result is
-//! computed by the actual stages. Because wall-clock overlap cannot be
-//! observed on a single-core host, the *performance* of the different
-//! execution schemes is reproduced by the deterministic model in [`model`],
-//! fed by the same per-tile statistics.
+//! computed by the actual stages. Its wall-clock overlap depends on the
+//! host's cores and on what else runs on them, so it is not reproducible;
+//! the *performance* of the different execution schemes is reproduced by
+//! the deterministic model in [`model`], fed by the same per-tile
+//! statistics.
 
 pub mod exec;
 pub mod model;
@@ -70,7 +75,9 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct PipelineConfig {
-    /// Number of parser worker tasks.
+    /// Number of parser tasks. Tasks are polled on the shared
+    /// [`WorkerPool`](crate::parallel::WorkerPool), so this bounds how many
+    /// tiles parse at once, not a thread count.
     pub parser_workers: usize,
     /// Capacity of each inter-stage buffer — including the input buffer —
     /// in tasks. This bounds the pipeline's peak memory: see
@@ -87,7 +94,8 @@ pub struct PipelineConfig {
     pub aggregator_batch: usize,
     /// Substrate the aggregator stage dispatches batches to.
     pub device: AggregationDevice,
-    /// CPU worker threads used when `device` involves the CPU.
+    /// Shared-pool workers one CPU batch may fan out to when `device`
+    /// involves the CPU (`1` runs the batch sequentially).
     pub cpu_workers: usize,
     /// Seed GPU share of each batch when `device` is
     /// [`AggregationDevice::Hybrid`] (clamped to `[0, 1]`): the
@@ -226,9 +234,9 @@ struct FilteredTile {
     pairs: Vec<PolygonPair>,
 }
 
-/// Per-stage busy wall-clock time, in seconds. On a single-core host the
-/// stage times overlap poorly; they are reported for observability, while the
-/// scheme comparisons use [`model`].
+/// Per-stage busy wall-clock time, in seconds. How much the stage times
+/// overlap depends on the host and its load, so they are reported for
+/// observability, while the scheme comparisons use [`model`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageSeconds {
     /// Parser workers (CPU).
@@ -495,12 +503,10 @@ impl Pipeline {
         let (filter_tx, filter_rx) = exec::channel::<IndexedTile>(capacity);
         let (agg_tx, agg_rx) = exec::channel::<FilteredTile>(capacity);
 
-        // Worker threads bound compute parallelism; suspended tasks occupy
-        // none of them. One per parser plus builder/filter/aggregator, plus
-        // the two migration tasks' compute.
+        // Every stage task is polled on the shared pool's threads;
+        // suspended tasks occupy none of them.
         let parser_workers = self.config.parser_workers.max(1);
-        let threads = parser_workers + 3 + if self.config.enable_migration { 2 } else { 0 };
-        let executor = exec::Executor::new(threads);
+        let executor = exec::Executor::new(crate::parallel::WorkerPool::global());
 
         // --- Parser tasks --------------------------------------------------
         for _ in 0..parser_workers {
@@ -515,6 +521,11 @@ impl Pipeline {
                     if build_tx.send(parsed).await.is_err() {
                         break;
                     }
+                    // Let the stages take turns tile by tile. Polled until
+                    // it blocks, a stage with a backlog would work through
+                    // all of it on its worker while the tiles it sent cool
+                    // down in the next buffer.
+                    exec::yield_now().await;
                 }
             });
         }
@@ -543,6 +554,7 @@ impl Pipeline {
                     if build_tx.send(parsed).await.is_err() {
                         break;
                     }
+                    exec::yield_now().await;
                 }
             });
         }
@@ -557,7 +569,8 @@ impl Pipeline {
             let controller = split_controller.clone();
             executor.spawn(async move {
                 // The migration target is always a single-worker CPU
-                // backend: one executor thread is the extra core (§4.2).
+                // backend: the extra CPU share of §4.2 is the one pool
+                // worker polling this task, not another fan-out.
                 let migration_backend = CpuBackend::new(1);
                 while let Some(first) = (CongestedSteal {
                     agg: &agg_rx,
@@ -645,6 +658,7 @@ impl Pipeline {
                     if filter_tx.send(tile).await.is_err() {
                         break;
                     }
+                    exec::yield_now().await;
                 }
             });
         }
@@ -669,6 +683,7 @@ impl Pipeline {
                     if agg_tx.send(FilteredTile { pairs }).await.is_err() {
                         break;
                     }
+                    exec::yield_now().await;
                 }
             });
         }

@@ -4,10 +4,10 @@
 //! wall-clock throughput changes with the execution *structure*: sequential
 //! vs multi-stream vs pipelined, with and without dynamic task migration, on
 //! platforms with different CPU/GPU balances. Those effects come from
-//! thread-level overlap across many cores and a discrete GPU — neither of
-//! which exists on the single-core continuous-integration substrate this
-//! reproduction runs on. As documented in DESIGN.md, we therefore reproduce
-//! them with a deterministic resource-constrained scheduling model:
+//! thread-level overlap across many cores and a discrete GPU. Here the GPU
+//! is simulated and the overlap a few shared host cores give is not
+//! reproducible run to run, so we reproduce them with a deterministic
+//! resource-constrained scheduling model:
 //!
 //! * per-tile stage costs are derived from an analytic cost model whose
 //!   constants are calibrated to the per-operation costs reported or implied

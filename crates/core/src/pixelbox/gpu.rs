@@ -60,18 +60,12 @@ impl GpuBatchResult {
 #[derive(Debug, Clone)]
 pub struct GpuPixelBox {
     device: Arc<Device>,
-    /// Pool workers a batch's compute may use: one per core, counted once
-    /// here because counting reads the OS's CPU quota.
-    workers: usize,
 }
 
 impl GpuPixelBox {
     /// Creates an engine on the given device.
     pub fn new(device: Arc<Device>) -> Self {
-        GpuPixelBox {
-            device,
-            workers: default_workers(),
-        }
+        GpuPixelBox { device }
     }
 
     /// The underlying simulated device.
@@ -91,7 +85,7 @@ impl GpuPixelBox {
                 trace: Trace::default(),
             };
         }
-        let computed = WorkerPool::global().map(pairs, self.workers, 64, |pair| {
+        let computed = WorkerPool::global().map(pairs, default_workers(), 64, |pair| {
             compute_pair(pair, config.threshold, config.block_size, config.variant)
         });
 

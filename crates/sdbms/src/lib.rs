@@ -15,8 +15,8 @@
 //! * [`query::execute_parallel`] — the PostGIS-M scheme: polygon tables are
 //!   partitioned into chunks processed by independent query streams, with the
 //!   parallel makespan modelled by greedy assignment of measured chunk times
-//!   to the available cores (the single-core host cannot overlap them for
-//!   real).
+//!   to the available cores (real overlap on a shared host is not
+//!   reproducible run to run).
 //!
 //! The exact overlay operators come from `sccg-clip`, playing the role GEOS
 //! plays for PostGIS.

@@ -14,8 +14,9 @@
 //! Worker tasks run on the pipeline's event-driven executor
 //! ([`sccg::pipeline::exec`]) rather than one dedicated OS thread per
 //! engine: an engine waiting for an eligible shard is a suspended future
-//! woken by the job queue, occupying no thread, so a large engine pool can
-//! share a small thread pool ([`ServiceConfig::executor_threads`]) and a
+//! woken by the job queue, occupying no thread. The tasks are polled on the
+//! process-wide [`WorkerPool`], the same threads the CPU engines' kernels
+//! fan out to, so any number of engines share one thread per core and a
 //! blocked engine never pins an OS thread.
 //!
 //! Three properties make this a serving layer rather than a batch loop:
@@ -48,6 +49,7 @@ use sccg::pixelbox::{AggregationDevice, PixelBoxConfig, SplitConfig, SplitContro
 use sccg::sync::lock;
 use sccg::{
     CrossComparison, EngineConfig, FaultInjector, JaccardAccumulator, JaccardSummary, SccgError,
+    WorkerPool,
 };
 use sccg_gpu_sim::{Device, DeviceConfig};
 use serde::Serialize;
@@ -93,11 +95,6 @@ pub struct ServiceConfig {
     pub max_in_flight: usize,
     /// Response cache capacity in entries; `0` disables caching.
     pub cache_capacity: usize,
-    /// OS threads backing the shared executor the engine worker tasks run
-    /// on; `0` (the default) means one per engine. Engines beyond this count
-    /// still make progress — a worker task waiting for a shard holds no
-    /// thread — but at most `executor_threads` shards compute at once.
-    pub executor_threads: usize,
     /// Consecutive failures (worker panics or injected kills) after which
     /// the supervisor marks an engine dead (at least 1; see
     /// [`crate::supervisor`]).
@@ -130,7 +127,6 @@ impl Default for ServiceConfig {
             split: SplitConfig::default(),
             max_in_flight: 4,
             cache_capacity: 64,
-            executor_threads: 0,
             failure_threshold: 3,
             revival_cooldown: Duration::from_secs(5),
             faults: None,
@@ -172,13 +168,6 @@ impl ServiceConfig {
     /// Returns a copy with a different response cache capacity.
     pub fn with_cache_capacity(mut self, cache_capacity: usize) -> Self {
         self.cache_capacity = cache_capacity;
-        self
-    }
-
-    /// Returns a copy with a different executor thread count (`0` = one per
-    /// engine).
-    pub fn with_executor_threads(mut self, executor_threads: usize) -> Self {
-        self.executor_threads = executor_threads;
         self
     }
 
@@ -703,7 +692,7 @@ pub struct ComparisonService {
     device: Arc<Device>,
     controller: Option<Arc<SplitController>>,
     engine_devices: Vec<AggregationDevice>,
-    /// Shared thread pool the engine worker tasks run on.
+    /// The engine worker tasks, polled on the global worker pool.
     executor: Executor,
 }
 
@@ -756,12 +745,7 @@ impl ComparisonService {
             faults: config.faults.clone(),
         });
 
-        let threads = if config.executor_threads == 0 {
-            config.engines.len()
-        } else {
-            config.executor_threads
-        };
-        let executor = Executor::new(threads);
+        let executor = Executor::new(WorkerPool::global());
         let mut engine_devices = Vec::with_capacity(config.engines.len());
         for (index, engine_config) in config.engines.iter().cloned().enumerate() {
             engine_devices.push(engine_config.device);
@@ -1064,8 +1048,8 @@ impl ComparisonService {
 }
 
 impl Drop for ComparisonService {
-    /// Drains pending shards (admitted queries complete), then stops every
-    /// worker task and the executor's threads.
+    /// Drains pending shards (admitted queries complete), then waits for
+    /// every worker task to stop.
     fn drop(&mut self) {
         self.inner.queue.close();
         self.executor.wait_idle();
@@ -1076,7 +1060,7 @@ impl Drop for ComparisonService {
 /// in through the store (the demand pager, for disk-backed slides),
 /// compute, merge, finalize the query on its last shard. While no eligible
 /// shard exists the task is suspended on the job queue's waker list — it
-/// occupies no executor thread.
+/// occupies no pool thread.
 ///
 /// Failures are contained per shard: a storage fault (corrupt or truncated
 /// tile) fails the query with its typed [`SccgError::Storage`], a panic
@@ -1192,6 +1176,9 @@ async fn worker_task(index: usize, engine: CrossComparison, inner: Arc<ServiceIn
             }
         }
         inner.settle_shard(&job.query);
+        // Engines outnumber the pool's threads: take turns, so every engine
+        // keeps taking shards under sustained load.
+        sccg::pipeline::exec::yield_now().await;
     }
 }
 

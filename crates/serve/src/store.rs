@@ -44,7 +44,7 @@
 
 use parking_lot::Mutex;
 use sccg::pipeline::exec::{channel, Executor};
-use sccg::{FaultInjector, SccgError};
+use sccg::{FaultInjector, SccgError, WorkerPool};
 use sccg_geometry::text::{parse_polygon_file, PolygonRecord};
 use sccg_store::{recover_dir, PagerStats, SlideFileWriter, TileStorage};
 use serde::Serialize;
@@ -167,14 +167,10 @@ impl StorageStats {
     }
 }
 
-/// Out-of-core configuration plus the executor that drives streaming
-/// registration's writer task.
+/// Out-of-core configuration of a spilling store.
 struct SpillState {
     dir: PathBuf,
     residency_bound: usize,
-    /// One-thread executor the per-registration writer tasks run on (the
-    /// pipeline's event-driven executor, not a dedicated thread per call).
-    executor: Executor,
     next_file: AtomicU64,
     /// Fault-injection hook threaded into every slide file this store
     /// writes or reads; `None` in production (zero-cost no-op).
@@ -248,7 +244,6 @@ impl SlideStore {
             spill: Some(Arc::new(SpillState {
                 dir,
                 residency_bound: residency_bound.max(1),
-                executor: Executor::new(1),
                 next_file: AtomicU64::new(0),
                 faults,
             })),
@@ -343,7 +338,9 @@ impl SlideStore {
         // parsed tiles in flight between this thread and the writer task.
         let (tile_tx, tile_rx) = channel::<Vec<PolygonRecord>>(2);
         let (done_tx, done_rx) = crossbeam::channel::bounded(1);
-        spill.executor.spawn(async move {
+        // The writer is a task on the shared worker pool, not a thread of
+        // its own: between tiles it is suspended on the channel.
+        Executor::new(WorkerPool::global()).spawn(async move {
             // The writer lives in this block only: a failed write drops it,
             // and with it the partial file, *before* the result is sent, so
             // the caller never returns an error while the partial exists.

@@ -448,12 +448,12 @@ fn responses_render_as_json() {
     }
 }
 
-/// A pool larger than its thread count still serves every query: idle
-/// worker tasks are suspended futures on the job queue, not blocked OS
-/// threads, so five mixed-device engines make progress on a single executor
-/// thread (serialized compute, unchanged results).
+/// An engine pool larger than the worker pool still serves every query:
+/// idle worker tasks are suspended futures on the job queue, not blocked OS
+/// threads, so five mixed-device engines make progress on the global pool's
+/// one thread per core (interleaved compute, unchanged results).
 #[test]
-fn engine_pool_larger_than_executor_thread_pool_still_serves() {
+fn engine_pool_larger_than_the_worker_pool_still_serves() {
     let data = dataset(6, 30, 512);
     let store = SlideStore::new();
     let (first, second) = register(&store, &data);
@@ -469,7 +469,6 @@ fn engine_pool_larger_than_executor_thread_pool_still_serves() {
                 EngineConfig::default().with_device(AggregationDevice::Hybrid),
                 EngineConfig::default().with_device(AggregationDevice::Hybrid),
             ])
-            .with_executor_threads(1)
             .with_cache_capacity(0),
     )
     .expect("service starts");
