@@ -5,7 +5,9 @@
 //! runs as four stages connected by *bounded* buffers:
 //!
 //! 1. **Parser** — multiple parser tasks turn polygon text files into binary
-//!    polygon records.
+//!    polygon records. Each task parses one tile at a time with the one-pass
+//!    [`parse_polygon_file`]; the stage's parallelism is across tiles, never
+//!    across the records of one file.
 //! 2. **Builder** — a single task bulk-loads a Hilbert R-tree over each
 //!    tile's second polygon set.
 //! 3. **Filter** — a single task probes the index with the first polygon
@@ -19,7 +21,7 @@
 //! Every stage is a future spawned on a small hand-rolled task executor
 //! ([`exec`]) whose tasks are polled on the process-wide
 //! [`WorkerPool`](crate::parallel::WorkerPool) — the same threads the
-//! kernels and the record-level parse fan out to. The stages communicate
+//! kernels fan out to. The stages communicate
 //! through bounded async channels whose `send` suspends (without occupying
 //! a thread) while the downstream buffer is full, and each stage yields
 //! after handing a tile on, so the stages take turns tile by tile on the
@@ -56,7 +58,7 @@ use crate::pixelbox::{
 };
 use parking_lot::Mutex;
 use sccg_datagen::TilePair;
-use sccg_geometry::text::{parse_record, PolygonRecord};
+use sccg_geometry::text::{parse_polygon_file, PolygonRecord};
 use sccg_geometry::Rect;
 use sccg_gpu_sim::{Device, DeviceConfig};
 use sccg_rtree::HilbertRTree;
@@ -77,7 +79,8 @@ use std::time::Instant;
 pub struct PipelineConfig {
     /// Number of parser tasks. Tasks are polled on the shared
     /// [`WorkerPool`](crate::parallel::WorkerPool), so this bounds how many
-    /// tiles parse at once, not a thread count.
+    /// tiles parse at once, not a thread count. It is the parser stage's
+    /// only parallelism: a task parses its tile's files sequentially.
     pub parser_workers: usize,
     /// Capacity of each inter-stage buffer — including the input buffer —
     /// in tasks. This bounds the pipeline's peak memory: see
@@ -763,38 +766,9 @@ impl Pipeline {
 /// comparison (the workflow skips malformed tiles).
 fn parse_task(task: &ParseTask) -> ParsedTile {
     ParsedTile {
-        first: parse_polygon_file_pooled(&task.first_text).unwrap_or_default(),
-        second: parse_polygon_file_pooled(&task.second_text).unwrap_or_default(),
+        first: parse_polygon_file(&task.first_text).unwrap_or_default(),
+        second: parse_polygon_file(&task.second_text).unwrap_or_default(),
     }
-}
-
-/// [`parse_polygon_file`](sccg_geometry::text::parse_polygon_file) with
-/// record-level parallelism on the persistent
-/// [`WorkerPool`](crate::parallel::WorkerPool): the file's record lines fan
-/// out over [`WorkerPool::global`](crate::parallel::WorkerPool::global) in
-/// chunks, so the parser stage draws on the same pool as the compute kernels
-/// instead of competing with it from dedicated threads — and a
-/// many-thousand-record tile parses at pool width. Identical semantics:
-/// blank and `#` lines are skipped, and the first malformed line (in file
-/// order) fails the whole file with its 1-based line number.
-pub fn parse_polygon_file_pooled(input: &str) -> sccg_geometry::Result<Vec<PolygonRecord>> {
-    let lines: Vec<(usize, &str)> = input
-        .lines()
-        .enumerate()
-        .filter_map(|(idx, line)| {
-            let trimmed = line.trim();
-            (!trimmed.is_empty() && !trimmed.starts_with('#')).then_some((idx + 1, trimmed))
-        })
-        .collect();
-    crate::parallel::WorkerPool::global()
-        .map(
-            &lines,
-            crate::parallel::default_workers(),
-            64,
-            |&(line_no, line)| parse_record(line, line_no),
-        )
-        .into_iter()
-        .collect()
 }
 
 #[cfg(test)]
@@ -802,7 +776,6 @@ mod tests {
     use super::*;
     use crate::engine::{CrossComparison, EngineConfig};
     use sccg_datagen::{generate_dataset, DatasetSpec};
-    use sccg_geometry::text::parse_polygon_file;
 
     fn small_dataset() -> sccg_datagen::Dataset {
         generate_dataset(&DatasetSpec {
@@ -923,25 +896,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn pooled_parse_matches_the_sequential_parser() {
-        let dataset = small_dataset();
-        let task = ParseTask::from_tile_pair(&dataset.tiles[0]);
-        let text = format!("# header comment\n\n{}\n   \n", task.first_text);
-        assert_eq!(
-            parse_polygon_file_pooled(&text).unwrap(),
-            parse_polygon_file(&text).unwrap()
-        );
-        assert!(parse_polygon_file_pooled("").unwrap().is_empty());
-        // The first malformed line (in file order) fails the file with the
-        // same error as the sequential parser.
-        let bad = "1 4 0 0 4 0 4 4 0 4\nnot a record\nalso bad\n";
-        assert_eq!(
-            parse_polygon_file_pooled(bad).unwrap_err().to_string(),
-            parse_polygon_file(bad).unwrap_err().to_string()
-        );
     }
 
     #[test]

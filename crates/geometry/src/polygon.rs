@@ -150,6 +150,75 @@ pub(crate) fn closed_edges(vertices: &[Point]) -> impl Iterator<Item = (Point, P
         .chain(closing)
 }
 
+/// The running state of [`RectilinearPolygon::from_slice`]'s one pass over
+/// a chain's edges, held in one local struct so that the loop keeps it in
+/// registers.
+struct ChainScan {
+    /// Whether any edge so far is degenerate or diagonal, or turns the way
+    /// the edge before it ran.
+    defect: bool,
+    /// Whether the previous edge (the closing edge, before the first) is
+    /// vertical.
+    incoming_vertical: bool,
+    mbr: Rect,
+    /// The shoelace sum so far.
+    area2: i64,
+}
+
+impl ChainScan {
+    #[inline(always)]
+    fn edge(&mut self, a: Point, b: Point) {
+        let vertical = a.x == b.x;
+        // An edge is valid when exactly one coordinate stays fixed, and its
+        // start vertex is redundant when the edge runs the way the one
+        // before it did.
+        self.defect |= (vertical == (a.y == b.y)) | (vertical == self.incoming_vertical);
+        self.incoming_vertical = vertical;
+        self.mbr.min_x = self.mbr.min_x.min(a.x);
+        self.mbr.min_y = self.mbr.min_y.min(a.y);
+        self.mbr.max_x = self.mbr.max_x.max(a.x);
+        self.mbr.max_y = self.mbr.max_y.max(a.y);
+        self.area2 += i64::from(a.x) * i64::from(b.y) - i64::from(b.x) * i64::from(a.y);
+    }
+}
+
+/// A chain's validity checks in their documented order: the vertex count,
+/// then every edge for a zero-length or diagonal edge, then every vertex for
+/// a collinear one. Each check reports the first defect it finds.
+fn ordered_checks(vertices: &[Point]) -> Result<()> {
+    if vertices.len() < 4 {
+        return Err(GeometryError::TooFewVertices {
+            got: vertices.len(),
+        });
+    }
+    closed_edges(vertices)
+        .enumerate()
+        .try_for_each(|(index, (a, b))| {
+            if a == b {
+                return Err(GeometryError::ZeroLengthEdge { index });
+            }
+            if a.x != b.x && a.y != b.y {
+                return Err(GeometryError::NonRectilinearEdge { index });
+            }
+            Ok(())
+        })?;
+    // Vertex i is collinear when its incoming edge (the previous one,
+    // starting from the closing edge) and its outgoing edge run the same
+    // way.
+    let last = vertices[vertices.len() - 1];
+    let mut incoming_vertical = last.x == vertices[0].x;
+    closed_edges(vertices)
+        .enumerate()
+        .try_for_each(|(index, (cur, next))| {
+            let outgoing_vertical = cur.x == next.x;
+            if incoming_vertical == outgoing_vertical {
+                return Err(GeometryError::CollinearVertex { index });
+            }
+            incoming_vertical = outgoing_vertical;
+            Ok(())
+        })
+}
+
 impl PartialEq for RectilinearPolygon {
     fn eq(&self, other: &Self) -> bool {
         // The MBR and edge table are derived from the vertex chain; identity
@@ -161,54 +230,68 @@ impl PartialEq for RectilinearPolygon {
 impl Eq for RectilinearPolygon {}
 
 impl RectilinearPolygon {
-    /// Builds a polygon from a vertex chain, validating rectilinearity.
+    /// Builds a polygon from an owned vertex chain, validating
+    /// rectilinearity: [`RectilinearPolygon::from_slice`] over the chain.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`RectilinearPolygon::from_slice`].
+    pub fn new(vertices: Vec<Point>) -> Result<Self> {
+        Self::from_slice(&vertices)
+    }
+
+    /// Builds a polygon from a borrowed vertex chain, validating
+    /// rectilinearity, in one pass and one allocation.
+    ///
+    /// One loop over the closed chain checks that every edge is axis-aligned
+    /// and non-degenerate and that edge orientations alternate, while it
+    /// accumulates the MBR and the shoelace sum. The only allocation is the
+    /// shared `Arc<[Point]>` the chain is copied into, so a caller that
+    /// builds many polygons can fill one reused scratch buffer and hand it
+    /// here.
     ///
     /// # Errors
     ///
     /// Returns a [`GeometryError`] when the chain has fewer than four
     /// vertices, contains a zero-length or diagonal edge, contains a
-    /// collinear (redundant) vertex, or encloses zero area.
-    pub fn new(vertices: Vec<Point>) -> Result<Self> {
+    /// collinear (redundant) vertex, or encloses zero area. When the fused
+    /// pass finds a defect, the checks re-run in their documented order
+    /// (every edge for [`ZeroLengthEdge`](GeometryError::ZeroLengthEdge) or
+    /// [`NonRectilinearEdge`](GeometryError::NonRectilinearEdge), then every
+    /// vertex for [`CollinearVertex`](GeometryError::CollinearVertex)), so
+    /// the error names the first defect in that order and its index.
+    pub fn from_slice(vertices: &[Point]) -> Result<Self> {
         if vertices.len() < 4 {
             return Err(GeometryError::TooFewVertices {
                 got: vertices.len(),
             });
         }
-        closed_edges(&vertices)
-            .enumerate()
-            .try_for_each(|(index, (a, b))| {
-                if a == b {
-                    return Err(GeometryError::ZeroLengthEdge { index });
-                }
-                if a.x != b.x && a.y != b.y {
-                    return Err(GeometryError::NonRectilinearEdge { index });
-                }
-                Ok(())
-            })?;
-        // Vertex i is collinear when its incoming edge (the previous one,
-        // starting from the closing edge) and its outgoing edge run the same
-        // way.
+        let first = vertices[0];
         let last = vertices[vertices.len() - 1];
-        let mut incoming_vertical = last.x == vertices[0].x;
-        closed_edges(&vertices)
-            .enumerate()
-            .try_for_each(|(index, (cur, next))| {
-                let outgoing_vertical = cur.x == next.x;
-                if incoming_vertical == outgoing_vertical {
-                    return Err(GeometryError::CollinearVertex { index });
-                }
-                incoming_vertical = outgoing_vertical;
-                Ok(())
-            })?;
-        let poly = RectilinearPolygon {
-            mbr: Self::compute_mbr(&vertices),
-            vertices: vertices.into(),
-            edge_table: OnceLock::new(),
+        let mut scan = ChainScan {
+            defect: false,
+            incoming_vertical: last.x == first.x,
+            mbr: Rect::EMPTY,
+            area2: 0,
         };
-        if poly.area() == 0 {
+        for (&a, &b) in vertices.iter().zip(&vertices[1..]) {
+            scan.edge(a, b);
+        }
+        scan.edge(last, first);
+        let ChainScan {
+            defect, mbr, area2, ..
+        } = scan;
+        if defect {
+            ordered_checks(vertices)?;
+        }
+        if area2.abs() / 2 == 0 {
             return Err(GeometryError::ZeroArea);
         }
-        Ok(poly)
+        Ok(RectilinearPolygon {
+            vertices: Arc::from(vertices),
+            mbr,
+            edge_table: OnceLock::new(),
+        })
     }
 
     /// Builds a polygon from a vertex chain after removing consecutive
@@ -264,15 +347,28 @@ impl RectilinearPolygon {
         ])
     }
 
-    fn compute_mbr(vertices: &[Point]) -> Rect {
+    /// The constructor [`RectilinearPolygon::from_slice`] replaced, kept as
+    /// the differential reference for it: the ordered checks, then separate
+    /// passes for the MBR and the area.
+    #[cfg(test)]
+    pub(crate) fn new_reference(vertices: Vec<Point>) -> Result<Self> {
+        ordered_checks(&vertices)?;
         let mut mbr = Rect::EMPTY;
-        for v in vertices {
+        for v in &vertices {
             mbr.min_x = mbr.min_x.min(v.x);
             mbr.min_y = mbr.min_y.min(v.y);
             mbr.max_x = mbr.max_x.max(v.x);
             mbr.max_y = mbr.max_y.max(v.y);
         }
-        mbr
+        let poly = RectilinearPolygon {
+            mbr,
+            vertices: vertices.into(),
+            edge_table: OnceLock::new(),
+        };
+        if poly.area() == 0 {
+            return Err(GeometryError::ZeroArea);
+        }
+        Ok(poly)
     }
 
     /// The polygon's vertices in boundary order.
@@ -420,8 +516,99 @@ impl RectilinearPolygon {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    /// A vertex chain of one of the shapes a constructor or the parser must
+    /// accept or reject exactly as before: staircases (valid, some at the
+    /// `i32` limits), small random chains (every defect, often several),
+    /// and staircases with one diagonal, zero-length, collinear or
+    /// zero-area defect put in.
+    pub(crate) fn any_chain(rng: &mut TestRng) -> Vec<Point> {
+        let staircase = |rng: &mut TestRng| {
+            let steps = 2 + rng.below(5) as i32;
+            let (ox, oy) = match rng.below(3) {
+                0 => (i32::MAX - 100, i32::MAX - 100),
+                1 => (i32::MIN, i32::MIN + 1),
+                _ => (rng.below(2000) as i32 - 1000, rng.below(2000) as i32 - 1000),
+            };
+            let dys: Vec<i32> = (0..steps).map(|_| 1 + rng.below(5) as i32).collect();
+            let mut x = ox;
+            let mut y = oy + dys.iter().sum::<i32>();
+            let mut chain = vec![Point::new(ox, oy), Point::new(x, y)];
+            for dy in dys {
+                x += 1 + rng.below(5) as i32;
+                chain.push(Point::new(x, y));
+                y -= dy;
+                chain.push(Point::new(x, y));
+            }
+            chain
+        };
+        let mut chain = staircase(rng);
+        let at = rng.below(chain.len() as u64) as usize;
+        match rng.below(10) {
+            0 => {
+                return (0..rng.below(9))
+                    .map(|_| Point::new(rng.below(3) as i32, rng.below(3) as i32))
+                    .collect()
+            }
+            1 => chain[at].x = chain[at].x.wrapping_add(1),
+            2 => chain.insert(at, chain[at]),
+            3 => {
+                let (a, b) = (chain[at], chain[(at + 1) % chain.len()]);
+                let mid = Point::new(a.x / 2 + b.x / 2, a.y / 2 + b.y / 2);
+                chain.insert(at + 1, mid);
+            }
+            // Every edge valid and alternating, but a figure eight whose
+            // loops cancel: the shoelace sum is zero.
+            4 => chain = shifted(rng, &[(0, 0), (2, 0), (2, 1), (1, 1), (1, -1), (0, -1)]),
+            // A rectangle with a redundant vertex on its first edge.
+            5 => chain = shifted(rng, &[(0, 0), (2, 0), (4, 0), (4, 2), (0, 2)]),
+            6 => chain.truncate(rng.below(4) as usize),
+            _ => {}
+        }
+        chain
+    }
+
+    fn shifted(rng: &mut TestRng, template: &[(i32, i32)]) -> Vec<Point> {
+        let (dx, dy) = (rng.below(100) as i32 - 50, rng.below(100) as i32 - 50);
+        template
+            .iter()
+            .map(|&(x, y)| Point::new(x + dx, y + dy))
+            .collect()
+    }
+
+    /// Chains of every shape [`any_chain`] draws.
+    struct AnyChain;
+
+    impl Strategy for AnyChain {
+        type Value = Vec<Point>;
+
+        fn generate(&self, rng: &mut TestRng) -> Vec<Point> {
+            any_chain(rng)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        #[test]
+        fn from_slice_decides_as_the_ordered_checks(chain in AnyChain) {
+            match (
+                RectilinearPolygon::from_slice(&chain),
+                RectilinearPolygon::new_reference(chain.clone()),
+            ) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(got.vertices(), want.vertices());
+                    prop_assert_eq!(got.mbr(), want.mbr());
+                    prop_assert_eq!(got.area(), want.area());
+                }
+                (got, want) => prop_assert_eq!(got.err(), want.err()),
+            }
+        }
+    }
 
     fn unit_square() -> RectilinearPolygon {
         RectilinearPolygon::rectangle(Rect::new(0, 0, 1, 1)).unwrap()

@@ -19,7 +19,6 @@ pub const DEFAULT_FANOUT: usize = 16;
 /// window.
 #[derive(Debug, Clone)]
 pub struct HilbertRTree<T> {
-    fanout: usize,
     /// Leaf entries in Hilbert order.
     entries: Vec<(Rect, T)>,
     /// All internal nodes, level by level, root last. Each node stores its
@@ -121,7 +120,6 @@ impl<T> HilbertRTree<T> {
         }
 
         HilbertRTree {
-            fanout,
             entries: items,
             levels,
         }
@@ -156,13 +154,65 @@ impl<T> HilbertRTree<T> {
     }
 
     /// Calls `visit` for every entry whose rectangle intersects `query`.
+    ///
+    /// The walk is depth-first and allocates nothing: it recurses once per
+    /// level, so its depth is the tree's height. An internal node's children
+    /// are entered last to first, and a leaf's entries are visited first to
+    /// last. That is the order the pair lists of [`crate::mbr_join`] and
+    /// every filter built on it are pinned to.
     pub fn search<'a, F: FnMut(&'a Rect, &'a T)>(&'a self, query: &Rect, mut visit: F) {
         if self.entries.is_empty() || query.is_empty() {
             return;
         }
         let top = self.levels.len() - 1;
-        // Manual stack of (level, node index) to avoid recursion.
-        let mut stack: Vec<(usize, usize)> = Vec::with_capacity(self.levels.len() * self.fanout);
+        for node in self.levels[top].iter().rev() {
+            if node.mbr.intersects(query) {
+                self.descend(top, node, query, &mut visit);
+            }
+        }
+    }
+
+    /// Visits the entries under `node`, a node of `level` whose rectangle
+    /// intersects `query`, in [`HilbertRTree::search`]'s order.
+    fn descend<'a, F: FnMut(&'a Rect, &'a T)>(
+        &'a self,
+        level: usize,
+        node: &Node,
+        query: &Rect,
+        visit: &mut F,
+    ) {
+        if level == 0 {
+            for (rect, value) in &self.entries[node.child_start..node.child_end] {
+                if rect.intersects(query) {
+                    visit(rect, value);
+                }
+            }
+        } else {
+            for child in self.levels[level - 1][node.child_start..node.child_end]
+                .iter()
+                .rev()
+            {
+                if child.mbr.intersects(query) {
+                    self.descend(level - 1, child, query, visit);
+                }
+            }
+        }
+    }
+
+    /// The search [`HilbertRTree::search`] replaced, kept as the
+    /// differential reference for its visit order: an explicit stack of
+    /// (level, node index), allocated per probe.
+    #[cfg(test)]
+    pub(crate) fn search_reference<'a, F: FnMut(&'a Rect, &'a T)>(
+        &'a self,
+        query: &Rect,
+        mut visit: F,
+    ) {
+        if self.entries.is_empty() || query.is_empty() {
+            return;
+        }
+        let top = self.levels.len() - 1;
+        let mut stack: Vec<(usize, usize)> = Vec::new();
         for (i, node) in self.levels[top].iter().enumerate() {
             if node.mbr.intersects(query) {
                 stack.push((top, i));
@@ -205,6 +255,7 @@ impl<T> HilbertRTree<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn grid_rects(n: i32) -> Vec<(Rect, usize)> {
         // n x n unit squares spaced 2 apart so none intersect each other.
@@ -217,6 +268,40 @@ mod tests {
             }
         }
         v
+    }
+
+    /// Random rectangles over a small plane, so windows hit many of them.
+    fn rects(max: usize) -> impl Strategy<Value = Vec<Rect>> {
+        prop::collection::vec((0i32..200, 0i32..200, 1i32..30, 1i32..30), 0..max).prop_map(|v| {
+            v.into_iter()
+                .map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        // Trees up to nine levels deep (fanouts 2..5 over up to 300 entries)
+        // visit the same entries in the same order as the stack walk did.
+        #[test]
+        fn search_visits_in_the_reference_order(
+            items in rects(300),
+            fanout in 2usize..6,
+            windows in rects(12),
+        ) {
+            let tree = HilbertRTree::bulk_load_with_fanout(
+                items.into_iter().enumerate().map(|(k, r)| (r, k)).collect(),
+                fanout,
+            );
+            for window in windows.iter().chain([&Rect::new(-10, -10, 300, 300)]) {
+                let mut got = Vec::new();
+                tree.search(window, |r, &k| got.push((*r, k)));
+                let mut want = Vec::new();
+                tree.search_reference(window, |r, &k| want.push((*r, k)));
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 
     #[test]

@@ -39,18 +39,18 @@
 //! two straight `i32` scans) and makes the record codec trivially
 //! round-trippable: decode rebuilds each vertex chain in order, so the
 //! decoded records are bit-identical to what was encoded — id, vertex order,
-//! tile and polygon counts. The footer is read once at open; tile reads are
-//! one seek + one contiguous read each, which is what the demand pager
+//! tile and polygon counts. The footer is read once at open; a tile read is
+//! one positioned read of its block, which is what the demand pager
 //! ([`crate::TileStorage`]) amortizes behind its LRU.
 
-use sccg::sync::lock;
 use sccg::{FaultInjector, SccgError};
 use sccg_geometry::text::PolygonRecord;
 use sccg_geometry::{Point, RectilinearPolygon};
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Magic bytes opening every slide file.
 pub const HEADER_MAGIC: &[u8; 8] = b"SCCGTILE";
@@ -174,16 +174,30 @@ impl<'a> BlockReader<'a> {
             .pos
             .checked_add(n)
             .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| {
-                storage_error(format!(
-                    "block truncated: wanted {n} bytes at offset {}, block is {} bytes",
-                    self.pos,
-                    self.bytes.len()
-                ))
-            })?;
+            .ok_or_else(|| self.truncated(n))?;
         let slice = &self.bytes[self.pos..end];
         self.pos = end;
         Ok(slice)
+    }
+
+    fn truncated(&self, n: usize) -> SccgError {
+        storage_error(format!(
+            "block truncated: wanted {n} bytes at offset {}, block is {} bytes",
+            self.pos,
+            self.bytes.len()
+        ))
+    }
+
+    /// `count` values of `width` bytes each, as one slice. A short block
+    /// fails at the first value that does not fit, with the error reading
+    /// the values one by one would give.
+    fn column(&mut self, count: usize, width: usize) -> Result<&'a [u8], SccgError> {
+        let fits = (self.bytes.len() - self.pos) / width;
+        if fits < count {
+            self.pos += fits * width;
+            return Err(self.truncated(width));
+        }
+        self.take(count * width)
     }
 
     fn u32(&mut self) -> Result<u32, SccgError> {
@@ -193,16 +207,74 @@ impl<'a> BlockReader<'a> {
     fn u64(&mut self) -> Result<u64, SccgError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+}
 
-    fn i32(&mut self) -> Result<i32, SccgError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().unwrap())
+}
+
+fn le_i32(bytes: &[u8]) -> i32 {
+    i32::from_le_bytes(bytes.try_into().unwrap())
 }
 
 /// Decodes a columnar block back into its polygon records. The decoded
 /// records are bit-identical to what [`encode_tile`] consumed: same ids,
 /// same vertex chains in the same order.
+///
+/// The whole layout is checked before any polygon is built. Then each
+/// chain is read straight from the `xs` and `ys` columns into one scratch
+/// buffer sized for the longest chain, and
+/// [`RectilinearPolygon::from_slice`] validates it and copies it into its
+/// shared vertex chain: one allocation per record, plus the record list
+/// and the scratch buffer.
 pub fn decode_tile(bytes: &[u8]) -> Result<Vec<PolygonRecord>, SccgError> {
+    let mut reader = BlockReader { bytes, pos: 0 };
+    let polygon_count = reader.u32()? as usize;
+    let ids = reader.column(polygon_count, 8)?;
+    let counts = reader.column(polygon_count, 4)?;
+    // A sum past `usize` cannot fit in the block, so it fails as truncated.
+    let (total, longest) = counts
+        .chunks_exact(4)
+        .map(|count| le_u32(count) as usize)
+        .try_fold((0usize, 0usize), |(total, longest), count| {
+            Some((total.checked_add(count)?, longest.max(count)))
+        })
+        .unwrap_or((usize::MAX, 0));
+    let mut xs = reader.column(total, 4)?;
+    let mut ys = reader.column(total, 4)?;
+    if reader.pos != bytes.len() {
+        return Err(storage_error(format!(
+            "block has {} trailing bytes after the last column",
+            bytes.len() - reader.pos
+        )));
+    }
+    let mut records = Vec::with_capacity(polygon_count);
+    let mut vertices = Vec::with_capacity(longest);
+    for (id, count) in ids.chunks_exact(8).zip(counts.chunks_exact(4)) {
+        let id = u64::from_le_bytes(id.try_into().unwrap());
+        let (chain_xs, rest_xs) = xs.split_at(le_u32(count) as usize * 4);
+        let (chain_ys, rest_ys) = ys.split_at(chain_xs.len());
+        (xs, ys) = (rest_xs, rest_ys);
+        vertices.clear();
+        vertices.extend(
+            chain_xs
+                .chunks_exact(4)
+                .zip(chain_ys.chunks_exact(4))
+                .map(|(x, y)| Point::new(le_i32(x), le_i32(y))),
+        );
+        let polygon = RectilinearPolygon::from_slice(&vertices).map_err(|e| {
+            storage_error(format!("record {id} decodes to an invalid polygon: {e}"))
+        })?;
+        records.push(PolygonRecord { id, polygon });
+    }
+    Ok(records)
+}
+
+/// The decoder [`decode_tile`] replaced, kept as the differential reference
+/// for its records and errors: every value read one by one into four
+/// column vectors, then one vertex vector per record.
+#[cfg(test)]
+fn decode_tile_reference(bytes: &[u8]) -> Result<Vec<PolygonRecord>, SccgError> {
     let mut reader = BlockReader { bytes, pos: 0 };
     let polygon_count = reader.u32()? as usize;
     let mut ids = Vec::with_capacity(polygon_count);
@@ -216,11 +288,11 @@ pub fn decode_tile(bytes: &[u8]) -> Result<Vec<PolygonRecord>, SccgError> {
     let total: usize = vertex_counts.iter().sum();
     let mut xs = Vec::with_capacity(total);
     for _ in 0..total {
-        xs.push(reader.i32()?);
+        xs.push(le_i32(reader.take(4)?));
     }
     let mut ys = Vec::with_capacity(total);
     for _ in 0..total {
-        ys.push(reader.i32()?);
+        ys.push(le_i32(reader.take(4)?));
     }
     if reader.pos != bytes.len() {
         return Err(storage_error(format!(
@@ -397,13 +469,12 @@ impl Drop for SlideFileWriter {
 
 /// A finished slide file, opened for demand reads. The footer index is
 /// validated (magic, version, footer checksum) once at open; each
-/// [`read_tile`](SlideFile::read_tile) is one seek + one contiguous read,
+/// [`read_tile`](SlideFile::read_tile) is one positioned read (`pread`, so
+/// concurrent reads of different tiles share the handle without a lock),
 /// verified against the tile's block checksum before decoding.
 #[derive(Debug)]
 pub struct SlideFile {
-    /// Reads seek, so the handle lives behind a mutex; the pager above this
-    /// keeps hot tiles resident precisely so this lock stays cold.
-    file: Mutex<File>,
+    file: File,
     path: PathBuf,
     index: Vec<TileIndexEntry>,
     file_bytes: u64,
@@ -478,7 +549,7 @@ impl SlideFile {
         let index = Self::parse_footer(&footer, footer_offset, &path)?;
 
         Ok(SlideFile {
-            file: Mutex::new(file),
+            file,
             path,
             index,
             file_bytes,
@@ -581,13 +652,9 @@ impl SlideFile {
             injector.on_tile_read(tile as u64)?;
         }
         let mut block = vec![0u8; entry.len as usize];
-        {
-            let mut file = lock(&self.file);
-            file.seek(SeekFrom::Start(entry.offset))
-                .map_err(|e| io_error("seek block of", &self.path, e))?;
-            file.read_exact(&mut block)
-                .map_err(|e| io_error("read block of", &self.path, e))?;
-        }
+        self.file
+            .read_exact_at(&mut block, entry.offset)
+            .map_err(|e| io_error("read block of", &self.path, e))?;
         if let Some(injector) = &self.faults {
             injector.corrupt_tile_bytes(tile as u64, &mut block);
         }
@@ -613,7 +680,108 @@ impl SlideFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
     use sccg_geometry::text::parse_polygon_file;
+
+    /// An encoded tile of up to six staircase records, then damaged in one
+    /// of the ways a block can be: truncated anywhere, padded, a chain made
+    /// diagonal, zero-length or collinear by rewriting one coordinate, or
+    /// one record's vertex count or the polygon count moved by one (which
+    /// shifts every column after it).
+    struct DamagedBlock;
+
+    impl Strategy for DamagedBlock {
+        type Value = Vec<u8>;
+
+        fn generate(&self, rng: &mut TestRng) -> Vec<u8> {
+            let records: Vec<PolygonRecord> = (0..rng.below(7))
+                .map(|id| {
+                    let (w, h) = (1 + rng.below(9) as i32, 1 + rng.below(9) as i32);
+                    let rect = sccg_geometry::Rect::new(0, 0, w, h);
+                    PolygonRecord {
+                        id,
+                        polygon: RectilinearPolygon::rectangle(rect).unwrap(),
+                    }
+                })
+                .collect();
+            let mut block = encode_tile(&records);
+            let n = records.len();
+            let vertices_at = 4 + 12 * n;
+            let len = block.len();
+            match rng.below(6) {
+                0 => block.truncate(rng.below(len as u64) as usize),
+                1 => block.extend((0..1 + rng.below(9)).map(|b| b as u8)),
+                2 if len > vertices_at => {
+                    // Any coordinate: `xs` or `ys`, of any vertex.
+                    let at = vertices_at + 4 * rng.below(((len - vertices_at) / 4) as u64) as usize;
+                    let value = rng.below(12) as i32 - 1;
+                    block[at..at + 4].copy_from_slice(&value.to_le_bytes());
+                }
+                3 if n > 0 => {
+                    let at = 4 + 8 * n + 4 * rng.below(n as u64) as usize;
+                    let count = le_u32(&block[at..at + 4]);
+                    let moved = if rng.below(2) == 0 {
+                        count + 1
+                    } else {
+                        count - 1
+                    };
+                    block[at..at + 4].copy_from_slice(&moved.to_le_bytes());
+                }
+                4 => {
+                    let moved = if rng.below(2) == 0 {
+                        n + 1
+                    } else {
+                        n.saturating_sub(1)
+                    };
+                    block[..4].copy_from_slice(&(moved as u32).to_le_bytes());
+                }
+                _ => {}
+            }
+            block
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+
+        #[test]
+        fn decode_matches_the_reference_on_damaged_blocks(block in DamagedBlock) {
+            let got = decode_tile(&block);
+            let want = decode_tile_reference(&block);
+            match (&got, &want) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
+                (Err(SccgError::Storage { detail: got }), Err(SccgError::Storage { detail: want })) => {
+                    prop_assert_eq!(got, want)
+                }
+                _ => prop_assert!(false, "{:?} vs {:?}", got, want),
+            }
+        }
+    }
+
+    #[test]
+    fn a_block_holding_an_invalid_chain_names_the_record_and_defect() {
+        let mut block = 1u32.to_le_bytes().to_vec();
+        block.extend_from_slice(&7u64.to_le_bytes());
+        block.extend_from_slice(&4u32.to_le_bytes());
+        for x in [0i32, 2, 2, 0] {
+            block.extend_from_slice(&x.to_le_bytes());
+        }
+        for y in [0i32, 1, 2, 2] {
+            block.extend_from_slice(&y.to_le_bytes());
+        }
+        let err = decode_tile(&block).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            decode_tile_reference(&block).unwrap_err().to_string()
+        );
+        assert!(
+            matches!(&err, SccgError::Storage { detail }
+                if detail == "record 7 decodes to an invalid polygon: \
+                              edge starting at vertex 0 is not axis-aligned"),
+            "{err:?}"
+        );
+    }
 
     fn temp_path(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("sccg-store-format-tests");
