@@ -3,7 +3,10 @@
 //! [`ComputeBackend`].
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sccg::pixelbox::{ComputeBackend, CpuBackend, GpuBackend, HybridBackend, PixelBoxConfig};
+use sccg::pixelbox::{
+    ComputeBackend, CpuBackend, GpuBackend, HybridBackend, PixelBoxConfig, SplitConfig,
+    SplitController,
+};
 use sccg_bench::representative_pairs;
 use sccg_clip::pair_areas;
 use sccg_gpu_sim::{Device, DeviceConfig};
@@ -14,7 +17,11 @@ fn bench(c: &mut Criterion) {
     let config = PixelBoxConfig::paper_default();
     let cpu_single = CpuBackend::new(1);
     let gpu = GpuBackend::new(Arc::new(Device::new(DeviceConfig::gtx580())));
-    let hybrid = HybridBackend::new(Arc::new(Device::new(DeviceConfig::gtx580())), 1, 0.5);
+    let hybrid = HybridBackend::new(
+        Arc::new(Device::new(DeviceConfig::gtx580())),
+        1,
+        Arc::new(SplitController::new(SplitConfig::fixed(0.5))),
+    );
     let mut group = c.benchmark_group("fig7_area_computation");
     group.sample_size(10);
     group.bench_function("geos_exact_overlay_1core", |bench| {

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sccg::pixelbox::algorithm::{compute_pair, compute_pair_reference};
-use sccg::pixelbox::{ComputeBackend, HybridBackend, PixelBoxConfig, SplitConfig};
+use sccg::pixelbox::{ComputeBackend, HybridBackend, PixelBoxConfig, SplitConfig, SplitController};
 use sccg_bench::{dense_l_pair, filtered_pairs, representative_tile};
 use sccg_clip::{monte_carlo_areas, pair_areas};
 use sccg_geometry::edge_table::{
@@ -97,8 +97,11 @@ fn bench(c: &mut Criterion) {
         ("hybrid_split_static_0.75", SplitConfig::fixed(0.75)),
         ("hybrid_split_adaptive", SplitConfig::adaptive(0.5)),
     ] {
-        let backend =
-            HybridBackend::with_split(Arc::new(Device::new(DeviceConfig::gtx580())), 1, split);
+        let backend = HybridBackend::new(
+            Arc::new(Device::new(DeviceConfig::gtx580())),
+            1,
+            Arc::new(SplitController::new(split)),
+        );
         group.bench_function(label, |bench| {
             bench.iter(|| {
                 let mut computed = 0usize;

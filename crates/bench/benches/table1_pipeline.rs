@@ -8,6 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use sccg::pipeline::{ParseTask, Pipeline, PipelineConfig};
 use sccg::pixelbox::{AggregationDevice, SplitPolicy};
+use sccg::EngineConfig;
 use sccg_bench::system_dataset;
 
 fn bench(c: &mut Criterion) {
@@ -51,10 +52,11 @@ fn bench(c: &mut Criterion) {
         group.bench_function(label, |bench| {
             bench.iter(|| {
                 Pipeline::new(
-                    PipelineConfig::default()
-                        .with_migration(true)
-                        .with_device(AggregationDevice::Hybrid)
-                        .with_split_policy(split_policy),
+                    PipelineConfig::default().with_migration(true).with_engine(
+                        EngineConfig::default()
+                            .with_device(AggregationDevice::Hybrid)
+                            .with_split_policy(split_policy),
+                    ),
                 )
                 .run(tasks.clone())
             })

@@ -16,7 +16,7 @@
 use sccg::pipeline::model::{HybridSplitMode, PipelineModel, PlatformConfig, Scheme};
 use sccg::pixelbox::{
     ComputeBackend, CpuBackend, GpuBackend, HybridBackend, OptimizationFlags, PixelBoxConfig,
-    Variant,
+    SplitConfig, SplitController, Variant,
 };
 use sccg_bench::{dataset_tile_stats, representative_pairs, study_datasets, system_dataset};
 use sccg_clip::pair_areas;
@@ -138,7 +138,11 @@ fn figure7() {
     let gpu = gpu_backend().compute_batch(&pairs, &config);
     let gpu_seconds = gpu.total_simulated_seconds();
 
-    let hybrid_backend = HybridBackend::new(Arc::new(Device::new(DeviceConfig::gtx580())), 1, 0.5);
+    let hybrid_backend = HybridBackend::new(
+        Arc::new(Device::new(DeviceConfig::gtx580())),
+        1,
+        Arc::new(SplitController::new(SplitConfig::fixed(0.5))),
+    );
     let hybrid = hybrid_backend.compute_batch(&pairs, &config);
     assert_eq!(
         geos.iter().map(|a| a.intersection).sum::<i64>(),

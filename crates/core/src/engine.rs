@@ -11,8 +11,8 @@
 
 use crate::jaccard::{JaccardAccumulator, JaccardSummary};
 use crate::pixelbox::{
-    AggregationDevice, ComputeBackend, HybridBackend, PairAreas, PixelBoxConfig, PolygonPair,
-    SplitConfig, SplitController, SplitPolicy,
+    AggregationDevice, ComputeBackend, CpuBackend, GpuBackend, HybridBackend, PairAreas,
+    PixelBoxConfig, PolygonPair, SplitConfig, SplitController, SplitPolicy,
 };
 use sccg_geometry::text::PolygonRecord;
 use sccg_geometry::Rect;
@@ -32,7 +32,9 @@ pub struct EngineConfig {
     pub pixelbox: PixelBoxConfig,
     /// Which substrate performs the area computations.
     pub device: AggregationDevice,
-    /// Simulated GPU to use when `device` involves the GPU.
+    /// Simulated GPU to use when `device` involves the GPU. Read by
+    /// [`CrossComparison::new`]; [`CrossComparison::with_device`] is handed
+    /// the device itself.
     pub gpu: DeviceConfig,
     /// Shared-pool workers one CPU batch may fan out to when `device`
     /// involves the CPU (`1` runs the batch sequentially).
@@ -43,7 +45,8 @@ pub struct EngineConfig {
     /// [`SplitPolicy::Static`].
     pub hybrid_gpu_fraction: f64,
     /// How the hybrid split evolves across batches: adaptive timing feedback
-    /// (default) or pinned at `hybrid_gpu_fraction`.
+    /// (default) or pinned at `hybrid_gpu_fraction`. Neither is read when
+    /// the engine is handed a shared controller.
     pub split_policy: SplitPolicy,
 }
 
@@ -61,11 +64,6 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The hybrid split configuration this engine config describes.
-    pub fn split_config(&self) -> SplitConfig {
-        SplitConfig::adaptive(self.hybrid_gpu_fraction).with_policy(self.split_policy)
-    }
-
     /// Returns a copy with different PixelBox parameters.
     pub fn with_pixelbox(mut self, pixelbox: PixelBoxConfig) -> Self {
         self.pixelbox = pixelbox;
@@ -124,6 +122,20 @@ pub struct CrossComparisonReport {
 
 /// Cross-comparison engine binding a compute backend and a PixelBox
 /// configuration.
+///
+/// The engine is where an [`AggregationDevice`] becomes a
+/// [`ComputeBackend`]; nothing else in the workspace makes that choice.
+///
+/// ```
+/// use sccg::prelude::*;
+///
+/// let engine = CrossComparison::new(
+///     EngineConfig::default()
+///         .with_device(AggregationDevice::Hybrid) // or Gpu / Cpu
+///         .with_hybrid_gpu_fraction(0.7), // seed: 70% of each batch on the GPU
+/// );
+/// assert_eq!(engine.backend().name(), "pixelbox-hybrid");
+/// ```
 #[derive(Debug, Clone)]
 pub struct CrossComparison {
     config: EngineConfig,
@@ -133,54 +145,50 @@ pub struct CrossComparison {
 }
 
 impl CrossComparison {
-    /// Creates an engine; the simulated GPU device is instantiated eagerly so
-    /// repeated comparisons share it (and its cumulative statistics).
+    /// Creates an engine with its own simulated GPU (built from
+    /// `config.gpu`) and, for [`AggregationDevice::Hybrid`], its own split
+    /// controller. The device is instantiated eagerly so repeated
+    /// comparisons share it (and its cumulative statistics).
     pub fn new(config: EngineConfig) -> Self {
         let gpu = Arc::new(Device::new(config.gpu.clone()));
-        Self::with_device(config, gpu)
+        Self::with_device(config, gpu, None)
     }
 
-    /// Creates an engine sharing an existing simulated device.
-    pub fn with_device(config: EngineConfig, gpu: Arc<Device>) -> Self {
-        let (backend, split_controller) = config.device.backend_with_controller(
-            Arc::clone(&gpu),
-            config.cpu_workers,
-            config.split_config(),
-        );
+    /// Creates an engine on shared parts: the simulated device `gpu`
+    /// (`config.gpu` is not consulted) and, when given, a hybrid
+    /// [`SplitController`] that a fleet of engines pools its timing
+    /// observations in, so a fresh engine starts from the fleet's learned
+    /// split instead of re-running warm-up. With `None`, a hybrid engine
+    /// gets a fresh controller seeded from `config.hybrid_gpu_fraction`
+    /// under `config.split_policy`. Only [`AggregationDevice::Hybrid`]
+    /// consults a controller; the other substrates ignore it.
+    pub fn with_device(
+        config: EngineConfig,
+        gpu: Arc<Device>,
+        controller: Option<Arc<SplitController>>,
+    ) -> Self {
+        let (backend, split_controller): (Arc<dyn ComputeBackend>, _) = match config.device {
+            AggregationDevice::Gpu => (Arc::new(GpuBackend::new(Arc::clone(&gpu))), None),
+            AggregationDevice::Cpu => (Arc::new(CpuBackend::new(config.cpu_workers)), None),
+            AggregationDevice::Hybrid => {
+                let controller = controller.unwrap_or_else(|| {
+                    let split = SplitConfig::adaptive(config.hybrid_gpu_fraction)
+                        .with_policy(config.split_policy);
+                    Arc::new(SplitController::new(split))
+                });
+                let backend = HybridBackend::new(
+                    Arc::clone(&gpu),
+                    config.cpu_workers,
+                    Arc::clone(&controller),
+                );
+                (Arc::new(backend), Some(controller))
+            }
+        };
         CrossComparison {
             config,
             gpu,
             backend,
             split_controller,
-        }
-    }
-
-    /// Creates an engine sharing an existing simulated device *and* an
-    /// existing hybrid [`SplitController`], so a fleet of engines serving
-    /// concurrent queries pools its timing observations: a fresh engine
-    /// starts from the fleet's learned split instead of re-running warm-up.
-    ///
-    /// Only [`AggregationDevice::Hybrid`] consults a controller; for the
-    /// single-substrate devices this behaves exactly like
-    /// [`CrossComparison::with_device`] and the controller is ignored.
-    pub fn with_shared_controller(
-        config: EngineConfig,
-        gpu: Arc<Device>,
-        controller: Arc<SplitController>,
-    ) -> Self {
-        if config.device != AggregationDevice::Hybrid {
-            return Self::with_device(config, gpu);
-        }
-        let backend: Arc<dyn ComputeBackend> = Arc::new(HybridBackend::with_controller(
-            Arc::clone(&gpu),
-            config.cpu_workers,
-            Arc::clone(&controller),
-        ));
-        CrossComparison {
-            config,
-            gpu,
-            backend,
-            split_controller: Some(controller),
         }
     }
 
@@ -299,10 +307,7 @@ mod tests {
     }
 
     fn engine_on(device: AggregationDevice) -> CrossComparison {
-        CrossComparison::new(EngineConfig {
-            device,
-            ..EngineConfig::default()
-        })
+        CrossComparison::new(EngineConfig::default().with_device(device))
     }
 
     #[test]
@@ -329,11 +334,11 @@ mod tests {
             engine_on(AggregationDevice::Cpu).compare_records(&tile.first, &tile.second);
         let hybrid_report =
             engine_on(AggregationDevice::Hybrid).compare_records(&tile.first, &tile.second);
-        let static_hybrid_report = CrossComparison::new(EngineConfig {
-            device: AggregationDevice::Hybrid,
-            split_policy: SplitPolicy::Static,
-            ..EngineConfig::default()
-        })
+        let static_hybrid_report = CrossComparison::new(
+            EngineConfig::default()
+                .with_device(AggregationDevice::Hybrid)
+                .with_split_policy(SplitPolicy::Static),
+        )
         .compare_records(&tile.first, &tile.second);
         assert_eq!(gpu_report.pair_areas, cpu_report.pair_areas);
         assert_eq!(gpu_report.pair_areas, hybrid_report.pair_areas);
@@ -397,6 +402,55 @@ mod tests {
             engine_on(AggregationDevice::Cpu).backend().name(),
             "pixelbox-cpu"
         );
+    }
+
+    #[test]
+    fn aggregation_device_constructs_matching_backends() {
+        let names: Vec<&str> = [
+            AggregationDevice::Gpu,
+            AggregationDevice::Cpu,
+            AggregationDevice::Hybrid,
+        ]
+        .into_iter()
+        .map(|d| engine_on(d).backend().name())
+        .collect();
+        assert_eq!(
+            names,
+            vec!["pixelbox-gpu", "pixelbox-cpu", "pixelbox-hybrid"]
+        );
+    }
+
+    #[test]
+    fn only_the_hybrid_backend_has_a_controller() {
+        let device = Arc::new(Device::new(DeviceConfig::gtx580()));
+        let pooled = Arc::new(SplitController::new(SplitConfig::default()));
+        for (device_kind, expect_controller) in [
+            (AggregationDevice::Gpu, false),
+            (AggregationDevice::Cpu, false),
+            (AggregationDevice::Hybrid, true),
+        ] {
+            let config = EngineConfig::default().with_device(device_kind);
+            let fresh = CrossComparison::with_device(config.clone(), Arc::clone(&device), None);
+            assert_eq!(
+                fresh.split_controller().is_some(),
+                expect_controller,
+                "{device_kind:?}"
+            );
+            // A given controller is the hybrid engine's own; the
+            // single-substrate engines ignore it.
+            let shared = CrossComparison::with_device(
+                config,
+                Arc::clone(&device),
+                Some(Arc::clone(&pooled)),
+            );
+            assert_eq!(
+                shared
+                    .split_controller()
+                    .is_some_and(|c| Arc::ptr_eq(c, &pooled)),
+                expect_controller,
+                "{device_kind:?}"
+            );
+        }
     }
 
     #[test]

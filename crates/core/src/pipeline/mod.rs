@@ -51,16 +51,14 @@
 pub mod exec;
 pub mod model;
 
+use crate::engine::{CrossComparison, EngineConfig};
 use crate::jaccard::{JaccardAccumulator, JaccardSummary};
-use crate::pixelbox::{
-    AggregationDevice, ComputeBackend, CpuBackend, PixelBoxConfig, PolygonPair, SplitConfig,
-    SplitController, SplitPolicy,
-};
+use crate::pixelbox::{ComputeBackend, CpuBackend, PolygonPair};
 use parking_lot::Mutex;
 use sccg_datagen::TilePair;
 use sccg_geometry::text::{parse_polygon_file, PolygonRecord};
 use sccg_geometry::Rect;
-use sccg_gpu_sim::{Device, DeviceConfig};
+use sccg_gpu_sim::Device;
 use sccg_rtree::HilbertRTree;
 use std::future::Future;
 use std::pin::Pin;
@@ -69,7 +67,10 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::Instant;
 
-/// Configuration of the pipelined framework.
+/// Configuration of the pipelined framework: the four stage settings plus
+/// the [`EngineConfig`] of the aggregator's engine (substrate, simulated
+/// GPU, PixelBox parameters, CPU workers and hybrid split), which every run
+/// builds afresh.
 ///
 /// Marked `#[non_exhaustive]` so future fields are not breaking changes:
 /// construct it with [`PipelineConfig::default`] and the `with_*` builder
@@ -86,28 +87,16 @@ pub struct PipelineConfig {
     /// in tasks. This bounds the pipeline's peak memory: see
     /// [`PipelineReport::peak_in_flight_tiles`].
     pub buffer_capacity: usize,
-    /// PixelBox parameters used by the aggregator.
-    pub pixelbox: PixelBoxConfig,
     /// Whether the dynamic task-migration tasks run.
     pub enable_migration: bool,
-    /// Simulated GPU the aggregator owns.
-    pub gpu: DeviceConfig,
     /// Maximum number of filtered tasks the aggregator groups into one GPU
     /// batch (input data batching, §4.1).
     pub aggregator_batch: usize,
-    /// Substrate the aggregator stage dispatches batches to.
-    pub device: AggregationDevice,
-    /// Shared-pool workers one CPU batch may fan out to when `device`
-    /// involves the CPU (`1` runs the batch sequentially).
-    pub cpu_workers: usize,
-    /// Seed GPU share of each batch when `device` is
-    /// [`AggregationDevice::Hybrid`] (clamped to `[0, 1]`): the
-    /// warm-up/fallback fraction under [`SplitPolicy::Adaptive`], the
-    /// permanent fraction under [`SplitPolicy::Static`].
-    pub hybrid_gpu_fraction: f64,
-    /// How the hybrid split evolves across aggregator batches: adaptive
-    /// timing feedback (default) or pinned at `hybrid_gpu_fraction`.
-    pub split_policy: SplitPolicy,
+    /// The aggregator's engine. Its `gpu` is the simulated device the
+    /// pipeline owns for its lifetime; its substrate, PixelBox parameters,
+    /// CPU workers and hybrid split are applied per run, each run with a
+    /// fresh split controller.
+    pub engine: EngineConfig,
 }
 
 impl Default for PipelineConfig {
@@ -115,24 +104,14 @@ impl Default for PipelineConfig {
         PipelineConfig {
             parser_workers: 2,
             buffer_capacity: 8,
-            pixelbox: PixelBoxConfig::paper_default(),
             enable_migration: true,
-            gpu: DeviceConfig::gtx580(),
             aggregator_batch: 8,
-            device: AggregationDevice::Gpu,
-            cpu_workers: crate::parallel::default_workers(),
-            hybrid_gpu_fraction: 0.5,
-            split_policy: SplitPolicy::default(),
+            engine: EngineConfig::default(),
         }
     }
 }
 
 impl PipelineConfig {
-    /// The hybrid split configuration this pipeline config describes.
-    pub fn split_config(&self) -> SplitConfig {
-        SplitConfig::adaptive(self.hybrid_gpu_fraction).with_policy(self.split_policy)
-    }
-
     /// Returns a copy with a different parser worker count.
     pub fn with_parser_workers(mut self, parser_workers: usize) -> Self {
         self.parser_workers = parser_workers;
@@ -145,21 +124,9 @@ impl PipelineConfig {
         self
     }
 
-    /// Returns a copy with different PixelBox parameters.
-    pub fn with_pixelbox(mut self, pixelbox: PixelBoxConfig) -> Self {
-        self.pixelbox = pixelbox;
-        self
-    }
-
     /// Returns a copy with dynamic task migration enabled or disabled.
     pub fn with_migration(mut self, enable_migration: bool) -> Self {
         self.enable_migration = enable_migration;
-        self
-    }
-
-    /// Returns a copy with a different simulated GPU configuration.
-    pub fn with_gpu(mut self, gpu: DeviceConfig) -> Self {
-        self.gpu = gpu;
         self
     }
 
@@ -169,28 +136,9 @@ impl PipelineConfig {
         self
     }
 
-    /// Returns a copy dispatching the aggregator to a different substrate.
-    pub fn with_device(mut self, device: AggregationDevice) -> Self {
-        self.device = device;
-        self
-    }
-
-    /// Returns a copy with a different CPU worker count.
-    pub fn with_cpu_workers(mut self, cpu_workers: usize) -> Self {
-        self.cpu_workers = cpu_workers;
-        self
-    }
-
-    /// Returns a copy with a different seed GPU fraction for the hybrid
-    /// split.
-    pub fn with_hybrid_gpu_fraction(mut self, fraction: f64) -> Self {
-        self.hybrid_gpu_fraction = fraction;
-        self
-    }
-
-    /// Returns a copy with a different hybrid split policy.
-    pub fn with_split_policy(mut self, policy: SplitPolicy) -> Self {
-        self.split_policy = policy;
+    /// Returns a copy whose aggregator runs a different engine.
+    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
+        self.engine = engine;
         self
     }
 }
@@ -283,7 +231,8 @@ pub struct PipelineReport {
     /// Per-stage busy times.
     pub stage_seconds: StageSeconds,
     /// Per-batch hybrid split decisions, when the aggregator dispatched to
-    /// [`AggregationDevice::Hybrid`] (`None` for single-substrate runs).
+    /// [`AggregationDevice::Hybrid`](crate::pixelbox::AggregationDevice::Hybrid)
+    /// (`None` for single-substrate runs).
     pub split_trace: Option<crate::pixelbox::SplitTrace>,
 }
 
@@ -452,9 +401,10 @@ impl Future for CongestedSteal<'_> {
 }
 
 impl Pipeline {
-    /// Creates a pipeline with its own simulated GPU device.
+    /// Creates a pipeline with its own simulated GPU device, built from
+    /// `config.engine.gpu`.
     pub fn new(config: PipelineConfig) -> Self {
-        let device = Arc::new(Device::new(config.gpu.clone()));
+        let device = Arc::new(Device::new(config.engine.gpu.clone()));
         Pipeline { config, device }
     }
 
@@ -490,15 +440,16 @@ impl Pipeline {
         let shared = Arc::new(SharedState::new());
         let gpu_busy_before = self.device.stats().busy_seconds;
 
-        // The aggregator's backend (and, for the hybrid substrate, its split
-        // controller) exists before any task starts: the migration task
-        // consults the controller's observed rates while the aggregator
-        // feeds it per-batch timings.
-        let (backend, split_controller) = self.config.device.backend_with_controller(
+        // The aggregator's engine (and, for the hybrid substrate, its fresh
+        // split controller) exists before any task starts: the migration
+        // task consults the controller's observed rates while the
+        // aggregator feeds it per-batch timings.
+        let engine = CrossComparison::with_device(
+            self.config.engine.clone(),
             Arc::clone(&self.device),
-            self.config.cpu_workers,
-            self.config.split_config(),
+            None,
         );
+        let split_controller = engine.split_controller().cloned();
 
         let capacity = self.config.buffer_capacity.max(1);
         let (parse_tx, parse_rx) = exec::channel::<ParseTask>(capacity);
@@ -568,7 +519,7 @@ impl Pipeline {
         if self.config.enable_migration {
             let agg_rx = agg_rx.clone();
             let shared = Arc::clone(&shared);
-            let pixelbox = self.config.pixelbox;
+            let pixelbox = self.config.engine.pixelbox;
             let controller = split_controller.clone();
             executor.spawn(async move {
                 // The migration target is always a single-worker CPU
@@ -694,8 +645,7 @@ impl Pipeline {
         // --- Aggregator -----------------------------------------------------
         {
             let shared = Arc::clone(&shared);
-            let backend = Arc::clone(&backend);
-            let pixelbox = self.config.pixelbox;
+            let pixelbox = self.config.engine.pixelbox;
             let aggregator_batch = self.config.aggregator_batch.max(1) as u64;
             executor.spawn(async move {
                 while let Some(first) = agg_rx.recv().await {
@@ -712,7 +662,7 @@ impl Pipeline {
                         }
                     }
                     let started = Instant::now();
-                    let result = backend.compute_batch(&batch_pairs, &pixelbox);
+                    let result = engine.backend().compute_batch(&batch_pairs, &pixelbox);
                     shared.fold_batch(&result.areas, batch_tiles);
                     SharedState::add_nanos(&shared.aggregate_host_nanos, started);
                 }
@@ -752,8 +702,7 @@ impl Pipeline {
                     as f64
                     * 1e-9,
             },
-            split_trace: split_controller
-                .map(|controller: Arc<SplitController>| controller.trace()),
+            split_trace: split_controller.map(|controller| controller.trace()),
         };
         // Defensive clamp: every admitted task is processed exactly once.
         report.tiles = report.tiles.min(submitted);
@@ -774,7 +723,7 @@ fn parse_task(task: &ParseTask) -> ParsedTile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{CrossComparison, EngineConfig};
+    use crate::pixelbox::{AggregationDevice, SplitPolicy};
     use sccg_datagen::{generate_dataset, DatasetSpec};
 
     fn small_dataset() -> sccg_datagen::Dataset {
@@ -867,8 +816,9 @@ mod tests {
         ] {
             let report = Pipeline::new(PipelineConfig {
                 enable_migration: false,
-                device,
-                split_policy,
+                engine: EngineConfig::default()
+                    .with_device(device)
+                    .with_split_policy(split_policy),
                 ..PipelineConfig::default()
             })
             .run(tasks_of(&dataset));
@@ -895,6 +845,36 @@ mod tests {
                     assert!(trace.samples().iter().all(|s| s.next_fraction == 0.5));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn every_run_of_one_pipeline_starts_a_fresh_split_controller() {
+        // A pipeline is reused across runs (a batch job streams one slide
+        // after another through it); each run must learn its split from the
+        // seed again rather than inherit the previous run's controller.
+        let dataset = small_dataset();
+        let seed = 0.5;
+        // One tile per batch, so a run records one sample per tile.
+        let pipeline = Pipeline::new(PipelineConfig {
+            enable_migration: false,
+            aggregator_batch: 1,
+            engine: EngineConfig::default()
+                .with_device(AggregationDevice::Hybrid)
+                .with_hybrid_gpu_fraction(seed),
+            ..PipelineConfig::default()
+        });
+        let traces: Vec<_> = (0..2)
+            .map(|_| {
+                let report = pipeline.run(tasks_of(&dataset));
+                report.split_trace.expect("hybrid runs trace")
+            })
+            .collect();
+        assert_eq!(traces[0].len(), dataset.tiles.len());
+        assert_eq!(traces[0].len(), traces[1].len());
+        for trace in &traces {
+            let first = trace.samples()[0];
+            assert_eq!((first.batch, first.fraction), (0, seed));
         }
     }
 

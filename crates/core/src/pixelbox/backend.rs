@@ -11,15 +11,17 @@
 //! * [`CpuBackend`] — `PixelBox-CPU` on a work-sharing thread pool.
 //! * [`GpuBackend`] — the PixelBox kernel on a simulated SIMT device.
 //! * [`HybridBackend`] — splits every batch between the GPU and the CPU by a
-//!   configurable fraction and merges the results in input order.
+//!   fraction a [`SplitController`] picks and merges the results in input
+//!   order.
 //!
-//! [`AggregationDevice::backend`] maps the legacy enum to a backend, so
-//! existing configuration keeps working.
+//! [`CrossComparison`](crate::CrossComparison) maps an
+//! [`AggregationDevice`](super::AggregationDevice) to one of these; that
+//! mapping is the only place the substrate is chosen.
 
-use super::adaptive::{normalize_fraction, BatchObservation, SplitConfig, SplitController};
+use super::adaptive::{normalize_fraction, BatchObservation, SplitController};
 use super::cpu::compute_batch_cpu;
 use super::gpu::GpuPixelBox;
-use super::{AggregationDevice, PairAreas, PixelBoxConfig, PolygonPair};
+use super::{PairAreas, PixelBoxConfig, PolygonPair};
 use sccg_gpu_sim::{Device, LaunchStats};
 use std::fmt;
 use std::sync::Arc;
@@ -146,11 +148,15 @@ impl ComputeBackend for GpuBackend {
 }
 
 /// Hybrid CPU+GPU execution (§5): each batch is split between the GPU
-/// (prefix) and the CPU (suffix, on a separate thread) and merged back in
-/// input order. The split fraction comes from a [`SplitController`]: either
-/// pinned at a configured value ([`super::adaptive::SplitPolicy::Static`],
-/// the legacy behavior) or steered per batch toward the timing-balanced
-/// split by the feedback loop of [`super::adaptive`] (the default).
+/// (prefix) and the CPU (suffix) and merged back in input order. The two
+/// shares run side by side through [`WorkerPool::join`]: the CPU share on a
+/// pool worker, the GPU share on the calling thread. The split fraction
+/// comes from a [`SplitController`]: either pinned at a configured value
+/// ([`super::adaptive::SplitPolicy::Static`]) or steered per batch toward
+/// the timing-balanced split by the feedback loop of [`super::adaptive`]
+/// (the default).
+///
+/// [`WorkerPool::join`]: crate::parallel::WorkerPool::join
 #[derive(Debug, Clone)]
 pub struct HybridBackend {
     gpu: GpuBackend,
@@ -168,27 +174,13 @@ pub fn hybrid_split_point(len: usize, gpu_fraction: f64) -> usize {
 }
 
 impl HybridBackend {
-    /// Creates a hybrid backend with a *static* split: `gpu_fraction` of
-    /// every batch (clamped to `[0, 1]`) runs on the simulated device, the
-    /// rest on `cpu_workers` CPU threads. Use [`HybridBackend::with_split`]
-    /// for the adaptive controller.
-    pub fn new(device: Arc<Device>, cpu_workers: usize, gpu_fraction: f64) -> Self {
-        Self::with_split(device, cpu_workers, SplitConfig::fixed(gpu_fraction))
-    }
-
-    /// Creates a hybrid backend whose per-batch GPU fraction is governed by a
-    /// fresh [`SplitController`] built from `split`.
-    pub fn with_split(device: Arc<Device>, cpu_workers: usize, split: SplitConfig) -> Self {
-        Self::with_controller(device, cpu_workers, Arc::new(SplitController::new(split)))
-    }
-
-    /// Creates a hybrid backend sharing an existing controller (so callers
-    /// can read its telemetry, or several backends can pool observations).
-    pub fn with_controller(
-        device: Arc<Device>,
-        cpu_workers: usize,
-        controller: Arc<SplitController>,
-    ) -> Self {
+    /// Creates a hybrid backend whose per-batch GPU fraction is governed by
+    /// `controller`: `cpu_workers` CPU threads take the CPU share, the
+    /// simulated `device` the GPU share. A static split is
+    /// `SplitController::new(SplitConfig::fixed(fraction))`; sharing one
+    /// controller lets callers read its telemetry, or several backends pool
+    /// their observations.
+    pub fn new(device: Arc<Device>, cpu_workers: usize, controller: Arc<SplitController>) -> Self {
         HybridBackend {
             gpu: GpuBackend::new(device),
             cpu: CpuBackend::new(cpu_workers),
@@ -307,53 +299,23 @@ impl ComputeBackend for HybridBackend {
     }
 }
 
-impl AggregationDevice {
-    /// Maps the legacy device enum to a [`ComputeBackend`] — the one place
-    /// where the substrate choice is made. `device` is the simulated GPU for
-    /// the GPU and hybrid variants (the CPU variant ignores it),
-    /// `cpu_workers` sizes the CPU pool, and `split` governs how each batch
-    /// divides between the substrates under [`AggregationDevice::Hybrid`]
-    /// (adaptive feedback by default, or a pinned static fraction).
-    pub fn backend(
-        self,
-        device: Arc<Device>,
-        cpu_workers: usize,
-        split: SplitConfig,
-    ) -> Arc<dyn ComputeBackend> {
-        self.backend_with_controller(device, cpu_workers, split).0
-    }
-
-    /// Like [`AggregationDevice::backend`], additionally returning the
-    /// hybrid variant's [`SplitController`] so callers can read per-batch
-    /// split telemetry and observed substrate rates (`None` for the
-    /// single-substrate variants).
-    pub fn backend_with_controller(
-        self,
-        device: Arc<Device>,
-        cpu_workers: usize,
-        split: SplitConfig,
-    ) -> (Arc<dyn ComputeBackend>, Option<Arc<SplitController>>) {
-        match self {
-            AggregationDevice::Gpu => (Arc::new(GpuBackend::new(device)), None),
-            AggregationDevice::Cpu => (Arc::new(CpuBackend::new(cpu_workers)), None),
-            AggregationDevice::Hybrid => {
-                let controller = Arc::new(SplitController::new(split));
-                let backend =
-                    HybridBackend::with_controller(device, cpu_workers, Arc::clone(&controller));
-                (Arc::new(backend), Some(controller))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pixelbox::SplitConfig;
     use sccg_geometry::{Rect, RectilinearPolygon};
     use sccg_gpu_sim::DeviceConfig;
 
     fn device() -> Arc<Device> {
         Arc::new(Device::new(DeviceConfig::gtx580()))
+    }
+
+    fn hybrid_backend(
+        device: Arc<Device>,
+        cpu_workers: usize,
+        split: SplitConfig,
+    ) -> HybridBackend {
+        HybridBackend::new(device, cpu_workers, Arc::new(SplitController::new(split)))
     }
 
     fn sample_pairs(n: i32) -> Vec<PolygonPair> {
@@ -376,7 +338,8 @@ mod tests {
         let config = PixelBoxConfig::paper_default();
         let cpu = CpuBackend::new(2).compute_batch(&pairs, &config);
         let gpu = GpuBackend::new(device()).compute_batch(&pairs, &config);
-        let hybrid = HybridBackend::new(device(), 2, 0.5).compute_batch(&pairs, &config);
+        let hybrid =
+            hybrid_backend(device(), 2, SplitConfig::fixed(0.5)).compute_batch(&pairs, &config);
         assert_eq!(cpu.areas, gpu.areas);
         assert_eq!(cpu.areas, hybrid.areas);
         assert!(cpu.launch.is_none() && cpu.simulated_seconds.is_none());
@@ -389,7 +352,7 @@ mod tests {
         let pairs = sample_pairs(20);
         let config = PixelBoxConfig::paper_default();
         let dev = device();
-        let hybrid = HybridBackend::new(Arc::clone(&dev), 1, 0.5);
+        let hybrid = hybrid_backend(Arc::clone(&dev), 1, SplitConfig::fixed(0.5));
         assert_eq!(hybrid.split_point(pairs.len()), 10);
 
         let launches_before = dev.stats().launches;
@@ -412,9 +375,11 @@ mod tests {
     fn hybrid_fraction_extremes_degenerate_cleanly() {
         let pairs = sample_pairs(12);
         let config = PixelBoxConfig::paper_default();
-        let all_cpu = HybridBackend::new(device(), 2, 0.0).compute_batch(&pairs, &config);
+        let all_cpu =
+            hybrid_backend(device(), 2, SplitConfig::fixed(0.0)).compute_batch(&pairs, &config);
         assert!(all_cpu.launch.is_none(), "fraction 0 never touches the GPU");
-        let all_gpu = HybridBackend::new(device(), 2, 1.0).compute_batch(&pairs, &config);
+        let all_gpu =
+            hybrid_backend(device(), 2, SplitConfig::fixed(1.0)).compute_batch(&pairs, &config);
         assert!(all_gpu.launch.is_some());
         assert_eq!(all_cpu.areas, all_gpu.areas);
     }
@@ -431,45 +396,12 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_device_constructs_matching_backends() {
-        let names: Vec<&str> = [
-            AggregationDevice::Gpu,
-            AggregationDevice::Cpu,
-            AggregationDevice::Hybrid,
-        ]
-        .into_iter()
-        .map(|d| d.backend(device(), 2, SplitConfig::default()).name())
-        .collect();
-        assert_eq!(
-            names,
-            vec!["pixelbox-gpu", "pixelbox-cpu", "pixelbox-hybrid"]
-        );
-    }
-
-    #[test]
-    fn only_the_hybrid_backend_has_a_controller() {
-        for (device_kind, expect_controller) in [
-            (AggregationDevice::Gpu, false),
-            (AggregationDevice::Cpu, false),
-            (AggregationDevice::Hybrid, true),
-        ] {
-            let (_, controller) =
-                device_kind.backend_with_controller(device(), 2, SplitConfig::default());
-            assert_eq!(controller.is_some(), expect_controller, "{device_kind:?}");
-        }
-    }
-
-    #[test]
     fn adaptive_hybrid_agrees_across_batches_and_records_telemetry() {
         let pairs = sample_pairs(48);
         let config = PixelBoxConfig::paper_default();
         let reference = CpuBackend::new(2).compute_batch(&pairs, &config);
-        let (backend, controller) = AggregationDevice::Hybrid.backend_with_controller(
-            device(),
-            2,
-            SplitConfig::adaptive(0.5),
-        );
-        let controller = controller.unwrap();
+        let controller = Arc::new(SplitController::new(SplitConfig::adaptive(0.5)));
+        let backend = HybridBackend::new(device(), 2, Arc::clone(&controller));
         // Run several batches so the controller has observations to act on;
         // whatever fraction it picks, results must stay bit-identical.
         for _ in 0..5 {
@@ -492,7 +424,7 @@ mod tests {
         // At the probe-band edge (0.95), round(8 * 0.95) == 8 would hand the
         // CPU zero pairs and freeze its rate EWMA; the adaptive split point
         // must keep at least one pair on each side of any 2+-pair batch.
-        let adaptive = HybridBackend::with_split(device(), 1, SplitConfig::adaptive(0.95));
+        let adaptive = hybrid_backend(device(), 1, SplitConfig::adaptive(0.95));
         for len in 2..=12usize {
             let split = adaptive.split_point(len);
             assert!((1..len).contains(&split), "len {len} split {split}");
@@ -507,7 +439,7 @@ mod tests {
             .observed_cpu_rate_per_worker()
             .is_some());
         // Static splits keep pure rounding: pinned extremes stay one-sided.
-        let pinned = HybridBackend::new(device(), 1, 1.0);
+        let pinned = hybrid_backend(device(), 1, SplitConfig::fixed(1.0));
         assert_eq!(pinned.split_point(8), 8);
     }
 
@@ -518,7 +450,7 @@ mod tests {
         // slowed by §5.6's Config-III trick must drain the GPU share even
         // though the host cost of simulating it is unchanged.
         let slow_device = Arc::new(Device::new(DeviceConfig::gtx580().slowed_down(1.0e6)));
-        let hybrid = HybridBackend::with_split(slow_device, 2, SplitConfig::adaptive(0.5));
+        let hybrid = hybrid_backend(slow_device, 2, SplitConfig::adaptive(0.5));
         let pairs = sample_pairs(40);
         let config = PixelBoxConfig::paper_default();
         let reference = CpuBackend::new(1).compute_batch(&pairs, &config);
@@ -537,7 +469,7 @@ mod tests {
     fn static_backend_records_but_never_moves() {
         let pairs = sample_pairs(30);
         let config = PixelBoxConfig::paper_default();
-        let hybrid = HybridBackend::new(device(), 2, 0.5);
+        let hybrid = hybrid_backend(device(), 2, SplitConfig::fixed(0.5));
         for _ in 0..4 {
             hybrid.compute_batch(&pairs, &config);
         }
@@ -548,11 +480,12 @@ mod tests {
     #[test]
     fn empty_batch_is_empty_on_every_backend() {
         let config = PixelBoxConfig::paper_default();
-        for backend in [
-            AggregationDevice::Gpu.backend(device(), 2, SplitConfig::default()),
-            AggregationDevice::Cpu.backend(device(), 2, SplitConfig::default()),
-            AggregationDevice::Hybrid.backend(device(), 2, SplitConfig::default()),
-        ] {
+        let backends: [Arc<dyn ComputeBackend>; 3] = [
+            Arc::new(GpuBackend::new(device())),
+            Arc::new(CpuBackend::new(2)),
+            Arc::new(hybrid_backend(device(), 2, SplitConfig::default())),
+        ];
+        for backend in backends {
             let batch = backend.compute_batch(&[], &config);
             assert!(batch.areas.is_empty(), "{}", backend.name());
             assert_eq!(batch.kernel_seconds(), 0.0, "{}", backend.name());

@@ -160,8 +160,8 @@ impl Default for OptimizationFlags {
 /// Which device executes the aggregation (area computation) work.
 ///
 /// This enum is the configuration-level name of a substrate; the actual
-/// dispatch happens through the [`ComputeBackend`] it constructs via
-/// [`AggregationDevice::backend`].
+/// dispatch happens through the [`ComputeBackend`] that
+/// [`CrossComparison`](crate::CrossComparison) builds for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AggregationDevice {
     /// The simulated GPU (PixelBox kernel).

@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use sccg::pixelbox::backend::hybrid_split_point;
 use sccg::pixelbox::{
     ComputeBackend, CpuBackend, HybridBackend, PixelBoxConfig, PolygonPair, SplitConfig,
+    SplitController,
 };
 use sccg_geometry::{Rect, RectilinearPolygon};
 use sccg_gpu_sim::{Device, DeviceConfig};
@@ -38,7 +39,15 @@ fn pair_batch() -> impl Strategy<Value = Vec<PolygonPair>> {
 }
 
 fn hybrid(fraction: f64) -> HybridBackend {
-    HybridBackend::new(Arc::new(Device::new(DeviceConfig::gtx580())), 2, fraction)
+    hybrid_with(SplitConfig::fixed(fraction))
+}
+
+fn hybrid_with(split: SplitConfig) -> HybridBackend {
+    HybridBackend::new(
+        Arc::new(Device::new(DeviceConfig::gtx580())),
+        2,
+        Arc::new(SplitController::new(split)),
+    )
 }
 
 proptest! {
@@ -102,11 +111,7 @@ proptest! {
         // correctness one.
         let config = PixelBoxConfig::paper_default();
         let reference = CpuBackend::new(1).compute_batch(&pairs, &config);
-        let backend = HybridBackend::with_split(
-            Arc::new(Device::new(DeviceConfig::gtx580())),
-            2,
-            SplitConfig::adaptive(seed).with_warmup_batches(0),
-        );
+        let backend = hybrid_with(SplitConfig::adaptive(seed).with_warmup_batches(0));
         for _ in 0..batches {
             let batch = backend.compute_batch(&pairs, &config);
             prop_assert_eq!(&batch.areas, &reference.areas);

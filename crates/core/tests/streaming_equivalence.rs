@@ -15,6 +15,7 @@
 use proptest::prelude::*;
 use sccg::pipeline::{ParseTask, Pipeline, PipelineConfig, PipelineReport};
 use sccg::pixelbox::{AggregationDevice, SplitPolicy};
+use sccg::EngineConfig;
 use sccg_datagen::{generate_dataset, DatasetSpec};
 
 fn tasks_of(dataset: &sccg_datagen::Dataset) -> Vec<ParseTask> {
@@ -47,8 +48,11 @@ fn deterministic_config(device: AggregationDevice, policy: SplitPolicy) -> Pipel
         .with_parser_workers(1)
         .with_aggregator_batch(1)
         .with_migration(false)
-        .with_device(device)
-        .with_split_policy(policy)
+        .with_engine(
+            EngineConfig::default()
+                .with_device(device)
+                .with_split_policy(policy),
+        )
         .with_buffer_capacity(4)
 }
 

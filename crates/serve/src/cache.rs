@@ -16,6 +16,7 @@
 
 use crate::store::SlideId;
 use sccg::pixelbox::{AggregationDevice, PixelBoxConfig, Variant};
+use sccg_store::fnv1a_64;
 
 pub use sccg::collections::LruCache;
 
@@ -29,15 +30,6 @@ pub(crate) struct CacheKey {
     /// Fingerprint of the effective [`PixelBoxConfig`].
     pub config: u64,
     pub device: Option<AggregationDevice>,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 /// Process-stable fingerprint of a PixelBox configuration: FNV-1a 64 over an
@@ -56,20 +48,16 @@ pub(crate) fn config_fingerprint(config: &PixelBoxConfig) -> u64 {
         Variant::NoSep => 1,
         Variant::Full => 2,
     };
-    let mut hash = FNV_OFFSET;
-    hash = fnv1a(hash, &config.block_size.to_le_bytes());
-    hash = fnv1a(hash, &config.grid_size.to_le_bytes());
-    hash = fnv1a(hash, &config.threshold.to_le_bytes());
-    hash = fnv1a(hash, &[variant_tag]);
-    hash = fnv1a(
-        hash,
-        &[
-            u8::from(config.opts.shared_memory_vertices),
-            u8::from(config.opts.avoid_bank_conflicts),
-            u8::from(config.opts.unroll_loops),
-        ],
-    );
-    fnv1a(hash, &config.cpu_fanout.to_le_bytes())
+    let mut bytes = [0u8; 20];
+    bytes[0..4].copy_from_slice(&config.block_size.to_le_bytes());
+    bytes[4..8].copy_from_slice(&config.grid_size.to_le_bytes());
+    bytes[8..12].copy_from_slice(&config.threshold.to_le_bytes());
+    bytes[12] = variant_tag;
+    bytes[13] = u8::from(config.opts.shared_memory_vertices);
+    bytes[14] = u8::from(config.opts.avoid_bank_conflicts);
+    bytes[15] = u8::from(config.opts.unroll_loops);
+    bytes[16..20].copy_from_slice(&config.cpu_fanout.to_le_bytes());
+    fnv1a_64(&bytes)
 }
 
 #[cfg(test)]
@@ -137,6 +125,9 @@ mod tests {
     fn pinned_fingerprint_matches_byte_listing() {
         assert_eq!(compute_paper_default(), PAPER_DEFAULT_FINGERPRINT);
     }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
     /// Independent const re-derivation of the same encoding, so the pinned
     /// value is auditable without an external tool.

@@ -74,14 +74,14 @@ use std::time::{Duration, Instant};
 #[non_exhaustive]
 pub struct ServiceConfig {
     /// Engine pool: one [`CrossComparison`] engine and worker task per
-    /// entry. Each entry's `device` and `cpu_workers` are honored; the
-    /// per-engine `gpu` and `pixelbox` fields are superseded by the
-    /// service-level [`ServiceConfig::gpu`] and [`ServiceConfig::pixelbox`]
-    /// (one physical device, one effective algorithm configuration — the
-    /// determinism invariant), and the per-engine `hybrid_gpu_fraction` /
-    /// `split_policy` by [`ServiceConfig::split`] (every hybrid engine
-    /// shares the one *pooled* controller; a per-engine split would defeat
-    /// the fleet-level pooling).
+    /// entry. Only each entry's `device` and `cpu_workers` are read. Its
+    /// `gpu` and `pixelbox` are ignored in favour of the service-level
+    /// [`ServiceConfig::gpu`] and [`ServiceConfig::pixelbox`] (one physical
+    /// device, one effective algorithm configuration — the determinism
+    /// invariant). Its `hybrid_gpu_fraction` and `split_policy` are ignored
+    /// in favour of [`ServiceConfig::split`]: every hybrid engine is built
+    /// with [`CrossComparison::with_device`] on the one *pooled* controller,
+    /// since a per-engine split would defeat the fleet-level pooling.
     pub engines: Vec<EngineConfig>,
     /// PixelBox parameters every query runs under (per-query
     /// [`QueryRequest::variant`] overrides the variant only).
@@ -749,16 +749,11 @@ impl ComparisonService {
         let mut engine_devices = Vec::with_capacity(config.engines.len());
         for (index, engine_config) in config.engines.iter().cloned().enumerate() {
             engine_devices.push(engine_config.device);
-            let engine = match (&controller, engine_config.device) {
-                (Some(shared), AggregationDevice::Hybrid) => {
-                    CrossComparison::with_shared_controller(
-                        engine_config,
-                        Arc::clone(&device),
-                        Arc::clone(shared),
-                    )
-                }
-                _ => CrossComparison::with_device(engine_config, Arc::clone(&device)),
-            };
+            let engine = CrossComparison::with_device(
+                engine_config,
+                Arc::clone(&device),
+                controller.clone(),
+            );
             executor.spawn(worker_task(index, engine, Arc::clone(&inner)));
         }
 

@@ -2,9 +2,10 @@
 //! determinism under sharding, response caching, admission control — plus
 //! the typed error route and the pooled hybrid split controller.
 
-use sccg::pixelbox::{AggregationDevice, SplitConfig, Variant};
+use sccg::pixelbox::{AggregationDevice, SplitConfig, SplitPolicy, Variant};
 use sccg::{CrossComparison, EngineConfig, JaccardAccumulator, JaccardSummary, SccgError};
 use sccg_datagen::{generate_dataset, DatasetSpec};
+use sccg_gpu_sim::DeviceConfig;
 use sccg_serve::prelude::*;
 
 /// A small deterministic dataset and its two "slides" (segmentation results).
@@ -209,6 +210,63 @@ fn pooled_controller_aggregates_observations_across_hybrid_engines() {
         .all(|s| (0.0..=1.0).contains(&s.next_fraction)));
     let stats = service.stats();
     assert_eq!(stats.shards_per_engine.iter().sum::<u64>(), 8);
+}
+
+#[test]
+fn per_engine_gpu_and_split_settings_are_superseded_by_the_service() {
+    // `ServiceConfig::engines` documents that only an entry's `device` and
+    // `cpu_workers` are read: a pool whose hybrid entries ask for a slowed
+    // GPU and a static 0.9 split answers exactly like the default pool, on
+    // the service's one device, with every hybrid shard recorded by the one
+    // pooled controller.
+    let data = dataset(8, 40, 3303);
+    let odd_hybrid = EngineConfig::default()
+        .with_device(AggregationDevice::Hybrid)
+        .with_gpu(DeviceConfig::gtx580().slowed_down(8.0))
+        .with_hybrid_gpu_fraction(0.9)
+        .with_split_policy(SplitPolicy::Static);
+    let cpu = EngineConfig::default().with_device(AggregationDevice::Cpu);
+    let answer = |engines: Vec<EngineConfig>| {
+        let store = SlideStore::new();
+        let (first, second) = register(&store, &data);
+        let service = ComparisonService::new(store, ServiceConfig::default().with_engines(engines))
+            .expect("service starts");
+        let response = service
+            .submit(QueryRequest::new(first, second).on_device(AggregationDevice::Hybrid))
+            .unwrap()
+            .wait()
+            .unwrap();
+        (service, response)
+    };
+    let (_, expected) = answer(ServiceConfig::default().engines);
+    let (service, response) = answer(vec![cpu, odd_hybrid.clone(), odd_hybrid]);
+
+    assert_eq!(response.summary, expected.summary);
+    let tile_summaries = |r: &QueryResponse| r.tiles.iter().map(|t| t.summary).collect::<Vec<_>>();
+    assert_eq!(tile_summaries(&response), tile_summaries(&expected));
+    assert_eq!(
+        service.device().config().name,
+        DeviceConfig::gtx580().name,
+        "one service-level device"
+    );
+
+    let hybrid_shards: u64 = service
+        .stats()
+        .shards_per_engine
+        .iter()
+        .zip(service.engine_devices())
+        .filter(|(_, &device)| device == AggregationDevice::Hybrid)
+        .map(|(&shards, _)| shards)
+        .sum();
+    assert_eq!(hybrid_shards, data.tiles.len() as u64);
+    let trace = service.split_trace().expect("pooled trace");
+    assert_eq!(trace.len() as u64, hybrid_shards);
+    // The pooled controller runs the service's split, not the entries'
+    // static 0.9.
+    assert_eq!(
+        trace.samples()[0].fraction,
+        SplitConfig::default().seed_gpu_fraction
+    );
 }
 
 #[test]

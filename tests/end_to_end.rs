@@ -113,19 +113,19 @@ fn adaptive_pipeline_traces_its_splits_and_matches_static_results() {
             .map(ParseTask::from_tile_pair)
             .collect()
     };
+    let hybrid = EngineConfig::default().with_device(AggregationDevice::Hybrid);
     let adaptive = Pipeline::new(
         PipelineConfig::default()
-            .with_device(AggregationDevice::Hybrid)
+            .with_engine(hybrid.clone())
             .with_aggregator_batch(2)
             .with_migration(false),
     )
     .run(tasks());
     let pinned = Pipeline::new(
         PipelineConfig::default()
-            .with_device(AggregationDevice::Hybrid)
+            .with_engine(hybrid.with_split_policy(SplitPolicy::Static))
             .with_aggregator_batch(2)
-            .with_migration(false)
-            .with_split_policy(SplitPolicy::Static),
+            .with_migration(false),
     )
     .run(tasks());
     assert!((adaptive.similarity() - pinned.similarity()).abs() < 1e-12);
