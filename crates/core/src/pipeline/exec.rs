@@ -526,11 +526,6 @@ impl<T> Receiver<T> {
         self.len() == 0
     }
 
-    /// The channel's buffer capacity.
-    pub fn capacity(&self) -> usize {
-        self.chan.capacity
-    }
-
     /// Whether the channel is drained *and* every sender has disconnected —
     /// no message will ever arrive again.
     pub fn is_finished(&self) -> bool {

@@ -54,7 +54,7 @@ pub mod model;
 use crate::engine::{CrossComparison, EngineConfig};
 use crate::jaccard::{JaccardAccumulator, JaccardSummary};
 use crate::pixelbox::{ComputeBackend, CpuBackend, PolygonPair};
-use parking_lot::Mutex;
+use crate::sync::lock;
 use sccg_datagen::TilePair;
 use sccg_geometry::text::{parse_polygon_file, PolygonRecord};
 use sccg_geometry::Rect;
@@ -63,7 +63,7 @@ use sccg_rtree::HilbertRTree;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll};
 use std::time::Instant;
 
@@ -335,7 +335,7 @@ impl SharedState {
         for a in areas {
             acc.add_pair(*a);
         }
-        self.accumulator.lock().merge(&acc);
+        lock(&self.accumulator).merge(&acc);
         self.candidate_pairs
             .fetch_add(areas.len() as u64, Ordering::Relaxed);
         self.tiles_done.fetch_add(tiles, Ordering::Relaxed);
@@ -684,7 +684,7 @@ impl Pipeline {
 
         let submitted = shared.admitted.load(Ordering::Relaxed) as usize;
         let gpu_busy_after = self.device.stats().busy_seconds;
-        let summary = shared.accumulator.lock().summary();
+        let summary = lock(&shared.accumulator).summary();
         let mut report = PipelineReport {
             summary,
             tiles: shared.tiles_done.load(Ordering::Relaxed) as usize,

@@ -34,9 +34,10 @@
 //! [`SplitTrace`] so benches and tests can assert *convergence behavior*, not
 //! just final answers.
 
-use parking_lot::Mutex;
+use crate::sync::lock;
 use serde::Serialize;
 use std::collections::VecDeque;
+use std::sync::Mutex;
 
 /// How the hybrid backend chooses each batch's GPU fraction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -352,30 +353,30 @@ impl SplitController {
 
     /// GPU fraction the next batch should run with.
     pub fn next_fraction(&self) -> f64 {
-        self.state.lock().fraction
+        lock(&self.state).fraction
     }
 
     /// Number of batches recorded so far.
     pub fn batches_recorded(&self) -> u64 {
-        self.state.lock().batches
+        lock(&self.state).batches
     }
 
     /// EWMA-smoothed GPU throughput in pairs per second, once observed.
     pub fn observed_gpu_rate(&self) -> Option<f64> {
-        self.state.lock().gpu_rate
+        lock(&self.state).gpu_rate
     }
 
     /// EWMA-smoothed CPU throughput in pairs per second *per worker thread*,
     /// once observed. The pipeline's migration thread uses this to size its
     /// single-worker migration batches.
     pub fn observed_cpu_rate_per_worker(&self) -> Option<f64> {
-        self.state.lock().cpu_rate_per_worker
+        lock(&self.state).cpu_rate_per_worker
     }
 
     /// Snapshot of the per-batch decision log.
     pub fn trace(&self) -> SplitTrace {
         SplitTrace {
-            samples: self.state.lock().trace.iter().copied().collect(),
+            samples: lock(&self.state).trace.iter().copied().collect(),
         }
     }
 
@@ -391,7 +392,7 @@ impl SplitController {
             return;
         }
         let per_worker = pairs as f64 / seconds / workers.max(1) as f64;
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         state.cpu_rate_per_worker = Some(ewma(
             state.cpu_rate_per_worker,
             per_worker,
@@ -408,7 +409,7 @@ impl SplitController {
         if obs.gpu_pairs == 0 && obs.cpu_pairs == 0 {
             return;
         }
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         if obs.gpu_pairs > 0 {
             // Sub-timer-resolution (or exactly-zero) durations are clamped to
             // the floor rather than skipped, so the rate stays finite and the

@@ -3,7 +3,7 @@
 use crate::config::{DeviceConfig, LaunchConfig};
 use crate::context::BlockCost;
 use crate::stats::{DeviceStats, LaunchStats};
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A simulated GPU device.
 ///
@@ -34,7 +34,7 @@ impl Device {
 
     /// Cumulative statistics since the device was created.
     pub fn stats(&self) -> DeviceStats {
-        *self.stats.lock()
+        *self.lock_stats()
     }
 
     /// Number of blocks of the given launch that can be resident on one SM
@@ -119,7 +119,7 @@ impl Device {
         agg.cycles = self.config.launch_overhead_cycles + critical_cycles;
         agg.time_seconds = agg.cycles as f64 / self.config.clock_hz * self.config.slowdown;
 
-        let mut stats = self.stats.lock();
+        let mut stats = self.lock_stats();
         stats.launches += 1;
         stats.total_cycles += agg.cycles;
         stats.busy_seconds += agg.time_seconds;
@@ -133,11 +133,19 @@ impl Device {
     pub fn transfer(&self, bytes: u64) -> f64 {
         const FIXED_OVERHEAD_SECONDS: f64 = 10.0e-6; // driver + DMA setup
         let seconds = FIXED_OVERHEAD_SECONDS + bytes as f64 / self.config.transfer_bandwidth;
-        let mut stats = self.stats.lock();
+        let mut stats = self.lock_stats();
         stats.bytes_transferred += bytes;
         stats.transfer_seconds += seconds;
         stats.busy_seconds += seconds;
         seconds
+    }
+
+    /// Locks the statistics, recovering them if a holder panicked: an
+    /// engine whose shard panics is contained by the caller, and the next
+    /// launch on the shared device must still count. (This crate sits below
+    /// `sccg`, so it cannot use `sccg::sync::lock`.)
+    fn lock_stats(&self) -> MutexGuard<'_, DeviceStats> {
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -174,6 +182,30 @@ mod tests {
         assert!(stats.cycles > 0);
         assert!(stats.time_seconds > 0.0);
         assert_eq!(device.stats().launches, 1);
+    }
+
+    /// Engines share one device, and a shard that panics is contained by
+    /// its caller: a panic while the statistics are locked must not fail
+    /// every later launch, transfer or snapshot.
+    #[test]
+    fn stats_survive_a_panic_while_locked() {
+        let device = std::sync::Arc::new(tiny());
+        let poisoner = std::sync::Arc::clone(&device);
+        let _ = std::thread::spawn(move || {
+            let _guard = poisoner.stats.lock().unwrap();
+            panic!("poison the stats lock");
+        })
+        .join();
+        assert!(device.stats.is_poisoned());
+
+        let launch = LaunchConfig::new(2, 16);
+        let stats = device.launch(&launch, &costs(&device, &launch, |b| b.charge_alu(3)));
+        assert!(stats.cycles > 0);
+        assert!(device.transfer(1024) > 0.0);
+        let totals = device.stats();
+        assert_eq!(totals.launches, 1);
+        assert_eq!(totals.total_cycles, stats.cycles);
+        assert_eq!(totals.bytes_transferred, 1024);
     }
 
     #[test]

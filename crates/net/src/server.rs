@@ -6,11 +6,11 @@
 //! [`crate::wire`]: `Hello`/`HelloAck`, then queries processed **serially
 //! per connection** (concurrency comes from concurrent connections). The
 //! socket is the backpressure: a peer that stops reading blocks only its own
-//! dispatcher in `write`, while the service's per-query event buffer, sized
-//! to the shard count, keeps engine workers from ever waiting on it.
+//! dispatcher in `write`, while the query handle's unbounded event buffer
+//! keeps engine workers from ever waiting on it.
 //!
 //! A query is one exchange. The dispatcher submits it via
-//! [`ComparisonService::submit_streaming`], forwards each
+//! [`ComparisonService::submit`], forwards each
 //! [`QueryEvent::Tile`] as its shard completes (streaming mode), then writes
 //! one terminal `Summary` or `Error` frame, and nothing else. Blocking mode
 //! is the degenerate case: tile events are folded into one summary frame
@@ -305,7 +305,7 @@ fn serve_one_query(
         request_id,
         failure: WireFailure::of_error(error),
     };
-    let handle = match shared.service.submit_streaming(spec.to_request()) {
+    let handle = match shared.service.submit(spec.to_request()) {
         Ok(handle) => handle,
         Err(error) => return sender.send(&failed(&error).to_frame()),
     };

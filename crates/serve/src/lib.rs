@@ -19,8 +19,10 @@
 //!   accumulators in deterministic tile order, caches responses, bounds
 //!   in-flight queries with admission control, and pools hybrid
 //!   [`sccg::pixelbox::SplitController`] observations across engines.
-//! * [`QueryHandle`] / [`QueryResponse`] — resolve asynchronously-computed
-//!   results; [`json`] renders responses and telemetry as JSON.
+//! * [`QueryHandle`] / [`QueryResponse`] — one event stream per query: a
+//!   [`QueryEvent::Tile`] per tile as its shard completes, then the merged
+//!   response ([`QueryHandle::wait`] skips to it); [`json`] renders
+//!   responses and telemetry as JSON.
 //!
 //! # Quick start
 //!
@@ -62,7 +64,7 @@ pub use cache::LruCache;
 pub use request::{QueryPriority, QueryRequest, TileSelection};
 pub use service::{
     ComparisonService, QueryEvent, QueryHandle, QueryResponse, SchedulerStats, ServiceConfig,
-    ServiceStats, StreamingHandle, TileReport,
+    ServiceStats, TileReport,
 };
 pub use store::{SlideId, SlideInfo, SlideStore, StorageStats, TileId};
 pub use supervisor::EngineHealth;
@@ -73,7 +75,7 @@ pub mod prelude {
     pub use crate::request::{QueryPriority, QueryRequest, TileSelection};
     pub use crate::service::{
         ComparisonService, QueryEvent, QueryHandle, QueryResponse, SchedulerStats, ServiceConfig,
-        ServiceStats, StreamingHandle, TileReport,
+        ServiceStats, TileReport,
     };
     pub use crate::store::{SlideId, SlideInfo, SlideStore, StorageStats, TileId};
     pub use crate::supervisor::EngineHealth;

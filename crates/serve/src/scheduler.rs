@@ -217,7 +217,7 @@ mod tests {
         second: SlideId,
         shards: usize,
     ) -> Arc<QueryState> {
-        let (responder, _keepalive) = crossbeam::channel::bounded(1);
+        let (events, _keepalive) = std::sync::mpsc::channel();
         Arc::new(QueryState {
             key: CacheKey {
                 first,
@@ -237,8 +237,7 @@ mod tests {
             partials: Mutex::new(Vec::new()),
             remaining: AtomicUsize::new(shards),
             failure: Mutex::new(None),
-            responder,
-            stream: None,
+            events,
             deadline: None,
         })
     }

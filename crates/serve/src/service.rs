@@ -43,7 +43,6 @@ use crate::request::{QueryPriority, QueryRequest, TileSelection};
 use crate::scheduler::{JobQueue, ShardJob, Worker};
 use crate::store::{SlideId, SlideStore, TileId};
 use crate::supervisor::{EngineHealth, Supervisor};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use sccg::pipeline::exec::Executor;
 use sccg::pixelbox::{AggregationDevice, PixelBoxConfig, SplitConfig, SplitController, SplitTrace};
 use sccg::sync::lock;
@@ -54,16 +53,9 @@ use sccg::{
 use sccg_gpu_sim::{Device, DeviceConfig};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-// This module deliberately uses `std::sync` primitives rather than the
-// `parking_lot` used elsewhere in the workspace: the admission semaphore
-// needs a `Condvar` paired with its mutex (its waiters are *client*
-// threads, not executor tasks, so blocking is correct there), `std`'s
-// `Condvar` only pairs with `std`'s `Mutex`, and the offline `parking_lot`
-// shim provides no `Condvar` at all. Poison recovery goes through the
-// workspace-wide [`sccg::sync::lock`] helper.
 
 /// Configuration of a [`ComparisonService`].
 ///
@@ -304,8 +296,7 @@ pub struct SchedulerStats {
     pub prefetch_wasted: u64,
 }
 
-/// One progressive event of a streaming query (see
-/// [`ComparisonService::submit_streaming`]).
+/// One progressive event of a query (see [`QueryHandle`]).
 #[derive(Debug, Clone)]
 pub enum QueryEvent {
     /// One tile's report, delivered as soon as its shard completed. Events
@@ -319,46 +310,40 @@ pub enum QueryEvent {
         /// the final response.
         report: TileReport,
     },
-    /// Terminal event: the merged response (bit-identical to what
-    /// [`ComparisonService::submit`] would have returned), or the query's
-    /// failure. No event follows it.
+    /// Terminal event: the merged response, or the query's failure. No
+    /// event follows it.
     Finished(Result<QueryResponse, SccgError>),
 }
 
-/// Handle to a query submitted with
-/// [`ComparisonService::submit_streaming`]: a sequence of
-/// [`QueryEvent::Tile`] events terminated by one [`QueryEvent::Finished`].
+/// Handle to a submitted query: a sequence of [`QueryEvent::Tile`] events,
+/// one per tile as its shard completes, terminated by one
+/// [`QueryEvent::Finished`] carrying the merged response.
 ///
-/// Cache hits and empty queries replay as the same shape (every tile event,
-/// then the finish), so consumers need no special cases; a blocking caller
-/// is simply one that ignores tile events — the degenerate one-frame case
-/// the wire protocol preserves.
-pub struct StreamingHandle {
+/// Every tile event's report is bit-identical to the corresponding entry of
+/// the final response. Cache hits and empty queries replay as the same
+/// shape (every tile event, then the finish), so consumers need no special
+/// cases; a blocking caller ([`QueryHandle::wait`]) is simply one that
+/// ignores tile events. The events are buffered without bound, so an engine
+/// never waits for a slow consumer, and dropping the handle cancels
+/// nothing: the query still completes and is cached.
+#[derive(Debug)]
+pub struct QueryHandle {
     events: Receiver<QueryEvent>,
 }
 
-impl std::fmt::Debug for StreamingHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamingHandle").finish_non_exhaustive()
-    }
-}
-
-impl StreamingHandle {
+impl QueryHandle {
     /// Synthesizes the event stream of an already-resolved response (cache
     /// hit, empty query): every tile as an event, then the finish.
-    fn replay(result: Result<QueryResponse, SccgError>) -> Self {
-        let tiles = result.as_ref().map(|r| r.tiles.len()).unwrap_or(0);
-        let (tx, rx) = bounded(tiles + 1);
-        if let Ok(response) = &result {
-            for (position, report) in response.tiles.iter().enumerate() {
-                let _ = tx.send(QueryEvent::Tile {
-                    position,
-                    report: report.clone(),
-                });
-            }
+    fn replay(response: QueryResponse) -> Self {
+        let (tx, events) = mpsc::channel();
+        for (position, report) in response.tiles.iter().enumerate() {
+            let _ = tx.send(QueryEvent::Tile {
+                position,
+                report: report.clone(),
+            });
         }
-        let _ = tx.send(QueryEvent::Finished(result));
-        StreamingHandle { events: rx }
+        let _ = tx.send(QueryEvent::Finished(Ok(response)));
+        QueryHandle { events }
     }
 
     /// Blocks for the next event. Returns `None` once the terminal
@@ -384,8 +369,8 @@ impl StreamingHandle {
         Err(SccgError::ShutDown)
     }
 
-    /// Drains the stream ignoring tile events and returns the merged
-    /// response (the blocking degenerate case).
+    /// Blocks until the query resolves, ignoring tile events, and returns
+    /// the merged response.
     pub fn wait(self) -> Result<QueryResponse, SccgError> {
         self.wait_with(|_, _| {})
     }
@@ -422,12 +407,10 @@ pub(crate) struct QueryState {
     /// tile in, or [`SccgError::Internal`] for a panic in a backend. The
     /// query fails with it instead of wedging the service.
     pub(crate) failure: Mutex<Option<SccgError>>,
-    pub(crate) responder: Sender<Result<QueryResponse, SccgError>>,
-    /// Streaming subscriber: per-tile events pushed as shards complete (the
-    /// PR 4 aggregator seam). The channel is sized `shards + 1`, so workers
-    /// never block on a slow stream consumer — a lagging client backs up in
-    /// its own transport, not in the engine pool.
-    pub(crate) stream: Option<Sender<QueryEvent>>,
+    /// The query's [`QueryHandle`] end: one tile event per completed shard,
+    /// then the finish. Unbounded, so a worker never blocks on a slow
+    /// consumer; a send to a dropped handle is ignored.
+    pub(crate) events: Sender<QueryEvent>,
     /// The absolute deadline computed at submission from
     /// [`QueryRequest::with_deadline`], paired with the requested duration
     /// in milliseconds (echoed in the typed error). Workers check it when
@@ -574,103 +557,43 @@ impl ServiceInner {
     fn finalize(&self, query: &QueryState) {
         // A query with a failed shard resolves to an error; the admission
         // slot is still returned so the service stays serviceable.
-        if let Some(error) = lock(&query.failure).take() {
-            self.admission.release();
-            let result = Err(error);
-            if let Some(stream) = &query.stream {
-                let _ = stream.send(QueryEvent::Finished(result.clone()));
+        let result = match lock(&query.failure).take() {
+            Some(error) => Err(error),
+            None => {
+                // The last shard is in: the partials move into the response.
+                let partials = std::mem::take(&mut *lock(&query.partials));
+                let mut total = JaccardAccumulator::new();
+                let tiles: Vec<TileReport> = partials
+                    .into_iter()
+                    .map(|slot| {
+                        let partial = slot.expect("query finalized with all shards done");
+                        total.merge(&partial.accumulator);
+                        partial.report
+                    })
+                    .collect();
+                let response = QueryResponse {
+                    first: query.meta.first,
+                    second: query.meta.second,
+                    shards: tiles.len(),
+                    tiles,
+                    summary: total.summary(),
+                    cache_hit: false,
+                    priority: query.meta.priority,
+                    device: query.meta.device,
+                };
+                // A disabled cache keeps nothing: skip the copy.
+                let mut cache = lock(&self.cache);
+                if cache.capacity() > 0 {
+                    cache.insert(query.key.clone(), response.clone());
+                }
+                drop(cache);
+                self.counters.completed.fetch_add(1, Ordering::Relaxed);
+                Ok(response)
             }
-            let _ = query.responder.send(result);
-            return;
-        }
-        let mut total = JaccardAccumulator::new();
-        let tiles: Vec<TileReport> = {
-            let partials = lock(&query.partials);
-            partials
-                .iter()
-                .map(|slot| {
-                    let partial = slot.as_ref().expect("query finalized with all shards done");
-                    total.merge(&partial.accumulator);
-                    partial.report.clone()
-                })
-                .collect()
         };
-        let response = QueryResponse {
-            first: query.meta.first,
-            second: query.meta.second,
-            shards: tiles.len(),
-            tiles,
-            summary: total.summary(),
-            cache_hit: false,
-            priority: query.meta.priority,
-            device: query.meta.device,
-        };
-        lock(&self.cache).insert(query.key.clone(), response.clone());
-        self.counters.completed.fetch_add(1, Ordering::Relaxed);
         self.admission.release();
-        // The caller may have dropped its handle; that is not an error. The
-        // terminal stream event goes out first so a streaming consumer that
-        // also holds the blocking handle never observes the response before
-        // its own stream finished.
-        if let Some(stream) = &query.stream {
-            let _ = stream.send(QueryEvent::Finished(Ok(response.clone())));
-        }
-        let _ = query.responder.send(Ok(response));
-    }
-}
-
-/// Future-like handle to a submitted query.
-pub struct QueryHandle {
-    state: HandleState,
-}
-
-impl std::fmt::Debug for QueryHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = match &self.state {
-            HandleState::Ready(_) => "ready",
-            HandleState::Waiting(_) => "waiting",
-        };
-        f.debug_struct("QueryHandle")
-            .field("state", &state)
-            .finish()
-    }
-}
-
-enum HandleState {
-    /// The response was available at submission (cache hit or empty query).
-    Ready(Result<QueryResponse, SccgError>),
-    /// The response arrives when the last shard completes.
-    Waiting(Receiver<Result<QueryResponse, SccgError>>),
-}
-
-impl QueryHandle {
-    fn ready(result: Result<QueryResponse, SccgError>) -> Self {
-        QueryHandle {
-            state: HandleState::Ready(result),
-        }
-    }
-
-    fn waiting(rx: Receiver<Result<QueryResponse, SccgError>>) -> Self {
-        QueryHandle {
-            state: HandleState::Waiting(rx),
-        }
-    }
-
-    /// Whether [`QueryHandle::wait`] would return without blocking.
-    pub fn is_ready(&self) -> bool {
-        match &self.state {
-            HandleState::Ready(_) => true,
-            HandleState::Waiting(rx) => !rx.is_empty(),
-        }
-    }
-
-    /// Blocks until the query resolves. Returns [`SccgError::ShutDown`] if
-    /// the service was dropped before the query completed.
-    pub fn wait(self) -> Result<QueryResponse, SccgError> {
-        match self.state {
-            HandleState::Ready(result) => result,
-            HandleState::Waiting(rx) => rx.recv().map_err(|_| SccgError::ShutDown)?,
-        }
+        // The caller may have dropped its handle; that is not an error.
+        let _ = query.events.send(QueryEvent::Finished(result));
     }
 }
 
@@ -829,8 +752,11 @@ impl ComparisonService {
     }
 
     /// Submits a query, blocking while the admission bound is reached.
-    /// Returns immediately (without taking an execution slot) for cache hits
-    /// and empty queries.
+    /// The handle streams one [`QueryEvent::Tile`] per tile as its shard
+    /// completes, then [`QueryEvent::Finished`] with the merged response;
+    /// [`QueryHandle::wait`] skips to the response. Cache hits and empty
+    /// queries replay the same event shape without taking an execution
+    /// slot.
     pub fn submit(&self, request: QueryRequest) -> Result<QueryHandle, SccgError> {
         self.enqueue(request, true)
     }
@@ -841,28 +767,11 @@ impl ComparisonService {
         self.enqueue(request, false)
     }
 
-    /// Submits a query whose results stream progressively: one
-    /// [`QueryEvent::Tile`] per tile, pushed as its shard completes on the
-    /// engine pool, terminated by [`QueryEvent::Finished`] carrying the
-    /// merged response — bit-identical (per-tile areas *and* merged `J'`) to
-    /// what [`ComparisonService::submit`] returns for the same request.
-    ///
-    /// Blocks while the admission bound is reached, like `submit`. Cache
-    /// hits and empty queries replay the same event shape without taking an
-    /// execution slot.
-    pub fn submit_streaming(&self, request: QueryRequest) -> Result<StreamingHandle, SccgError> {
-        let prepared = self.prepare(&request)?;
-        self.inner
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
-        if let Some(resolved) = self.fast_path(&request, &prepared) {
-            return Ok(StreamingHandle::replay(Ok(resolved)));
-        }
-        self.inner.admission.acquire();
-        let (tx, rx) = bounded(prepared.indices.len() + 1);
-        let _responder = self.launch(request, prepared, Some(tx));
-        Ok(StreamingHandle { events: rx })
+    /// Alias of [`ComparisonService::submit`], whose handle streams every
+    /// query. Kept only because the repository benchmark calls it by this
+    /// name; it goes when the benchmark is next changed.
+    pub fn submit_streaming(&self, request: QueryRequest) -> Result<QueryHandle, SccgError> {
+        self.submit(request)
     }
 
     fn enqueue(&self, request: QueryRequest, blocking: bool) -> Result<QueryHandle, SccgError> {
@@ -873,7 +782,7 @@ impl ComparisonService {
             .fetch_add(1, Ordering::Relaxed);
 
         if let Some(resolved) = self.fast_path(&request, &prepared) {
-            return Ok(QueryHandle::ready(Ok(resolved)));
+            return Ok(QueryHandle::replay(resolved));
         }
 
         if blocking {
@@ -885,7 +794,7 @@ impl ComparisonService {
             });
         }
 
-        Ok(QueryHandle::waiting(self.launch(request, prepared, None)))
+        Ok(self.launch(request, prepared))
     }
 
     /// Resolves a prepared query without an execution slot when possible:
@@ -920,16 +829,11 @@ impl ComparisonService {
     }
 
     /// Shards an admitted query across the engine pool. The caller has
-    /// already taken an admission slot; the returned receiver resolves when
+    /// already taken an admission slot; the returned handle finishes when
     /// the last shard completes.
-    fn launch(
-        &self,
-        request: QueryRequest,
-        prepared: Prepared,
-        stream: Option<Sender<QueryEvent>>,
-    ) -> Receiver<Result<QueryResponse, SccgError>> {
+    fn launch(&self, request: QueryRequest, prepared: Prepared) -> QueryHandle {
         let shard_count = prepared.indices.len();
-        let (tx, rx) = bounded(1);
+        let (events, rx) = mpsc::channel();
         // The deadline clock starts at launch: shards popped after it
         // expired are abandoned without computing.
         let deadline = request
@@ -948,8 +852,7 @@ impl ComparisonService {
             partials: Mutex::new((0..shard_count).map(|_| None).collect()),
             remaining: AtomicUsize::new(shard_count),
             failure: Mutex::new(None),
-            responder: tx,
-            stream,
+            events,
             deadline,
         });
         let lane = request.priority.lane();
@@ -971,7 +874,7 @@ impl ComparisonService {
         if !self.inner.supervisor.live_eligible_exists(request.device) {
             self.inner.sweep_orphaned_shards();
         }
-        rx
+        QueryHandle { events: rx }
     }
 
     /// Validates a request: devices, slide handles and every tile index —
@@ -1134,16 +1037,13 @@ async fn worker_task(index: usize, engine: CrossComparison, inner: Arc<ServiceIn
                     },
                     accumulator,
                 };
-                // Push the tile to streaming subscribers the moment it is
-                // done — before the query's own completion — so progressive
-                // consumers render results as shards land. The channel is
-                // sized to hold every event, so this never blocks a worker.
-                if let Some(stream) = &job.query.stream {
-                    let _ = stream.send(QueryEvent::Tile {
-                        position: job.position,
-                        report: partial.report.clone(),
-                    });
-                }
+                // Push the tile to the handle the moment it is done —
+                // before the query's own completion — so progressive
+                // consumers render results as shards land.
+                let _ = job.query.events.send(QueryEvent::Tile {
+                    position: job.position,
+                    report: partial.report.clone(),
+                });
                 lock(&job.query.partials)[job.position] = Some(partial);
             }
             Ok(Err(payload)) => {

@@ -42,15 +42,15 @@
 //! in memory, and the streaming registration degrades to an in-memory
 //! accumulation with identical results.
 
-use parking_lot::Mutex;
 use sccg::pipeline::exec::{channel, Executor};
+use sccg::sync::lock;
 use sccg::{FaultInjector, SccgError, WorkerPool};
 use sccg_geometry::text::{parse_polygon_file, PolygonRecord};
 use sccg_store::{recover_dir, PagerStats, SlideFileWriter, TileStorage};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 
 /// Handle of a registered slide (one segmentation result: a sequence of
 /// tiles of polygon records).
@@ -192,7 +192,7 @@ pub struct SlideStore {
 
 impl std::fmt::Debug for SlideStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let slides = self.inner.lock();
+        let slides = lock(&self.inner);
         f.debug_struct("SlideStore")
             .field("slides", &slides.len())
             .field("spilling", &self.spill.is_some())
@@ -337,7 +337,7 @@ impl SlideStore {
         // The streaming seam: a bounded channel keeps at most a couple of
         // parsed tiles in flight between this thread and the writer task.
         let (tile_tx, tile_rx) = channel::<Vec<PolygonRecord>>(2);
-        let (done_tx, done_rx) = crossbeam::channel::bounded(1);
+        let (done_tx, done_rx) = mpsc::channel();
         // The writer is a task on the shared worker pool, not a thread of
         // its own: between tiles it is suspended on the channel.
         Executor::new(WorkerPool::global()).spawn(async move {
@@ -397,7 +397,7 @@ impl SlideStore {
     }
 
     fn push_entry(&self, entry: SlideEntry) -> SlideId {
-        let mut slides = self.inner.lock();
+        let mut slides = lock(&self.inner);
         let id = SlideId(slides.len() as u64);
         slides.push(entry);
         id
@@ -412,7 +412,7 @@ impl SlideStore {
         slide: SlideId,
         records: Vec<PolygonRecord>,
     ) -> Result<TileId, SccgError> {
-        let mut slides = self.inner.lock();
+        let mut slides = lock(&self.inner);
         let entry = slides
             .get_mut(slide.0 as usize)
             .ok_or(SccgError::UnknownSlide { slide: slide.0 })?;
@@ -435,17 +435,17 @@ impl SlideStore {
 
     /// Number of registered slides.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        lock(&self.inner).len()
     }
 
     /// Whether the store has no slides.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        lock(&self.inner).is_empty()
     }
 
     /// Summary of a registered slide.
     pub fn slide(&self, slide: SlideId) -> Result<SlideInfo, SccgError> {
-        let slides = self.inner.lock();
+        let slides = lock(&self.inner);
         let entry = slides
             .get(slide.0 as usize)
             .ok_or(SccgError::UnknownSlide { slide: slide.0 })?;
@@ -476,7 +476,7 @@ impl SlideStore {
         // Clone the pager handle out of the registry lock before the
         // (possibly I/O-bound) fetch: a disk read must not block lookups.
         let storage = {
-            let slides = self.inner.lock();
+            let slides = lock(&self.inner);
             let entry = slides
                 .get(tile.slide.0 as usize)
                 .ok_or(SccgError::UnknownSlide {
@@ -511,7 +511,7 @@ impl SlideStore {
     /// Aggregate out-of-core telemetry across every disk-backed slide.
     pub fn storage_stats(&self) -> StorageStats {
         let pagers: Vec<Arc<TileStorage>> = {
-            let slides = self.inner.lock();
+            let slides = lock(&self.inner);
             slides
                 .iter()
                 .filter_map(|entry| match &entry.backing {

@@ -1,0 +1,95 @@
+//! Allocation budget of a serving query.
+//!
+//! A warm, in-process, 1-tile query of a 48-polygon tile (the shape of the
+//! benchmark's `serve_small` workload) on the default service with the
+//! response cache off: validation, admission, one shard on whichever engine
+//! takes it, the merge, and the handle's event stream. The mean over many
+//! queries must stay within 10 % of the count measured when the budget was
+//! set, so an extra channel, clone or buffer per query shows here before it
+//! shows in the benchmark.
+//!
+//! The engines run on the worker pool's threads, so the global allocator
+//! counts every thread's allocations, and this file is its own test binary
+//! with a single test.
+
+use sccg_datagen::{generate_dataset, DatasetSpec};
+use sccg_serve::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Forwards to the system allocator, counting allocations (`alloc` and
+/// `realloc` calls) across all threads.
+struct CountingAllocator;
+
+static COUNT: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        COUNT.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        COUNT.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Mean allocations per query measured when the budget was set, on a
+/// 2-vCPU host.
+const MEASURED: f64 = 492.5;
+
+const TILES: usize = 8;
+const WARM_UP: usize = 200;
+const COUNTED: usize = 2000;
+
+#[test]
+fn a_warm_one_tile_query_stays_within_its_allocation_budget() {
+    let dataset = generate_dataset(&DatasetSpec {
+        name: "alloc-budget".into(),
+        tiles: TILES as u32,
+        polygons_per_tile: 48,
+        tile_size: 512,
+        seed: 5,
+        nucleus_radius: 6,
+    });
+    let store = SlideStore::new();
+    let first = store.register_slide("a", dataset.tiles.iter().map(|t| t.first.clone()).collect());
+    let second = store.register_slide(
+        "b",
+        dataset.tiles.iter().map(|t| t.second.clone()).collect(),
+    );
+    let service = ComparisonService::new(store, ServiceConfig::default().with_cache_capacity(0))
+        .expect("default service starts");
+    let query = |i: usize| {
+        let response = service
+            .submit(QueryRequest::new(first, second).tiles(vec![i % TILES]))
+            .expect("query admitted")
+            .wait()
+            .expect("query resolves");
+        assert_eq!(response.shards, 1);
+    };
+
+    for i in 0..WARM_UP {
+        query(i);
+    }
+    let before = COUNT.load(Ordering::Relaxed);
+    for i in 0..COUNTED {
+        query(i);
+    }
+    let mean = (COUNT.load(Ordering::Relaxed) - before) as f64 / COUNTED as f64;
+
+    println!("{mean:.1} allocations per warm 1-tile query");
+    assert!(
+        mean <= MEASURED * 1.1,
+        "{mean:.1} allocations per query, budget {:.1}",
+        MEASURED * 1.1
+    );
+}

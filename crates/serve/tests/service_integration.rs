@@ -565,7 +565,7 @@ fn engine_pool_larger_than_the_worker_pool_still_serves() {
 /// The concurrent-overload contract of the admission path, probed while the
 /// semaphore is genuinely full:
 ///
-/// * cache hits return ready without taking an execution slot;
+/// * cache hits resolve without taking an execution slot;
 /// * `try_submit` fails with `Overloaded` and leaks no permit;
 /// * every blocked `submit` (more waiters than slots) eventually wakes
 ///   through the `notify_one` release chain and completes.
@@ -614,12 +614,11 @@ fn full_admission_serves_cache_hits_rejects_try_submit_and_wakes_all_waiters() {
     let hit = service
         .submit(cached_request())
         .expect("cache hit admitted");
-    assert!(hit.is_ready(), "cache hit needs no execution slot");
     assert!(hit.wait().unwrap().cache_hit);
     assert_eq!(
         service.stats().in_flight,
         1,
-        "only the heavy query holds a slot"
+        "only the heavy query holds a slot: the cache hit took none"
     );
 
     // More blocked submitters than slots: all of them must eventually wake
@@ -716,4 +715,97 @@ fn streaming_submission_matches_blocking_response_tile_for_tile() {
         "cache hits replay every tile event"
     );
     assert_eq!(hit.summary, warm.summary);
+}
+
+/// Blocks until the service has completed `count` sharded queries and
+/// returned every admission slot (a query counts as completed just before
+/// its slot is released).
+fn wait_until_idle(service: &ComparisonService, count: u64) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    loop {
+        let stats = service.stats();
+        if stats.completed >= count && stats.in_flight == 0 {
+            return;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "query never finished: {stats:?}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// A one-engine pool whose only engine must run every shard of a query.
+fn one_engine_service(store: SlideStore, cache_capacity: usize) -> ComparisonService {
+    ComparisonService::new(
+        store,
+        ServiceConfig::default()
+            .with_engines(vec![EngineConfig::default()
+                .with_device(AggregationDevice::Cpu)
+                .with_cpu_workers(1)])
+            .with_cache_capacity(cache_capacity),
+    )
+    .expect("service starts")
+}
+
+/// A handle nobody reads until its query has finished must not stall the
+/// engine: the query completes on its own, and the handle then yields every
+/// tile event and the finish, bit-identical to a blocking `wait`.
+#[test]
+fn an_unread_handle_never_stalls_the_engine() {
+    let data = dataset(6, 60, 4242);
+    let store = SlideStore::new();
+    let (first, second) = register(&store, &data);
+    let service = one_engine_service(store, 0);
+
+    let unread = service
+        .submit(QueryRequest::new(first, second))
+        .expect("query admitted");
+    wait_until_idle(&service, 1);
+
+    let mut tiles = Vec::new();
+    let streamed = loop {
+        match unread.next_event().expect("the finish is buffered") {
+            QueryEvent::Tile { position, report } => tiles.push((position, report)),
+            QueryEvent::Finished(result) => break result.expect("query succeeded"),
+        }
+    };
+    assert!(unread.next_event().is_none(), "nothing follows the finish");
+
+    let blocking = service
+        .submit(QueryRequest::new(first, second))
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(streamed, blocking);
+    assert_eq!(tiles.len(), blocking.tiles.len(), "one event per shard");
+    for (position, report) in &tiles {
+        assert_eq!(*report, blocking.tiles[*position]);
+    }
+}
+
+/// Dropping a handle mid-query cancels nothing: the engine finishes the
+/// query, its admission slot comes back, and the response is cached.
+#[test]
+fn a_dropped_handle_returns_its_slot_and_still_caches_the_response() {
+    let data = dataset(6, 60, 4343);
+    let store = SlideStore::new();
+    let (first, second) = register(&store, &data);
+    let service = one_engine_service(store, 8);
+
+    drop(
+        service
+            .submit(QueryRequest::new(first, second))
+            .expect("query admitted"),
+    );
+    wait_until_idle(&service, 1);
+    assert_eq!(service.stats().cache_entries, 1, "the response was cached");
+
+    let hit = service
+        .submit(QueryRequest::new(first, second))
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert!(hit.cache_hit);
+    assert_eq!(hit.shards, data.tiles.len());
 }
