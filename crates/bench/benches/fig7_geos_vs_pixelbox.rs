@@ -3,9 +3,9 @@
 //! [`ComputeBackend`].
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use sccg::pixelbox::cpu::compute_batch_cpu;
 use sccg::pixelbox::{
-    ComputeBackend, CpuBackend, GpuBackend, HybridBackend, PixelBoxConfig, SplitConfig,
-    SplitController,
+    ComputeBackend, GpuBackend, HybridBackend, PixelBoxConfig, SplitConfig, SplitController,
 };
 use sccg_bench::representative_pairs;
 use sccg_clip::pair_areas;
@@ -15,7 +15,6 @@ use std::sync::Arc;
 fn bench(c: &mut Criterion) {
     let pairs = representative_pairs(400, 1);
     let config = PixelBoxConfig::paper_default();
-    let cpu_single = CpuBackend::new(1);
     let gpu = GpuBackend::new(Arc::new(Device::new(DeviceConfig::gtx580())));
     let hybrid = HybridBackend::new(
         Arc::new(Device::new(DeviceConfig::gtx580())),
@@ -33,7 +32,7 @@ fn bench(c: &mut Criterion) {
         })
     });
     group.bench_function("pixelbox_cpu_single_core", |bench| {
-        bench.iter(|| cpu_single.compute_batch(&pairs, &config))
+        bench.iter(|| compute_batch_cpu(&pairs, &config, 1))
     });
     group.bench_function("pixelbox_gpu_simulated", |bench| {
         bench.iter(|| gpu.compute_batch(&pairs, &config))

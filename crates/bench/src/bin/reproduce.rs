@@ -14,9 +14,10 @@
 //! target, asserted by `tests/experiment_shapes.rs`.
 
 use sccg::pipeline::model::{HybridSplitMode, PipelineModel, PlatformConfig, Scheme};
+use sccg::pixelbox::cpu::compute_batch_cpu;
 use sccg::pixelbox::{
-    ComputeBackend, CpuBackend, GpuBackend, HybridBackend, OptimizationFlags, PixelBoxConfig,
-    SplitConfig, SplitController, Variant,
+    ComputeBackend, GpuBackend, HybridBackend, OptimizationFlags, PixelBoxConfig, SplitConfig,
+    SplitController, Variant,
 };
 use sccg_bench::{dataset_tile_stats, representative_pairs, study_datasets, system_dataset};
 use sccg_clip::pair_areas;
@@ -132,7 +133,7 @@ fn figure7() {
     let geos_seconds = started.elapsed().as_secs_f64();
 
     let started = Instant::now();
-    let cpu = CpuBackend::new(1).compute_batch(&pairs, &config);
+    let cpu = compute_batch_cpu(&pairs, &config, 1);
     let cpu_seconds = started.elapsed().as_secs_f64();
 
     let gpu = gpu_backend().compute_batch(&pairs, &config);
@@ -146,13 +147,10 @@ fn figure7() {
     let hybrid = hybrid_backend.compute_batch(&pairs, &config);
     assert_eq!(
         geos.iter().map(|a| a.intersection).sum::<i64>(),
-        cpu.areas.iter().map(|a| a.intersection).sum::<i64>()
+        cpu.iter().map(|a| a.intersection).sum::<i64>()
     );
-    assert_eq!(
-        cpu.areas, gpu.areas,
-        "PixelBox CPU and GPU must agree exactly"
-    );
-    assert_eq!(cpu.areas, hybrid.areas, "hybrid split must agree exactly");
+    assert_eq!(cpu, gpu.areas, "PixelBox CPU and GPU must agree exactly");
+    assert_eq!(cpu, hybrid.areas, "hybrid split must agree exactly");
 
     println!("  GEOS (exact overlay, 1 core):   {geos_seconds:10.4} s   speedup 1.0x");
     println!(

@@ -19,8 +19,8 @@
 //! round-tripped every chunk's results through an unbounded channel into a
 //! `vec![R::default(); len]` pre-fill — three allocations and a thread-spawn
 //! per batch on the hottest CPU path in the system (every
-//! [`compute_batch_cpu`](crate::pixelbox::cpu::compute_batch_cpu) call, the
-//! hybrid backend's CPU share, every `ComparisonService` engine). The pool
+//! [`CpuBackend`](crate::pixelbox::CpuBackend) batch, the hybrid backend's
+//! CPU share, every `ComparisonService` engine). The pool
 //! removes all of it: no per-batch spawn, no channel, no `R: Default +
 //! Clone` bound — just one output allocation written exactly once per
 //! element.

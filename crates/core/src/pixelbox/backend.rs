@@ -8,7 +8,8 @@
 //! the benches — re-implemented that choice as a two-arm `match`. Now the
 //! choice is made once, behind one trait:
 //!
-//! * [`CpuBackend`] — `PixelBox-CPU` on a work-sharing thread pool.
+//! * [`CpuBackend`] — the CPU's exact row sweep ([`sweep_pair`]) on a
+//!   work-sharing thread pool.
 //! * [`GpuBackend`] — the PixelBox kernel on a simulated SIMT device.
 //! * [`HybridBackend`] — splits every batch between the GPU and the CPU by a
 //!   fraction a [`SplitController`] picks and merges the results in input
@@ -19,7 +20,7 @@
 //! mapping is the only place the substrate is chosen.
 
 use super::adaptive::{normalize_fraction, BatchObservation, SplitController};
-use super::cpu::compute_batch_cpu;
+use super::cpu::sweep_pair;
 use super::gpu::GpuPixelBox;
 use super::{PairAreas, PixelBoxConfig, PolygonPair};
 use sccg_gpu_sim::{Device, LaunchStats};
@@ -66,7 +67,14 @@ pub trait ComputeBackend: fmt::Debug + Send + Sync {
     fn compute_batch(&self, pairs: &[PolygonPair], config: &PixelBoxConfig) -> BackendBatch;
 }
 
-/// `PixelBox-CPU`: the multi-core CPU port (§4.2) as a backend.
+/// The CPU substrate as a backend: every pair's areas come from one exact
+/// row sweep over its MBR overlap ([`sweep_pair`]), mapped over the shared
+/// [`WorkerPool`](crate::parallel::WorkerPool). The CPU engine, the hybrid
+/// backend's CPU share and the pipeline's migration batches all run it,
+/// whatever the request's [`Variant`](super::Variant): PixelBox's
+/// sampling-box partition pays off only where a pixel test walks every
+/// edge, as on the modelled GPU. The paper's CPU port of PixelBox (§4.2),
+/// which Figure 7 times, is [`compute_batch_cpu`](super::cpu::compute_batch_cpu).
 #[derive(Debug, Clone)]
 pub struct CpuBackend {
     workers: usize,
@@ -97,9 +105,9 @@ impl ComputeBackend for CpuBackend {
         "pixelbox-cpu"
     }
 
-    fn compute_batch(&self, pairs: &[PolygonPair], config: &PixelBoxConfig) -> BackendBatch {
+    fn compute_batch(&self, pairs: &[PolygonPair], _config: &PixelBoxConfig) -> BackendBatch {
         BackendBatch {
-            areas: compute_batch_cpu(pairs, config, self.workers),
+            areas: crate::parallel::WorkerPool::global().map(pairs, self.workers, 64, sweep_pair),
             launch: None,
             simulated_seconds: None,
         }

@@ -9,7 +9,8 @@
 //! 1. **Compute.** Every pair's areas and execution [`Trace`] come from the
 //!    shared [`algorithm`](super::algorithm) core, run once per pair on the
 //!    process-wide [`WorkerPool`] at the GPU's partition fanout
-//!    (`block_size`), exactly as the CPU port runs it at `cpu_fanout`.
+//!    (`block_size`), exactly as the paper's CPU port runs it at
+//!    [`CPU_FANOUT`](super::cpu::CPU_FANOUT).
 //! 2. **Cost.** `charge_pair` converts one pair's vertex count and trace
 //!    into simulated cycles, shared-memory traffic, bank conflicts, global
 //!    transactions and barriers on its block's [`BlockCost`], honouring the

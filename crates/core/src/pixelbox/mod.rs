@@ -27,7 +27,9 @@
 //!   (O(rows × crossing edges) instead of O(pixels × edges)); the retained
 //!   per-pixel loop ([`algorithm::compute_pair_reference`]) is the oracle it
 //!   is verified bit-identical against — areas *and* traces.
-//! * [`cpu`] — `PixelBox-CPU`: the multi-core CPU port (§4.2).
+//! * [`cpu`] — the CPU substrate's exact row sweep of a pair's MBR overlap,
+//!   and `PixelBox-CPU`, the paper's multi-core CPU port (§4.2), which
+//!   Figure 7 times.
 //! * [`gpu`] — the CUDA-style kernel: its areas and traces are computed on
 //!   the shared worker pool like the CPU port's, and its cost is charged on
 //!   the `sccg-gpu-sim` device by a pure function of each pair's trace,
@@ -178,25 +180,28 @@ pub enum AggregationDevice {
 }
 
 /// Tunable parameters of PixelBox.
+///
+/// `block_size`, `threshold`, `variant` and `opts` describe only the
+/// modelled GPU kernel and the paper's CPU port that Figure 7 times
+/// ([`cpu::compute_batch_cpu`]). The served CPU substrate
+/// ([`CpuBackend`]) sweeps each pair's MBR overlap whatever they say, and
+/// returns the same areas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PixelBoxConfig {
     /// Threads per block (`n` in §3.4). Also the number of sub-boxes a
-    /// sampling box is partitioned into on the GPU.
+    /// sampling box is partitioned into on the GPU. GPU kernel only.
     pub block_size: u32,
     /// Number of thread blocks in the grid. Pairs are distributed round-robin
     /// over blocks (Algorithm 1 line 10/43).
     pub grid_size: u32,
     /// Pixelization threshold `T`: boxes smaller than this many pixels are
-    /// finished with per-pixel tests. The paper recommends `T ≈ n²/2`.
+    /// finished with per-pixel tests. The paper recommends `T ≈ n²/2`. GPU
+    /// kernel and the paper's CPU port only.
     pub threshold: u32,
-    /// Algorithm variant.
+    /// Algorithm variant. GPU kernel and the paper's CPU port only.
     pub variant: Variant,
     /// Implementation optimizations (GPU cost model only).
     pub opts: OptimizationFlags,
-    /// Partition fanout used by the CPU port (the GPU always partitions into
-    /// `block_size` sub-boxes; the CPU port explores boxes depth-first with a
-    /// small fanout, which is friendlier to a single core's cache).
-    pub cpu_fanout: u32,
 }
 
 impl PixelBoxConfig {
@@ -209,7 +214,6 @@ impl PixelBoxConfig {
             threshold: 64 * 64 / 2,
             variant: Variant::Full,
             opts: OptimizationFlags::all(),
-            cpu_fanout: 4,
         }
     }
 

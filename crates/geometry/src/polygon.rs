@@ -347,30 +347,6 @@ impl RectilinearPolygon {
         ])
     }
 
-    /// The constructor [`RectilinearPolygon::from_slice`] replaced, kept as
-    /// the differential reference for it: the ordered checks, then separate
-    /// passes for the MBR and the area.
-    #[cfg(test)]
-    pub(crate) fn new_reference(vertices: Vec<Point>) -> Result<Self> {
-        ordered_checks(&vertices)?;
-        let mut mbr = Rect::EMPTY;
-        for v in &vertices {
-            mbr.min_x = mbr.min_x.min(v.x);
-            mbr.min_y = mbr.min_y.min(v.y);
-            mbr.max_x = mbr.max_x.max(v.x);
-            mbr.max_y = mbr.max_y.max(v.y);
-        }
-        let poly = RectilinearPolygon {
-            mbr,
-            vertices: vertices.into(),
-            edge_table: OnceLock::new(),
-        };
-        if poly.area() == 0 {
-            return Err(GeometryError::ZeroArea);
-        }
-        Ok(poly)
-    }
-
     /// The polygon's vertices in boundary order.
     #[inline]
     pub fn vertices(&self) -> &[Point] {
@@ -518,14 +494,12 @@ impl RectilinearPolygon {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use proptest::prelude::*;
     use proptest::TestRng;
 
     /// A vertex chain of one of the shapes a constructor or the parser must
-    /// accept or reject exactly as before: staircases (valid, some at the
-    /// `i32` limits), small random chains (every defect, often several),
-    /// and staircases with one diagonal, zero-length, collinear or
-    /// zero-area defect put in.
+    /// accept or reject: staircases (valid, some at the `i32` limits), small
+    /// random chains (every defect, often several), and staircases with one
+    /// diagonal, zero-length, collinear or zero-area defect put in.
     pub(crate) fn any_chain(rng: &mut TestRng) -> Vec<Point> {
         let staircase = |rng: &mut TestRng| {
             let steps = 2 + rng.below(5) as i32;
@@ -578,36 +552,6 @@ pub(crate) mod tests {
             .iter()
             .map(|&(x, y)| Point::new(x + dx, y + dy))
             .collect()
-    }
-
-    /// Chains of every shape [`any_chain`] draws.
-    struct AnyChain;
-
-    impl Strategy for AnyChain {
-        type Value = Vec<Point>;
-
-        fn generate(&self, rng: &mut TestRng) -> Vec<Point> {
-            any_chain(rng)
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(4000))]
-
-        #[test]
-        fn from_slice_decides_as_the_ordered_checks(chain in AnyChain) {
-            match (
-                RectilinearPolygon::from_slice(&chain),
-                RectilinearPolygon::new_reference(chain.clone()),
-            ) {
-                (Ok(got), Ok(want)) => {
-                    prop_assert_eq!(got.vertices(), want.vertices());
-                    prop_assert_eq!(got.mbr(), want.mbr());
-                    prop_assert_eq!(got.area(), want.area());
-                }
-                (got, want) => prop_assert_eq!(got.err(), want.err()),
-            }
-        }
     }
 
     fn unit_square() -> RectilinearPolygon {

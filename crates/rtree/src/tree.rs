@@ -199,46 +199,6 @@ impl<T> HilbertRTree<T> {
         }
     }
 
-    /// The search [`HilbertRTree::search`] replaced, kept as the
-    /// differential reference for its visit order: an explicit stack of
-    /// (level, node index), allocated per probe.
-    #[cfg(test)]
-    pub(crate) fn search_reference<'a, F: FnMut(&'a Rect, &'a T)>(
-        &'a self,
-        query: &Rect,
-        mut visit: F,
-    ) {
-        if self.entries.is_empty() || query.is_empty() {
-            return;
-        }
-        let top = self.levels.len() - 1;
-        let mut stack: Vec<(usize, usize)> = Vec::new();
-        for (i, node) in self.levels[top].iter().enumerate() {
-            if node.mbr.intersects(query) {
-                stack.push((top, i));
-            }
-        }
-        while let Some((level, idx)) = stack.pop() {
-            let node = self.levels[level][idx];
-            if level == 0 {
-                for (rect, value) in &self.entries[node.child_start..node.child_end] {
-                    if rect.intersects(query) {
-                        visit(rect, value);
-                    }
-                }
-            } else {
-                for (child_idx, child) in self.levels[level - 1][node.child_start..node.child_end]
-                    .iter()
-                    .enumerate()
-                {
-                    if child.mbr.intersects(query) {
-                        stack.push((level - 1, node.child_start + child_idx));
-                    }
-                }
-            }
-        }
-    }
-
     /// Convenience wrapper collecting matching payload references.
     pub fn query(&self, query: &Rect) -> Vec<&T> {
         let mut out = Vec::new();
@@ -283,25 +243,69 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
         // Trees up to nine levels deep (fanouts 2..5 over up to 300 entries)
-        // visit the same entries in the same order as the stack walk did.
+        // visit every entry that meets the window exactly once, and no
+        // other, for full, partial and empty windows.
         #[test]
-        fn search_visits_in_the_reference_order(
+        fn search_visits_exactly_the_intersecting_entries(
             items in rects(300),
             fanout in 2usize..6,
             windows in rects(12),
         ) {
             let tree = HilbertRTree::bulk_load_with_fanout(
-                items.into_iter().enumerate().map(|(k, r)| (r, k)).collect(),
+                items.iter().copied().enumerate().map(|(k, r)| (r, k)).collect(),
                 fanout,
             );
-            for window in windows.iter().chain([&Rect::new(-10, -10, 300, 300)]) {
+            for window in windows.iter().chain([&Rect::new(-10, -10, 300, 300), &Rect::EMPTY]) {
                 let mut got = Vec::new();
-                tree.search(window, |r, &k| got.push((*r, k)));
-                let mut want = Vec::new();
-                tree.search_reference(window, |r, &k| want.push((*r, k)));
+                tree.search(window, |r, &k| got.push((k, *r)));
+                got.sort_unstable_by_key(|&(k, _)| k);
+                let want: Vec<(usize, Rect)> = items
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .filter(|(_, r)| r.intersects(window))
+                    .collect();
                 prop_assert_eq!(got, want);
             }
         }
+    }
+
+    /// The order `search` visits entries in is the order the MBR join emits
+    /// candidate pairs, and the f64 `J'` fold depends on that order: pin it
+    /// on fixed trees.
+    #[test]
+    fn search_visit_order_is_pinned_on_fixed_trees() {
+        let visit_order = |items: Vec<(Rect, usize)>, fanout: usize, window: Rect| {
+            let tree = HilbertRTree::bulk_load_with_fanout(items, fanout);
+            let mut order = Vec::new();
+            tree.search(&window, |_, &k| order.push(k));
+            order
+        };
+        let overlapping: Vec<(Rect, usize)> = (0..20i32)
+            .map(|i| {
+                (
+                    Rect::new(3 * i, (7 * i) % 11, 3 * i + 5, (7 * i) % 11 + 4),
+                    i as usize,
+                )
+            })
+            .collect();
+        let everything = Rect::new(-1, -1, 100, 100);
+        assert_eq!(
+            visit_order(grid_rects(4), 2, everything),
+            [2, 3, 7, 6, 15, 11, 10, 14, 13, 9, 8, 12, 5, 4, 0, 1]
+        );
+        assert_eq!(
+            visit_order(grid_rects(4), 2, Rect::new(1, 1, 5, 5)),
+            [6, 10, 9, 5]
+        );
+        assert_eq!(
+            visit_order(overlapping.clone(), 3, everything),
+            [18, 19, 13, 16, 17, 12, 10, 11, 6, 14, 15, 7, 8, 9, 4, 2, 5, 0, 1, 3]
+        );
+        assert_eq!(
+            visit_order(overlapping, 3, Rect::new(10, 2, 30, 8)),
+            [7, 8, 4, 2, 5]
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub(crate) fn config_fingerprint(config: &PixelBoxConfig) -> u64 {
         Variant::NoSep => 1,
         Variant::Full => 2,
     };
-    let mut bytes = [0u8; 20];
+    let mut bytes = [0u8; 16];
     bytes[0..4].copy_from_slice(&config.block_size.to_le_bytes());
     bytes[4..8].copy_from_slice(&config.grid_size.to_le_bytes());
     bytes[8..12].copy_from_slice(&config.threshold.to_le_bytes());
@@ -56,7 +56,6 @@ pub(crate) fn config_fingerprint(config: &PixelBoxConfig) -> u64 {
     bytes[13] = u8::from(config.opts.shared_memory_vertices);
     bytes[14] = u8::from(config.opts.avoid_bank_conflicts);
     bytes[15] = u8::from(config.opts.unroll_loops);
-    bytes[16..20].copy_from_slice(&config.cpu_fanout.to_le_bytes());
     fnv1a_64(&bytes)
 }
 
@@ -115,9 +114,9 @@ mod tests {
     }
 
     /// FNV-1a 64 over: block_size=64, grid_size=256, threshold=2048 (LE
-    /// u32s), variant tag 2 (Full), flags [1, 1, 1], cpu_fanout=4 (LE u32).
-    /// Computed independently (reference FNV-1a over those 20 bytes).
-    const PAPER_DEFAULT_FINGERPRINT: u64 = 0x098f_65e7_7c9c_a161;
+    /// u32s), variant tag 2 (Full), flags [1, 1, 1].
+    /// Computed independently (reference FNV-1a over those 16 bytes).
+    const PAPER_DEFAULT_FINGERPRINT: u64 = 0xb509_1162_cef6_3fd5;
 
     /// The independent const re-derivation must agree with the pinned
     /// literal, so the byte listing above is auditable in place.
@@ -132,13 +131,12 @@ mod tests {
     /// Independent const re-derivation of the same encoding, so the pinned
     /// value is auditable without an external tool.
     const fn compute_paper_default() -> u64 {
-        const BYTES: [u8; 20] = [
+        const BYTES: [u8; 16] = [
             64, 0, 0, 0, // block_size
             0, 1, 0, 0, // grid_size
             0, 8, 0, 0, // threshold = 2048
             2, // Variant::Full
             1, 1, 1, // optimization flags
-            4, 0, 0, 0, // cpu_fanout
         ];
         let mut hash = FNV_OFFSET;
         let mut i = 0;
