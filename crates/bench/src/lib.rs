@@ -1,10 +1,10 @@
-//! Shared workload construction for the benchmark harness.
+//! Workload construction for the `reproduce` binary.
 //!
-//! Every table and figure of the paper's evaluation (§5) is regenerated by a
-//! Criterion bench (`crates/bench/benches/`) and by the `reproduce` binary
-//! (`cargo run -p sccg-bench --release --bin reproduce -- all`), both of which
-//! build their inputs through the helpers in this module so the workloads are
-//! identical and deterministic.
+//! The `reproduce` binary (`cargo run -p sccg-bench --release --bin reproduce
+//! -- all`) regenerates every table and figure of the paper's evaluation (§5)
+//! and builds its inputs through the helpers in this module, so each figure's
+//! workload is deterministic. Throughput and latency of the serving system are
+//! measured by the separate `benchmarks/` package (`BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,7 +20,7 @@ use sccg_rtree::mbr_join;
 /// The paper filters 15,724 pairs from two representative polygon files; this
 /// workload is scaled down so a full sweep completes in seconds, while keeping
 /// the same polygon-size distribution.
-pub fn representative_tile(polygons: u32) -> sccg_datagen::TilePair {
+fn representative_tile(polygons: u32) -> sccg_datagen::TilePair {
     generate_tile_pair(&TileSpec {
         tile_id: 1,
         width: 2048,
@@ -33,7 +33,7 @@ pub fn representative_tile(polygons: u32) -> sccg_datagen::TilePair {
 
 /// Filters the MBR-intersecting pairs of a tile, exactly what the filter
 /// stage hands to the aggregator.
-pub fn filtered_pairs(tile: &sccg_datagen::TilePair) -> Vec<PolygonPair> {
+fn filtered_pairs(tile: &sccg_datagen::TilePair) -> Vec<PolygonPair> {
     let left: Vec<Rect> = tile.first.iter().map(|r| r.polygon.mbr()).collect();
     let right: Vec<Rect> = tile.second.iter().map(|r| r.polygon.mbr()).collect();
     mbr_join(&left, &right)
@@ -61,27 +61,6 @@ pub fn representative_pairs(polygons: u32, scale_factor: i32) -> Vec<PolygonPair
             )
         })
         .collect()
-}
-
-/// Two large overlapping L-shapes with a `size × size` joint region: the
-/// dense pixelization workload of the substrates bench's `pixelize_dense`
-/// rows. With the pixelization threshold far above `size²` the whole joint
-/// MBR is finished by the pixelization kernel, isolating interval-scanline
-/// vs per-pixel cost.
-pub fn dense_l_pair(size: i32) -> PolygonPair {
-    use sccg_geometry::Point;
-    let l_shape = |offset: i32| {
-        sccg_geometry::RectilinearPolygon::new(vec![
-            Point::new(offset, offset),
-            Point::new(offset + size, offset),
-            Point::new(offset + size, offset + size / 2),
-            Point::new(offset + size / 2, offset + size / 2),
-            Point::new(offset + size / 2, offset + size),
-            Point::new(offset, offset + size),
-        ])
-        .expect("L-shape is valid")
-    };
-    PolygonPair::new(l_shape(0), l_shape(size / 8))
 }
 
 /// Per-tile statistics for the system-level experiments (Table 1, Figures 11

@@ -16,8 +16,6 @@
 //! * [`overlay`] — intersection geometry, intersection area, union area
 //!   (both directly via rectangle-union sweep and indirectly via
 //!   inclusion–exclusion).
-//! * [`montecarlo`] — a randomized sampling estimator, the related-work
-//!   baseline discussed in §6 (Monte Carlo area estimation).
 //!
 //! All exact routines are validated against the brute-force raster oracle of
 //! `sccg-geometry`.
@@ -26,11 +24,9 @@
 #![warn(missing_docs)]
 
 pub mod decompose;
-pub mod montecarlo;
 pub mod overlay;
 
 pub use decompose::decompose_into_rects;
-pub use montecarlo::{monte_carlo_areas, MonteCarloEstimate};
 pub use overlay::{
     intersection_area, intersection_geometry, union_area_direct, union_area_indirect, PairAreas,
 };

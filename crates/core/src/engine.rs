@@ -23,8 +23,8 @@ use std::sync::Arc;
 /// Configuration of a [`CrossComparison`] engine.
 ///
 /// Marked `#[non_exhaustive]` so future fields are not breaking changes:
-/// construct it with [`EngineConfig::default`] and the `with_*` builder
-/// methods rather than a struct literal.
+/// construct it with [`EngineConfig::default`] rather than a struct literal,
+/// then use the `with_*` methods or set a (public) field directly.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct EngineConfig {
@@ -64,12 +64,6 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Returns a copy with different PixelBox parameters.
-    pub fn with_pixelbox(mut self, pixelbox: PixelBoxConfig) -> Self {
-        self.pixelbox = pixelbox;
-        self
-    }
-
     /// Returns a copy dispatching to a different substrate.
     pub fn with_device(mut self, device: AggregationDevice) -> Self {
         self.device = device;
@@ -216,7 +210,7 @@ impl CrossComparison {
 
     /// Filters candidate pairs of two record sets by MBR intersection,
     /// returning the pairs in join order. Exposed so callers can inspect the
-    /// filter stage's output (and so benches can time it separately).
+    /// filter stage's output (and so the benchmark can time it separately).
     pub fn filter_pairs(
         &self,
         first: &[PolygonRecord],

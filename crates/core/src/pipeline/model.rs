@@ -649,8 +649,8 @@ mod tests {
 
     #[test]
     fn adaptive_hybrid_split_beats_or_matches_every_static_fraction() {
-        // The modelled counterpart of the substrates-bench acceptance
-        // criterion: on an asymmetric platform the adaptive aggregation
+        // The hybrid split's acceptance bar, modelled: on an
+        // asymmetric platform the adaptive aggregation
         // stage must come within 10% of the best static fraction (and here
         // it beats them — the static fractions pay their imbalance on every
         // batch, the adaptive one only during convergence).
@@ -713,7 +713,7 @@ mod tests {
         // PostGIS on the full-size data sets; on the scaled-down synthetic
         // workload the fixed per-tile overheads weigh more, so the model is
         // required to show "over half an order of magnitude" here, with the
-        // full-shape comparison reported by the fig12 bench/reproduce run.
+        // full-shape comparison printed by `reproduce fig12`.
         let tiles = synthetic_tiles(128);
         let sccg = PipelineModel::new(PlatformConfig::config_i());
         let postgis = PipelineModel::new(PlatformConfig::postgis_m_platform());

@@ -31,11 +31,10 @@
 //! accumulate. Under [`SplitPolicy::Static`] the controller never moves off
 //! the seed — that is the pre-adaptive behavior, kept for configs and tests
 //! that need a deterministic split. Every decision is appended to a bounded
-//! [`SplitTrace`] so benches and tests can assert *convergence behavior*, not
+//! [`SplitTrace`] so tests and examples can assert *convergence behavior*, not
 //! just final answers.
 
 use crate::sync::lock;
-use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -99,8 +98,8 @@ fn clamp_observed_seconds(seconds: f64) -> Option<f64> {
 ///
 /// Marked `#[non_exhaustive]` so future fields are not breaking changes:
 /// construct it with [`SplitConfig::default`], [`SplitConfig::adaptive`] or
-/// [`SplitConfig::fixed`] and the `with_*` builder methods rather than a
-/// struct literal.
+/// [`SplitConfig::fixed`] rather than a struct literal, then set any other
+/// (public) field directly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub struct SplitConfig {
@@ -148,33 +147,9 @@ impl SplitConfig {
         self
     }
 
-    /// Returns a copy with a different seed GPU fraction.
-    pub fn with_seed_gpu_fraction(mut self, fraction: f64) -> Self {
-        self.seed_gpu_fraction = normalize_fraction(fraction);
-        self
-    }
-
     /// Returns a copy with a different warm-up batch count.
     pub fn with_warmup_batches(mut self, warmup_batches: u32) -> Self {
         self.warmup_batches = warmup_batches;
-        self
-    }
-
-    /// Returns a copy with a different EWMA smoothing factor.
-    pub fn with_ewma_alpha(mut self, ewma_alpha: f64) -> Self {
-        self.ewma_alpha = ewma_alpha;
-        self
-    }
-
-    /// Returns a copy with a different per-batch step clamp.
-    pub fn with_max_step(mut self, max_step: f64) -> Self {
-        self.max_step = max_step;
-        self
-    }
-
-    /// Returns a copy with a different trace capacity.
-    pub fn with_trace_capacity(mut self, trace_capacity: usize) -> Self {
-        self.trace_capacity = trace_capacity;
         self
     }
 }
@@ -222,7 +197,7 @@ pub struct BatchObservation {
 }
 
 /// One entry of the controller's decision log.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitSample {
     /// Zero-based index of the recorded batch.
     pub batch: u64,
@@ -242,7 +217,7 @@ pub struct SplitSample {
 
 /// Snapshot of the controller's per-batch decision log (bounded to the most
 /// recent [`SplitConfig::trace_capacity`] batches).
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SplitTrace {
     samples: Vec<SplitSample>,
 }
@@ -305,8 +280,8 @@ struct ControllerState {
 /// The timing-feedback controller steering the hybrid backend's GPU fraction.
 ///
 /// Shared (`Arc`) between the hybrid backend that feeds it observations and
-/// any observer — the engine, the pipeline's migration thread, benches and
-/// tests reading telemetry. All methods take `&self`; state is mutex-guarded.
+/// any observer — the engine, the pipeline's migration thread, the benchmark
+/// and tests reading telemetry. All methods take `&self`; state is mutex-guarded.
 #[derive(Debug)]
 pub struct SplitController {
     config: SplitConfig,

@@ -5,7 +5,7 @@
 //! whichever substrate is available: the GPU kernel (§3), the multi-core CPU
 //! port (§4.2), or *both at once* under the hybrid execution of §5. Before
 //! this module existed, every caller — the engine, the pipeline aggregator,
-//! the benches — re-implemented that choice as a two-arm `match`. Now the
+//! the figure harness — re-implemented that choice as a two-arm `match`. Now the
 //! choice is made once, behind one trait:
 //!
 //! * [`CpuBackend`] — the CPU's exact row sweep ([`sweep_pair`]) on a
@@ -60,7 +60,7 @@ impl BackendBatch {
 /// substrate choice is a performance decision, never a correctness one
 /// (asserted by the backend-agreement tests).
 pub trait ComputeBackend: fmt::Debug + Send + Sync {
-    /// Short human-readable backend name (e.g. for logs and bench labels).
+    /// Short human-readable backend name (e.g. for logs and report labels).
     fn name(&self) -> &'static str;
 
     /// Computes the areas of intersection and union for every pair.

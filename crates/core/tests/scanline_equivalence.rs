@@ -129,8 +129,8 @@ fn wide_comb() -> impl Strategy<Value = RectilinearPolygon> {
         })
 }
 
-/// Two overlapping L-shapes with a `size × size` joint region, the dense
-/// pixelization workload of the `substrates` bench.
+/// Two overlapping L-shapes with a `size × size` joint region: the dense
+/// pixelization workload.
 fn dense_l_pair(size: i32) -> PolygonPair {
     let l_shape = |offset: i32| {
         RectilinearPolygon::new(vec![

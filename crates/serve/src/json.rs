@@ -1,12 +1,10 @@
 //! Minimal JSON rendering of service telemetry.
 //!
-//! The workspace's offline `serde` shim provides no-op derives (the real
-//! registry crate is swapped in when network access exists — see the root
-//! README), so the `Serialize` annotations on [`QueryResponse`] and
-//! [`sccg::pixelbox::SplitTrace`] document the contract while these
-//! hand-rolled writers produce the actual JSON (`examples/serving.rs`
-//! prints it). The output is plain standard JSON: object keys match
-//! the Rust field names, and non-finite floats render as `null`.
+//! These hand-rolled writers are the workspace's one JSON writer: they
+//! render [`QueryResponse`], [`ServiceStats`], [`EngineHealth`] and
+//! [`sccg::pixelbox::SplitTrace`] (`examples/serving.rs` prints them). The
+//! output is plain standard JSON: object keys match the Rust field names,
+//! and non-finite floats render as `null`.
 
 use crate::service::{QueryResponse, ServiceStats, TileReport};
 use crate::supervisor::EngineHealth;

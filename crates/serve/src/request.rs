@@ -3,11 +3,10 @@
 
 use crate::store::SlideId;
 use sccg::pixelbox::{AggregationDevice, Variant};
-use serde::Serialize;
 use std::time::Duration;
 
 /// Which tiles of the slide pair a query covers.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum TileSelection {
     /// Every tile of both slides (requires equal tile counts).
     #[default]
@@ -19,7 +18,7 @@ pub enum TileSelection {
 
 /// Scheduling priority of a query. Higher priorities are dispatched to
 /// engines before lower ones whenever shards of several queries are waiting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueryPriority {
     /// Served before everything else (interactive viewers).
     High,
@@ -59,7 +58,7 @@ impl QueryPriority {
 ///     .priority(QueryPriority::High);
 /// assert_eq!(request.first, a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct QueryRequest {
     /// First slide (segmentation result) of the pair.

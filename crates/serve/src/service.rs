@@ -51,7 +51,6 @@ use sccg::{
     WorkerPool,
 };
 use sccg_gpu_sim::{Device, DeviceConfig};
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -60,8 +59,8 @@ use std::time::{Duration, Instant};
 /// Configuration of a [`ComparisonService`].
 ///
 /// Marked `#[non_exhaustive]` so future fields are not breaking changes:
-/// construct it with [`ServiceConfig::default`] and the `with_*` builder
-/// methods rather than a struct literal.
+/// construct it with [`ServiceConfig::default`] rather than a struct
+/// literal, then use the `with_*` methods or set a (public) field directly.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ServiceConfig {
@@ -133,12 +132,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Returns a copy with different PixelBox parameters.
-    pub fn with_pixelbox(mut self, pixelbox: PixelBoxConfig) -> Self {
-        self.pixelbox = pixelbox;
-        self
-    }
-
     /// Returns a copy with a different simulated GPU configuration.
     pub fn with_gpu(mut self, gpu: DeviceConfig) -> Self {
         self.gpu = gpu;
@@ -185,7 +178,7 @@ impl ServiceConfig {
 }
 
 /// One tile's share of a query response.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TileReport {
     /// Tile index within both slides.
     pub tile: usize,
@@ -200,7 +193,7 @@ pub struct TileReport {
 }
 
 /// Resolved result of one query.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryResponse {
     /// First slide of the compared pair.
     pub first: SlideId,
@@ -239,7 +232,7 @@ impl QueryResponse {
 }
 
 /// Snapshot of the service's lifetime counters.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct ServiceStats {
     /// Requests accepted by `submit`/`try_submit` (including cache hits and
@@ -283,7 +276,7 @@ pub struct ServiceStats {
 /// FIFO dispatch. Every field is always 0. They remain only because the
 /// repository benchmark's trace reads them; a change to the benchmark
 /// retires them.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct SchedulerStats {
     /// Always 0.

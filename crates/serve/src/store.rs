@@ -47,14 +47,13 @@ use sccg::sync::lock;
 use sccg::{FaultInjector, SccgError, WorkerPool};
 use sccg_geometry::text::{parse_polygon_file, PolygonRecord};
 use sccg_store::{recover_dir, PagerStats, SlideFileWriter, TileStorage};
-use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 /// Handle of a registered slide (one segmentation result: a sequence of
 /// tiles of polygon records).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SlideId(pub(crate) u64);
 
 impl SlideId {
@@ -73,7 +72,7 @@ impl SlideId {
 }
 
 /// Handle of one tile within a registered slide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileId {
     /// The slide the tile belongs to.
     pub slide: SlideId,
@@ -112,7 +111,7 @@ struct SlideEntry {
 }
 
 /// Summary of one registered slide.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlideInfo {
     /// The slide's handle.
     pub id: SlideId,
@@ -129,7 +128,7 @@ pub struct SlideInfo {
 
 /// Aggregate out-of-core telemetry across every disk-backed slide of a
 /// store. A store with no disk-backed slides reports all zeros.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[non_exhaustive]
 pub struct StorageStats {
     /// Number of disk-backed slides.

@@ -26,13 +26,12 @@
 
 use sccg::pixelbox::AggregationDevice;
 use sccg::sync::lock;
-use serde::Serialize;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// One engine's health, as exported in [`crate::ServiceStats::engines`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct EngineHealth {
     /// Pool index of the engine.
