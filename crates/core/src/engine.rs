@@ -37,7 +37,9 @@ pub struct EngineConfig {
     /// the device itself.
     pub gpu: DeviceConfig,
     /// Shared-pool workers one CPU batch may fan out to when `device`
-    /// involves the CPU (`1` runs the batch sequentially).
+    /// involves the CPU (`1` runs the batch sequentially). A serving
+    /// engine keeps the default: `ServiceConfig::engines` in `sccg-serve`
+    /// names only each engine's device.
     pub cpu_workers: usize,
     /// Seed GPU fraction when `device` is [`AggregationDevice::Hybrid`]
     /// (clamped to `[0, 1]`): the warm-up/fallback fraction under

@@ -4,6 +4,12 @@
 //! larger than twice the body it was handed, whatever count a corrupt length
 //! field claims.
 //!
+//! One layer down, a `FrameDecoder` fed a random frame stream in random
+//! chunks (one byte at a time included), sometimes followed by garbage,
+//! must decode the same frames whatever the split, fail a bad length
+//! prefix or kind byte with a typed `FrameError`, and never allocate more
+//! than the bytes it was fed, whatever length a prefix announces.
+//!
 //! A global allocator records the largest single allocation of the current
 //! thread, so this file is its own test binary.
 
@@ -12,7 +18,9 @@ use proptest::strategy::Strategy;
 use proptest::TestRng;
 use sccg::pixelbox::{AggregationDevice, Variant};
 use sccg::SccgError;
-use sccg_net::frame::Frame;
+use sccg_net::frame::{
+    encode_frame, Frame, FrameDecoder, FrameError, FrameKind, FRAME_HEADER_LEN, MAX_FRAME_LEN,
+};
 use sccg_net::wire::{Message, WireDecodeError, WireFailure, WireRequestSpec, WireStats};
 use sccg_net::{WireResponse, WireSummary, WireTile};
 use sccg_serve::QueryPriority;
@@ -233,5 +241,162 @@ proptest! {
             len,
             largest
         );
+    }
+}
+
+/// Every kind a valid frame may carry.
+const KINDS: [FrameKind; 8] = [
+    FrameKind::Hello,
+    FrameKind::HelloAck,
+    FrameKind::Query,
+    FrameKind::Tile,
+    FrameKind::Summary,
+    FrameKind::Error,
+    FrameKind::StatsRequest,
+    FrameKind::Stats,
+];
+
+/// What a decoder made of a byte stream: the frames it returned, the error
+/// that ended the stream (if any), the bytes it still holds undecoded, the
+/// bytes it was fed and its largest single allocation.
+struct Decoded {
+    frames: Vec<Frame>,
+    error: Option<FrameError>,
+    pending: usize,
+    fed: usize,
+    largest: usize,
+}
+
+/// Feeds `bytes` to a fresh decoder in chunks of the given sizes (cycled),
+/// draining every complete frame after each chunk and stopping at the first
+/// error, as a connection would.
+fn decode_in_chunks(bytes: &[u8], chunk_sizes: &[usize]) -> Decoded {
+    // Every frame takes at least a header, so this never grows.
+    let mut frames = Vec::with_capacity(bytes.len() / FRAME_HEADER_LEN + 1);
+    let mut decoder = FrameDecoder::new();
+    let mut sizes = chunk_sizes.iter().cycle();
+    let mut fed = 0;
+    let mut error = None;
+    LARGEST.with(|largest| largest.set(0));
+    'feed: while fed < bytes.len() {
+        let size = (*sizes.next().expect("chunk sizes")).min(bytes.len() - fed);
+        decoder.feed(&bytes[fed..fed + size]);
+        fed += size;
+        loop {
+            match decoder.next_frame() {
+                Ok(Some(frame)) => frames.push(frame),
+                Ok(None) => break,
+                Err(e) => {
+                    error = Some(e);
+                    break 'feed;
+                }
+            }
+        }
+    }
+    Decoded {
+        largest: LARGEST.with(Cell::get),
+        frames,
+        error,
+        pending: decoder.pending(),
+        fed,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn any_split_of_a_frame_stream_decodes_the_same_frames(
+        sent in prop::collection::vec(
+            (0usize..KINDS.len(), prop::collection::vec(0u8..=255, 0..48)),
+            0..6,
+        ),
+        tail in 0u8..6,
+        tail_bytes in prop::collection::vec(0u8..=255, 0..24),
+        prefix in 0u32..=u32::MAX,
+        chunk_sizes in prop::collection::vec(1usize..=32, 1..8),
+        byte_at_a_time in 0u8..4,
+    ) {
+        let sent: Vec<Frame> = sent
+            .into_iter()
+            .map(|(kind, body)| Frame { kind: KINDS[kind], body })
+            .collect();
+        let mut bytes = Vec::new();
+        for frame in &sent {
+            encode_frame(frame.kind, &frame.body, &mut bytes);
+        }
+        // What follows the valid frames, and the error it must end in.
+        let expected_error = match tail {
+            // A length prefix above the cap.
+            1 => {
+                let cap = MAX_FRAME_LEN as u32;
+                let len = cap + 1 + prefix % (u32::MAX - cap);
+                bytes.extend_from_slice(&len.to_be_bytes());
+                bytes.extend_from_slice(&tail_bytes);
+                Some(FrameError::Oversized { len: len as usize })
+            }
+            // A length prefix without room for the kind byte.
+            2 => {
+                bytes.extend_from_slice(&0u32.to_be_bytes());
+                bytes.extend_from_slice(&tail_bytes);
+                Some(FrameError::Truncated)
+            }
+            // A complete frame of an unknown kind.
+            3 => {
+                let kind = prefix as u8;
+                let kind = if FrameKind::from_u8(kind).is_ok() { 0 } else { kind };
+                let start = bytes.len();
+                encode_frame(FrameKind::Hello, &tail_bytes, &mut bytes);
+                bytes[start + 4] = kind;
+                Some(FrameError::UnknownKind(kind))
+            }
+            // A plausible prefix announcing more bytes than ever arrive.
+            4 => {
+                let least = tail_bytes.len() as u32 + 1;
+                let len = least + prefix % (MAX_FRAME_LEN as u32 - least + 1);
+                bytes.extend_from_slice(&len.to_be_bytes());
+                bytes.extend_from_slice(&tail_bytes);
+                None
+            }
+            // Arbitrary bytes: anything typed goes.
+            5 => {
+                bytes.extend_from_slice(&tail_bytes);
+                None
+            }
+            _ => None,
+        };
+
+        let whole = decode_in_chunks(&bytes, &[bytes.len().max(1)]);
+        let chunks: &[usize] = if byte_at_a_time == 0 { &[1] } else { &chunk_sizes };
+        let split = decode_in_chunks(&bytes, chunks);
+        for decoded in [&whole, &split] {
+            prop_assert!(decoded.frames.len() >= sent.len());
+            prop_assert_eq!(&decoded.frames[..sent.len()], &sent[..]);
+            if tail != 5 {
+                prop_assert_eq!(decoded.frames.len(), sent.len());
+                prop_assert_eq!(&decoded.error, &expected_error);
+            }
+            if decoded.error.is_none() {
+                // Exactly the fed bytes no frame consumed stay buffered.
+                let consumed: usize = decoded
+                    .frames
+                    .iter()
+                    .map(|f| FRAME_HEADER_LEN + f.body.len())
+                    .sum();
+                prop_assert_eq!(decoded.pending, decoded.fed - consumed);
+            }
+            // The buffer only ever grows to hold fed bytes (amortized
+            // doubling, 8 bytes at least): no allocation is sized by a
+            // length prefix.
+            prop_assert!(
+                decoded.largest <= 2 * decoded.fed + 8,
+                "{} fed bytes made a {} byte allocation",
+                decoded.fed,
+                decoded.largest
+            );
+        }
+        // The split changes nothing: same frames, same ending.
+        prop_assert_eq!(&split.frames, &whole.frames);
+        prop_assert_eq!(&split.error, &whole.error);
     }
 }

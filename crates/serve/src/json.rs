@@ -65,28 +65,6 @@ fn tile_json(tile: &TileReport) -> String {
     )
 }
 
-/// Renders a [`QueryResponse`] as a JSON object.
-pub fn response_to_json(response: &QueryResponse) -> String {
-    let tiles: Vec<String> = response.tiles.iter().map(tile_json).collect();
-    let device = match response.device {
-        Some(device) => json_string(&format!("{device:?}")),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"first\":{},\"second\":{},\"similarity\":{},\"summary\":{},\"shards\":{},\
-         \"cache_hit\":{},\"priority\":{},\"device\":{},\"tiles\":[{}]}}",
-        response.first.value(),
-        response.second.value(),
-        json_f64(response.similarity()),
-        summary_json(&response.summary),
-        response.shards,
-        response.cache_hit,
-        json_string(&format!("{:?}", response.priority)),
-        device,
-        tiles.join(","),
-    )
-}
-
 fn engine_json(health: &EngineHealth) -> String {
     format!(
         "{{\"engine\":{},\"device\":{},\"alive\":{},\"consecutive_failures\":{},\
@@ -98,37 +76,6 @@ fn engine_json(health: &EngineHealth) -> String {
         health.total_failures,
         health.redispatched_shards,
         health.revivals,
-    )
-}
-
-/// Renders a [`ServiceStats`] snapshot as a JSON object.
-pub fn stats_to_json(stats: &ServiceStats) -> String {
-    let shards: Vec<String> = stats
-        .shards_per_engine
-        .iter()
-        .map(|n| n.to_string())
-        .collect();
-    let engines: Vec<String> = stats.engines.iter().map(engine_json).collect();
-    format!(
-        "{{\"submitted\":{},\"completed\":{},\"cache_hits\":{},\"backend_batches\":{},\
-         \"in_flight\":{},\"peak_in_flight\":{},\"cache_entries\":{},\"shards_per_engine\":[{}],\
-         \"redispatches\":{},\"engines\":[{}],\
-         \"resident_tiles\":{},\"pager_hit_rate\":{},\"bytes_on_disk\":{},\
-         \"coalesced_faults\":{}}}",
-        stats.submitted,
-        stats.completed,
-        stats.cache_hits,
-        stats.backend_batches,
-        stats.in_flight,
-        stats.peak_in_flight,
-        stats.cache_entries,
-        shards.join(","),
-        stats.redispatches,
-        engines.join(","),
-        stats.resident_tiles,
-        json_f64(stats.pager_hit_rate),
-        stats.bytes_on_disk,
-        stats.coalesced_faults,
     )
 }
 
@@ -155,16 +102,59 @@ pub fn split_trace_to_json(trace: &SplitTrace) -> String {
 }
 
 impl QueryResponse {
-    /// Renders this response as a JSON object (see [`response_to_json`]).
+    /// Renders this response as a JSON object.
     pub fn to_json(&self) -> String {
-        response_to_json(self)
+        let tiles: Vec<String> = self.tiles.iter().map(tile_json).collect();
+        let device = match self.device {
+            Some(device) => json_string(&format!("{device:?}")),
+            None => "null".to_string(),
+        };
+        format!(
+            "{{\"first\":{},\"second\":{},\"similarity\":{},\"summary\":{},\"shards\":{},\
+             \"cache_hit\":{},\"priority\":{},\"device\":{},\"tiles\":[{}]}}",
+            self.first.value(),
+            self.second.value(),
+            json_f64(self.similarity()),
+            summary_json(&self.summary),
+            self.shards,
+            self.cache_hit,
+            json_string(&format!("{:?}", self.priority)),
+            device,
+            tiles.join(","),
+        )
     }
 }
 
 impl ServiceStats {
-    /// Renders this snapshot as a JSON object (see [`stats_to_json`]).
+    /// Renders this snapshot as a JSON object.
     pub fn to_json(&self) -> String {
-        stats_to_json(self)
+        let shards: Vec<String> = self
+            .shards_per_engine
+            .iter()
+            .map(|n| n.to_string())
+            .collect();
+        let engines: Vec<String> = self.engines.iter().map(engine_json).collect();
+        format!(
+            "{{\"submitted\":{},\"completed\":{},\"cache_hits\":{},\"backend_batches\":{},\
+             \"in_flight\":{},\"peak_in_flight\":{},\"cache_entries\":{},\"shards_per_engine\":[{}],\
+             \"redispatches\":{},\"engines\":[{}],\
+             \"resident_tiles\":{},\"pager_hit_rate\":{},\"bytes_on_disk\":{},\
+             \"coalesced_faults\":{}}}",
+            self.submitted,
+            self.completed,
+            self.cache_hits,
+            self.backend_batches,
+            self.in_flight,
+            self.peak_in_flight,
+            self.cache_entries,
+            shards.join(","),
+            self.redispatches,
+            engines.join(","),
+            self.resident_tiles,
+            json_f64(self.pager_hit_rate),
+            self.bytes_on_disk,
+            self.coalesced_faults,
+        )
     }
 }
 

@@ -44,7 +44,7 @@ use crate::scheduler::{JobQueue, ShardJob, Worker};
 use crate::store::{SlideId, SlideStore, TileId};
 use crate::supervisor::{EngineHealth, Supervisor};
 use sccg::pipeline::exec::Executor;
-use sccg::pixelbox::{AggregationDevice, PixelBoxConfig, SplitConfig, SplitController, SplitTrace};
+use sccg::pixelbox::{AggregationDevice, PixelBoxConfig, SplitConfig, SplitController};
 use sccg::sync::lock;
 use sccg::{
     CrossComparison, EngineConfig, FaultInjector, JaccardAccumulator, JaccardSummary, SccgError,
@@ -65,15 +65,10 @@ use std::time::{Duration, Instant};
 #[non_exhaustive]
 pub struct ServiceConfig {
     /// Engine pool: one [`CrossComparison`] engine and worker task per
-    /// entry. Only each entry's `device` and `cpu_workers` are read. Its
-    /// `gpu` and `pixelbox` are ignored in favour of the service-level
-    /// [`ServiceConfig::gpu`] and [`ServiceConfig::pixelbox`] (one physical
-    /// device, one effective algorithm configuration — the determinism
-    /// invariant). Its `hybrid_gpu_fraction` and `split_policy` are ignored
-    /// in favour of [`ServiceConfig::split`]: every hybrid engine is built
-    /// with [`CrossComparison::with_device`] on the one *pooled* controller,
-    /// since a per-engine split would defeat the fleet-level pooling.
-    pub engines: Vec<EngineConfig>,
+    /// entry, on that entry's substrate, sharing the service's one
+    /// [`ServiceConfig::gpu`], its [`ServiceConfig::pixelbox`] and the
+    /// pooled [`ServiceConfig::split`].
+    pub engines: Vec<AggregationDevice>,
     /// PixelBox parameters every query runs under (per-query
     /// [`QueryRequest::variant`] overrides the variant only).
     pub pixelbox: PixelBoxConfig,
@@ -108,10 +103,10 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             engines: vec![
-                EngineConfig::default(),
-                EngineConfig::default().with_device(AggregationDevice::Cpu),
-                EngineConfig::default().with_device(AggregationDevice::Hybrid),
-                EngineConfig::default().with_device(AggregationDevice::Hybrid),
+                AggregationDevice::Gpu,
+                AggregationDevice::Cpu,
+                AggregationDevice::Hybrid,
+                AggregationDevice::Hybrid,
             ],
             pixelbox: PixelBoxConfig::paper_default(),
             gpu: DeviceConfig::gtx580(),
@@ -127,7 +122,7 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     /// Returns a copy with a different engine pool.
-    pub fn with_engines(mut self, engines: Vec<EngineConfig>) -> Self {
+    pub fn with_engines(mut self, engines: Vec<AggregationDevice>) -> Self {
         self.engines = engines;
         self
     }
@@ -607,7 +602,6 @@ pub struct ComparisonService {
     inner: Arc<ServiceInner>,
     device: Arc<Device>,
     controller: Option<Arc<SplitController>>,
-    engine_devices: Vec<AggregationDevice>,
     /// The engine worker tasks, polled on the global worker pool.
     executor: Executor,
 }
@@ -615,7 +609,7 @@ pub struct ComparisonService {
 impl std::fmt::Debug for ComparisonService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ComparisonService")
-            .field("engines", &self.engine_devices)
+            .field("engines", &self.config.engines)
             .field("max_in_flight", &self.config.max_in_flight)
             .finish()
     }
@@ -635,12 +629,10 @@ impl ComparisonService {
         let device = Arc::new(Device::new(config.gpu.clone()));
         let controller = config
             .engines
-            .iter()
-            .any(|e| e.device == AggregationDevice::Hybrid)
+            .contains(&AggregationDevice::Hybrid)
             .then(|| Arc::new(SplitController::new(config.split)));
-        let devices: Vec<AggregationDevice> = config.engines.iter().map(|e| e.device).collect();
         let supervisor = Arc::new(Supervisor::new(
-            &devices,
+            &config.engines,
             config.failure_threshold,
             config.revival_cooldown,
         ));
@@ -662,11 +654,9 @@ impl ComparisonService {
         });
 
         let executor = Executor::new(WorkerPool::global());
-        let mut engine_devices = Vec::with_capacity(config.engines.len());
-        for (index, engine_config) in config.engines.iter().cloned().enumerate() {
-            engine_devices.push(engine_config.device);
+        for (index, &engine_device) in config.engines.iter().enumerate() {
             let engine = CrossComparison::with_device(
-                engine_config,
+                EngineConfig::default().with_device(engine_device),
                 Arc::clone(&device),
                 controller.clone(),
             );
@@ -679,7 +669,6 @@ impl ComparisonService {
             inner,
             device,
             controller,
-            engine_devices,
             executor,
         })
     }
@@ -702,17 +691,6 @@ impl ComparisonService {
     /// The pooled hybrid split controller, when the pool has hybrid engines.
     pub fn split_controller(&self) -> Option<&Arc<SplitController>> {
         self.controller.as_ref()
-    }
-
-    /// Snapshot of the pooled controller's split telemetry, when the pool
-    /// has hybrid engines.
-    pub fn split_trace(&self) -> Option<SplitTrace> {
-        self.controller.as_ref().map(|c| c.trace())
-    }
-
-    /// The pool's engine devices, by pool index.
-    pub fn engine_devices(&self) -> &[AggregationDevice] {
-        &self.engine_devices
     }
 
     /// Snapshot of the service's lifetime counters, including the slide
@@ -875,7 +853,7 @@ impl ComparisonService {
     /// polygon data and pages nothing in.
     fn prepare(&self, request: &QueryRequest) -> Result<Prepared, SccgError> {
         if let Some(device) = request.device {
-            if !self.engine_devices.contains(&device) {
+            if !self.config.engines.contains(&device) {
                 return Err(SccgError::NoEligibleEngine { device });
             }
         }

@@ -4,7 +4,7 @@
 //! harness.
 
 use sccg::pixelbox::AggregationDevice;
-use sccg::{EngineConfig, FaultInjector, FaultPlan, JaccardSummary, SccgError};
+use sccg::{FaultInjector, FaultPlan, JaccardSummary, SccgError};
 use sccg_datagen::{generate_dataset, DatasetSpec};
 use sccg_geometry::text::write_polygon_file;
 use sccg_serve::prelude::*;
@@ -43,10 +43,7 @@ fn fault_free_summary(data: &sccg_datagen::Dataset) -> (JaccardSummary, Vec<Jacc
     let (first, second) = register(&store, data);
     let service = ComparisonService::new(
         store,
-        ServiceConfig::default().with_engines(vec![
-            EngineConfig::default().with_device(AggregationDevice::Cpu),
-            EngineConfig::default().with_device(AggregationDevice::Cpu),
-        ]),
+        ServiceConfig::default().with_engines(vec![AggregationDevice::Cpu, AggregationDevice::Cpu]),
     )
     .unwrap();
     let response = service
@@ -72,10 +69,7 @@ fn killed_engine_redispatches_its_shard_and_responses_stay_bit_identical() {
     let service = ComparisonService::new(
         store,
         ServiceConfig::default()
-            .with_engines(vec![
-                EngineConfig::default().with_device(AggregationDevice::Cpu),
-                EngineConfig::default().with_device(AggregationDevice::Cpu),
-            ])
+            .with_engines(vec![AggregationDevice::Cpu, AggregationDevice::Cpu])
             .with_failure_threshold(1)
             .with_revival_cooldown(Duration::from_secs(3600))
             .with_cache_capacity(0)
@@ -130,9 +124,7 @@ fn death_of_the_only_eligible_engine_fails_the_query_typed_never_hangs() {
     let service = ComparisonService::new(
         store,
         ServiceConfig::default()
-            .with_engines(vec![
-                EngineConfig::default().with_device(AggregationDevice::Cpu)
-            ])
+            .with_engines(vec![AggregationDevice::Cpu])
             .with_failure_threshold(1)
             .with_revival_cooldown(Duration::from_secs(3600))
             .with_faults(injector),
@@ -179,9 +171,7 @@ fn expired_deadline_fails_typed_through_blocking_and_streaming_paths() {
     let service = ComparisonService::new(
         store,
         ServiceConfig::default()
-            .with_engines(vec![
-                EngineConfig::default().with_device(AggregationDevice::Cpu)
-            ])
+            .with_engines(vec![AggregationDevice::Cpu])
             .with_cache_capacity(0),
     )
     .unwrap();

@@ -2,7 +2,7 @@
 //! determinism under sharding, response caching, admission control — plus
 //! the typed error route and the pooled hybrid split controller.
 
-use sccg::pixelbox::{AggregationDevice, SplitConfig, SplitPolicy, Variant};
+use sccg::pixelbox::{AggregationDevice, SplitConfig, Variant};
 use sccg::{CrossComparison, EngineConfig, JaccardAccumulator, JaccardSummary, SccgError};
 use sccg_datagen::{generate_dataset, DatasetSpec};
 use sccg_gpu_sim::DeviceConfig;
@@ -69,10 +69,10 @@ fn concurrent_sharded_queries_are_deterministic_cached_and_admission_bounded() {
         store,
         ServiceConfig::default()
             .with_engines(vec![
-                EngineConfig::default(), // Gpu
-                EngineConfig::default().with_device(AggregationDevice::Cpu),
-                EngineConfig::default().with_device(AggregationDevice::Hybrid),
-                EngineConfig::default().with_device(AggregationDevice::Hybrid),
+                AggregationDevice::Gpu,
+                AggregationDevice::Cpu,
+                AggregationDevice::Hybrid,
+                AggregationDevice::Hybrid,
             ])
             .with_max_in_flight(bound),
     )
@@ -121,7 +121,7 @@ fn concurrent_sharded_queries_are_deterministic_cached_and_admission_bounded() {
         // A pinned query was served exclusively by engines on that device.
         if let Some(device) = device {
             for tile in &response.tiles {
-                assert_eq!(service.engine_devices()[tile.engine], device);
+                assert_eq!(service.config().engines[tile.engine], device);
             }
         }
     }
@@ -173,18 +173,12 @@ fn pooled_controller_aggregates_observations_across_hybrid_engines() {
     let data = dataset(8, 40, 777);
     let store = SlideStore::new();
     let (first, second) = register(&store, &data);
+    let split = SplitConfig::adaptive(0.5).with_warmup_batches(2);
     let service = ComparisonService::new(
         store,
         ServiceConfig::default()
-            .with_engines(vec![
-                EngineConfig::default()
-                    .with_device(AggregationDevice::Hybrid)
-                    .with_cpu_workers(1),
-                EngineConfig::default()
-                    .with_device(AggregationDevice::Hybrid)
-                    .with_cpu_workers(1),
-            ])
-            .with_split(SplitConfig::adaptive(0.5).with_warmup_batches(2)),
+            .with_engines(vec![AggregationDevice::Hybrid, AggregationDevice::Hybrid])
+            .with_split(split),
     )
     .expect("service starts");
 
@@ -202,7 +196,7 @@ fn pooled_controller_aggregates_observations_across_hybrid_engines() {
     // the one pooled controller: the fleet warmed up together and passed
     // the warm-up threshold a per-engine controller would still be under.
     assert_eq!(controller.batches_recorded(), 8);
-    let trace = service.split_trace().expect("pooled trace");
+    let trace = controller.trace();
     assert_eq!(trace.len(), 8);
     assert!(trace
         .samples()
@@ -210,68 +204,29 @@ fn pooled_controller_aggregates_observations_across_hybrid_engines() {
         .all(|s| (0.0..=1.0).contains(&s.next_fraction)));
     let stats = service.stats();
     assert_eq!(stats.shards_per_engine.iter().sum::<u64>(), 8);
-}
 
-#[test]
-fn per_engine_gpu_and_split_settings_are_superseded_by_the_service() {
-    // `ServiceConfig::engines` documents that only an entry's `device` and
-    // `cpu_workers` are read: a pool whose hybrid entries ask for a slowed
-    // GPU and a static 0.9 split answers exactly like the default pool, on
-    // the service's one device, with every hybrid shard recorded by the one
-    // pooled controller.
-    let data = dataset(8, 40, 3303);
-    let odd_hybrid = EngineConfig::default()
-        .with_device(AggregationDevice::Hybrid)
-        .with_gpu(DeviceConfig::gtx580().slowed_down(8.0))
-        .with_hybrid_gpu_fraction(0.9)
-        .with_split_policy(SplitPolicy::Static);
-    let cpu = EngineConfig::default().with_device(AggregationDevice::Cpu);
-    let answer = |engines: Vec<EngineConfig>| {
-        let store = SlideStore::new();
-        let (first, second) = register(&store, &data);
-        let service = ComparisonService::new(store, ServiceConfig::default().with_engines(engines))
-            .expect("service starts");
-        let response = service
-            .submit(QueryRequest::new(first, second).on_device(AggregationDevice::Hybrid))
-            .unwrap()
-            .wait()
-            .unwrap();
-        (service, response)
-    };
-    let (_, expected) = answer(ServiceConfig::default().engines);
-    let (service, response) = answer(vec![cpu, odd_hybrid.clone(), odd_hybrid]);
-
-    assert_eq!(response.summary, expected.summary);
-    let tile_summaries = |r: &QueryResponse| r.tiles.iter().map(|t| t.summary).collect::<Vec<_>>();
-    assert_eq!(tile_summaries(&response), tile_summaries(&expected));
+    // Both engines run on the service's one simulated GPU, the pooled trace
+    // holds one sample per hybrid shard, and the pooled controller starts
+    // from the service's split.
     assert_eq!(
         service.device().config().name,
         DeviceConfig::gtx580().name,
         "one service-level device"
     );
-
-    let hybrid_shards: u64 = service
-        .stats()
+    let hybrid_shards: u64 = stats
         .shards_per_engine
         .iter()
-        .zip(service.engine_devices())
+        .zip(&service.config().engines)
         .filter(|(_, &device)| device == AggregationDevice::Hybrid)
         .map(|(&shards, _)| shards)
         .sum();
-    assert_eq!(hybrid_shards, data.tiles.len() as u64);
-    let trace = service.split_trace().expect("pooled trace");
     assert_eq!(trace.len() as u64, hybrid_shards);
-    // The pooled controller runs the service's split, not the entries'
-    // static 0.9.
-    assert_eq!(
-        trace.samples()[0].fraction,
-        SplitConfig::default().seed_gpu_fraction
-    );
+    assert_eq!(trace.samples()[0].fraction, split.seed_gpu_fraction);
 }
 
 #[test]
 fn overload_rejection_and_priority_lanes() {
-    // A single 1-worker CPU engine, admission bound 1: a heavy low-priority
+    // A single CPU engine, admission bound 1: a heavy low-priority
     // query occupies the only slot while we probe admission and priority.
     let data = dataset(16, 120, 5005);
     let store = SlideStore::new();
@@ -279,9 +234,7 @@ fn overload_rejection_and_priority_lanes() {
     let service = ComparisonService::new(
         store,
         ServiceConfig::default()
-            .with_engines(vec![EngineConfig::default()
-                .with_device(AggregationDevice::Cpu)
-                .with_cpu_workers(1)])
+            .with_engines(vec![AggregationDevice::Cpu])
             .with_max_in_flight(1)
             .with_cache_capacity(0),
     )
@@ -345,9 +298,7 @@ fn request_validation_returns_typed_errors() {
     );
     let service = ComparisonService::new(
         store.clone(),
-        ServiceConfig::default().with_engines(vec![
-            EngineConfig::default().with_device(AggregationDevice::Cpu)
-        ]),
+        ServiceConfig::default().with_engines(vec![AggregationDevice::Cpu]),
     )
     .expect("service starts");
 
@@ -500,8 +451,8 @@ fn responses_render_as_json() {
     let stats_json = service.stats().to_json();
     assert!(stats_json.contains("\"backend_batches\":2"));
 
-    if let Some(trace) = service.split_trace() {
-        let trace_json = sccg_serve::json::split_trace_to_json(&trace);
+    if let Some(controller) = service.split_controller() {
+        let trace_json = sccg_serve::json::split_trace_to_json(&controller.trace());
         assert!(trace_json.starts_with('[') && trace_json.ends_with(']'));
     }
 }
@@ -521,11 +472,11 @@ fn engine_pool_larger_than_the_worker_pool_still_serves() {
         store,
         ServiceConfig::default()
             .with_engines(vec![
-                EngineConfig::default(),
-                EngineConfig::default().with_device(AggregationDevice::Cpu),
-                EngineConfig::default().with_device(AggregationDevice::Cpu),
-                EngineConfig::default().with_device(AggregationDevice::Hybrid),
-                EngineConfig::default().with_device(AggregationDevice::Hybrid),
+                AggregationDevice::Gpu,
+                AggregationDevice::Cpu,
+                AggregationDevice::Cpu,
+                AggregationDevice::Hybrid,
+                AggregationDevice::Hybrid,
             ])
             .with_cache_capacity(0),
     )
@@ -577,9 +528,7 @@ fn full_admission_serves_cache_hits_rejects_try_submit_and_wakes_all_waiters() {
     let service = ComparisonService::new(
         store,
         ServiceConfig::default()
-            .with_engines(vec![EngineConfig::default()
-                .with_device(AggregationDevice::Cpu)
-                .with_cpu_workers(1)])
+            .with_engines(vec![AggregationDevice::Cpu])
             .with_max_in_flight(1)
             .with_cache_capacity(8),
     )
@@ -740,9 +689,7 @@ fn one_engine_service(store: SlideStore, cache_capacity: usize) -> ComparisonSer
     ComparisonService::new(
         store,
         ServiceConfig::default()
-            .with_engines(vec![EngineConfig::default()
-                .with_device(AggregationDevice::Cpu)
-                .with_cpu_workers(1)])
+            .with_engines(vec![AggregationDevice::Cpu])
             .with_cache_capacity(cache_capacity),
     )
     .expect("service starts")

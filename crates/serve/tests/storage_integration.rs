@@ -15,7 +15,6 @@
 
 use proptest::prelude::*;
 use sccg::pixelbox::AggregationDevice;
-use sccg::EngineConfig;
 use sccg_datagen::{generate_dataset, DatasetSpec};
 use sccg_geometry::text::write_polygon_file;
 use sccg_serve::prelude::*;
@@ -55,9 +54,9 @@ fn spill_dir(tag: &str) -> PathBuf {
 fn service_over(store: SlideStore) -> ComparisonService {
     // One engine per device preference so pinned queries are satisfiable.
     let config = ServiceConfig::default().with_engines(vec![
-        EngineConfig::default().with_device(AggregationDevice::Gpu),
-        EngineConfig::default().with_device(AggregationDevice::Cpu),
-        EngineConfig::default().with_device(AggregationDevice::Hybrid),
+        AggregationDevice::Gpu,
+        AggregationDevice::Cpu,
+        AggregationDevice::Hybrid,
     ]);
     ComparisonService::new(store, config).expect("service starts")
 }

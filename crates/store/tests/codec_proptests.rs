@@ -10,6 +10,12 @@
 //!    block changes its FNV-1a checksum, so every such corruption is caught
 //!    at read time and surfaces as a typed [`SccgError::Storage`], never as
 //!    silently wrong polygons.
+//!
+//! A third property covers the file around the blocks: a slide file
+//! truncated anywhere, or with random bytes overwritten in its header,
+//! footer index or trailer, opens to a working file or a typed
+//! [`SccgError::Storage`], and every tile of a file that opens reads back
+//! as written or fails typed — never a panic.
 
 // The vendored proptest shim's `proptest!` macro expands bodies token by
 // token; these test bodies are long enough to overflow the default limit.
@@ -148,6 +154,76 @@ proptest! {
         prop_assert_eq!(file.tile_count(), tiles.len());
         for (i, expected) in tiles.iter().enumerate() {
             prop_assert_eq!(&file.read_tile(i).unwrap(), expected);
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+/// Writes each `(position, value)` into `region` of `bytes`, positions
+/// taken modulo the region's length.
+fn overwrite(bytes: &mut [u8], region: std::ops::Range<usize>, overwrites: &[(usize, u8)]) {
+    for &(pos, value) in overwrites {
+        bytes[region.start + pos % region.len()] = value;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    // Damage around the blocks: truncate the file at a random length, or
+    // overwrite random bytes of its header, footer index or trailer —
+    // resealing the footer checksum after some footer overwrites, so the
+    // index's own layout checks and the per-tile reads see the damage too.
+    // `open` either works or fails typed, and so does every tile read of a
+    // file that opens; a tile that reads is the tile that was written.
+    #[test]
+    fn damaged_slide_files_open_or_fail_typed(
+        tiles in prop::collection::vec(tile(), 1..4),
+        seed in (0u64..u64::MAX),
+        damage in (0u8..5),
+        at in (0usize..usize::MAX),
+        overwrites in prop::collection::vec((0usize..usize::MAX, 0u8..=255), 1..5),
+    ) {
+        let path = temp_path("damaged", seed);
+        let mut writer = SlideFileWriter::create(&path).unwrap();
+        for records in &tiles {
+            writer.append_tile(records).unwrap();
+        }
+        drop(writer.finish().unwrap());
+        let mut bytes = std::fs::read(&path).unwrap();
+        let len = bytes.len();
+        let footer_offset =
+            u64::from_le_bytes(bytes[len - 24..len - 16].try_into().unwrap()) as usize;
+        let footer = footer_offset..len - 24;
+        match damage {
+            0 => bytes.truncate(at % len),
+            1 => overwrite(&mut bytes, 0..16, &overwrites),
+            2 => overwrite(&mut bytes, len - 24..len, &overwrites),
+            3 => overwrite(&mut bytes, footer, &overwrites),
+            _ => {
+                overwrite(&mut bytes, footer, &overwrites);
+                let checksum = fnv1a_64(&bytes[footer_offset..len - 24]);
+                bytes[len - 16..len - 8].copy_from_slice(&checksum.to_le_bytes());
+            }
+        }
+        std::fs::write(&path, &bytes).unwrap();
+
+        match SlideFile::open(&path) {
+            Err(err) => prop_assert!(
+                matches!(err, SccgError::Storage { .. }),
+                "open failed untyped: {:?}", err
+            ),
+            Ok(file) => {
+                for tile in 0..file.tile_count() {
+                    match file.read_tile(tile) {
+                        Ok(records) => prop_assert_eq!(Some(&records), tiles.get(tile)),
+                        Err(err) => prop_assert!(
+                            matches!(err, SccgError::Storage { .. }),
+                            "tile {} failed untyped: {:?}", tile, err
+                        ),
+                    }
+                }
+            }
         }
         std::fs::remove_file(&path).unwrap();
     }

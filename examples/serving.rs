@@ -47,7 +47,7 @@ fn main() {
     //    one pooled split controller), at most 2 queries in flight.
     let service = ComparisonService::new(store, ServiceConfig::default().with_max_in_flight(2))
         .expect("service starts");
-    println!("engine pool: {:?}\n", service.engine_devices());
+    println!("engine pool: {:?}\n", service.config().engines);
 
     // 3. Serve concurrent queries: a whole-slide comparison on any engine, a
     //    CPU-pinned repeat, and a high-priority subset query.
@@ -95,7 +95,8 @@ fn main() {
     // 5. Telemetry: service counters and the pooled hybrid split trace,
     //    exported as JSON.
     println!("\nservice stats: {}", service.stats().to_json());
-    if let Some(trace) = service.split_trace() {
+    if let Some(controller) = service.split_controller() {
+        let trace = controller.trace();
         println!(
             "pooled split controller: {} batches recorded, last fraction {:?}",
             trace.len(),

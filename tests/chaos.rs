@@ -10,7 +10,7 @@
 //! tile must trip the pager's circuit breaker.
 
 use sccg::pixelbox::AggregationDevice;
-use sccg::{EngineConfig, FaultInjector, FaultPlan, SccgError};
+use sccg::{FaultInjector, FaultPlan, SccgError};
 use sccg_datagen::{generate_dataset, DatasetSpec};
 use sccg_geometry::text::write_polygon_file;
 use sccg_net::{
@@ -55,12 +55,7 @@ fn seeded_fault_plan_is_contained_typed_and_bit_identical() {
 
     // The fault-free twin: an in-memory service computing the expected
     // response for the healthy-tile subset, bit-for-bit.
-    let engines = || {
-        vec![
-            EngineConfig::default().with_device(AggregationDevice::Cpu),
-            EngineConfig::default().with_device(AggregationDevice::Cpu),
-        ]
-    };
+    let engines = || vec![AggregationDevice::Cpu, AggregationDevice::Cpu];
     let twin_store = SlideStore::new();
     let twin_first = twin_store.register_slide_text("a", &first_texts).unwrap();
     let twin_second = twin_store.register_slide_text("b", &second_texts).unwrap();
