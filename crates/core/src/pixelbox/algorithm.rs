@@ -7,8 +7,13 @@
 //! partitionings, stack activity and shoelace work — which the GPU kernel
 //! converts into simulated cycles and which tests use to verify algorithmic
 //! claims (e.g. that sampling boxes reduce per-pixel work, Figure 8).
+//!
+//! [`compute_pair`] returns a pair's areas and trace. [`trace_pair`] runs the
+//! same scan without the pixelized boxes' interval arithmetic and returns
+//! only the trace: the simulated GPU charges that trace and takes its areas
+//! from the CPU's exact row sweep.
 
-use super::position::{box_position, cell_position, grid_dims, BoxPosition, HoverMarks};
+use super::position::{box_position, cell_position, grid_dims, BoxPosition, Grid, HoverMarks};
 use super::{PairAreas, PolygonPair, Variant};
 use sccg_geometry::edge_table::{overlap_len_in, span_len_in};
 use sccg_geometry::{EdgeTable, Rect, RectilinearPolygon};
@@ -123,6 +128,45 @@ pub fn compute_pair_with(
     variant: Variant,
     kernel: PixelizeKernel,
 ) -> (PairAreas, Trace) {
+    let mode = match kernel {
+        PixelizeKernel::Scanline => Mode::Scanline,
+        PixelizeKernel::PerPixel => Mode::PerPixel,
+    };
+    scan_pair(pair, threshold, fanout, variant, mode)
+}
+
+/// The [`Trace`] of [`compute_pair`] without its areas: the count-only
+/// partition scan. It marks, classifies, pushes and pops sampling boxes
+/// exactly as [`compute_pair`] does, so the trace is identical, but it
+/// charges each pixelized box's counts without the box's interval
+/// arithmetic. The simulated GPU charges this trace and takes its areas
+/// from the exact row sweep ([`sweep_pair`](super::cpu::sweep_pair)).
+pub fn trace_pair(pair: &PolygonPair, threshold: u32, fanout: u32, variant: Variant) -> Trace {
+    scan_pair(pair, threshold, fanout, variant, Mode::Count).1
+}
+
+/// How a scan finishes pixelized boxes and classifies partition cells.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// [`PixelizeKernel::Scanline`]: cells from the grid's hover marks and
+    /// the edge tables, pixelized boxes by interval arithmetic.
+    Scanline,
+    /// [`PixelizeKernel::PerPixel`]: cells by edge walks, pixelized boxes
+    /// pixel by pixel.
+    PerPixel,
+    /// Cells as in `Scanline`; pixelized boxes are only counted, so the
+    /// scan's areas are meaningless and only its trace is kept.
+    Count,
+}
+
+/// The scan behind [`compute_pair_with`] and [`trace_pair`].
+fn scan_pair(
+    pair: &PolygonPair,
+    threshold: u32,
+    fanout: u32,
+    variant: Variant,
+    mode: Mode,
+) -> (PairAreas, Trace) {
     let mut trace = Trace::default();
     let joint = pair.joint_mbr();
     let threshold = i64::from(threshold.max(1));
@@ -132,21 +176,21 @@ pub fn compute_pair_with(
     // pixelized region (and once per sub-box in the partition loop).
     let edges = PairEdges::of(pair);
     // The scanline kernel's row-reuse cache lives for exactly one scan; the
-    // per-pixel oracle never touches the edge tables, so it gets none.
-    let mut cache = match kernel {
-        PixelizeKernel::Scanline => Some(RowCache::new(pair.p.edge_table(), pair.q.edge_table())),
-        PixelizeKernel::PerPixel => None,
+    // per-pixel oracle and the count-only scan pixelize without it.
+    let mut cache = match mode {
+        Mode::Scanline => Some(RowCache::new(pair.p.edge_table(), pair.q.edge_table())),
+        Mode::PerPixel | Mode::Count => None,
     };
 
     let areas = match variant {
         Variant::PixelOnly => pixelize_region(
-            &joint, pair, &edges, fanout, kernel, true, &mut cache, &mut trace,
+            &joint, pair, &edges, fanout, mode, true, &mut cache, &mut trace,
         ),
         Variant::Full => {
             let area_p = shoelace(&pair.p, &mut trace);
             let area_q = shoelace(&pair.q, &mut trace);
             let intersection = sampling_box_scan(
-                pair, &edges, &joint, threshold, fanout, false, kernel, &mut cache, &mut trace,
+                pair, &edges, &joint, threshold, fanout, false, mode, &mut cache, &mut trace,
             )
             .intersection;
             PairAreas {
@@ -155,7 +199,7 @@ pub fn compute_pair_with(
             }
         }
         Variant::NoSep => sampling_box_scan(
-            pair, &edges, &joint, threshold, fanout, true, kernel, &mut cache, &mut trace,
+            pair, &edges, &joint, threshold, fanout, true, mode, &mut cache, &mut trace,
         ),
     };
     (areas, trace)
@@ -274,14 +318,15 @@ fn shoelace(poly: &RectilinearPolygon, trace: &mut Trace) -> i64 {
 /// the union indirectly and discards this function's union) the scanline
 /// kernel runs one overlap pass per row instead of three interval passes.
 /// The per-pixel oracle is kept verbatim — its (unused) union costs nothing
-/// extra to the comparison, since it is the baseline being measured.
+/// extra to the comparison, since it is the baseline being measured. The
+/// count-only scan stops after the charges and returns zero areas.
 #[allow(clippy::too_many_arguments)]
 fn pixelize_region(
     region: &Rect,
     pair: &PolygonPair,
     edges: &PairEdges,
     lanes: u32,
-    kernel: PixelizeKernel,
+    mode: Mode,
     need_union: bool,
     cache: &mut Option<RowCache<'_>>,
     trace: &mut Trace,
@@ -293,8 +338,9 @@ fn pixelize_region(
 
     let mut intersection = 0i64;
     let mut union = 0i64;
-    match kernel {
-        PixelizeKernel::Scanline => {
+    match mode {
+        Mode::Count => {}
+        Mode::Scanline => {
             // Run sweep through the pair's row cache: each run of rows
             // sharing both crossing lists is resolved once (or taken from
             // the cache when an earlier sampling box already touched it)
@@ -317,7 +363,7 @@ fn pixelize_region(
                 y = run_end;
             }
         }
-        PixelizeKernel::PerPixel => {
+        Mode::PerPixel => {
             for (x, y) in region.pixels() {
                 let in_p = pair.p.contains_pixel(x, y);
                 let in_q = pair.q.contains_pixel(x, y);
@@ -380,7 +426,7 @@ fn sampling_box_scan(
     threshold: i64,
     fanout: u32,
     track_union: bool,
-    kernel: PixelizeKernel,
+    mode: Mode,
     cache: &mut Option<RowCache<'_>>,
     trace: &mut Trace,
 ) -> PairAreas {
@@ -395,8 +441,12 @@ fn sampling_box_scan(
 
     let (cols, rows) = grid_dims(fanout);
     let (mut hover_p, mut hover_q) = (HoverMarks::default(), HoverMarks::default());
-    // The scanline kernel's edge tables; the per-pixel oracle has none.
-    let tables = cache.as_ref().map(|cache| (cache.p, cache.q));
+    // The edge tables that classify partition cells; the per-pixel oracle
+    // walks the edges instead.
+    let tables = match mode {
+        Mode::Scanline | Mode::Count => Some((pair.p.edge_table(), pair.q.edge_table())),
+        Mode::PerPixel => None,
+    };
 
     while let Some(sampling_box) = next.take().or_else(|| stack.pop()) {
         trace.max_stack_depth = trace.max_stack_depth.max(stack.len() as u64 + 1);
@@ -410,7 +460,7 @@ fn sampling_box_scan(
                 pair,
                 edges,
                 fanout,
-                kernel,
+                mode,
                 track_union,
                 cache,
                 trace,
@@ -423,45 +473,60 @@ fn sampling_box_scan(
             continue;
         }
         // Partition phase (Algorithm 1, lines 30–39). The scanline kernel
-        // rasterises each polygon's boundary onto the grid once and reads
-        // uniform cells off the edge tables; the per-pixel oracle keeps the
-        // per-cell edge walks. The trace charges the per-cell walks either
-        // way.
+        // and the count-only scan rasterise each polygon's boundary onto the
+        // grid once and read uniform cells off the edge tables, one centre
+        // row per grid row; the per-pixel oracle keeps the per-cell edge
+        // walks. The trace charges the per-cell walks either way. Cells come
+        // in `Rect::subdivide`'s row-major order, and a grid row or column
+        // past the box ends its loop.
         trace.partitions += 1;
+        let grid = Grid::new(&sampling_box, cols, rows);
         if tables.is_some() {
-            hover_p.mark(&sampling_box, cols, rows, &pair.p);
-            hover_q.mark(&sampling_box, cols, rows, &pair.q);
+            hover_p.mark(&grid, &pair.p);
+            hover_q.mark(&grid, &pair.q);
         }
-        for idx in 0..cols * rows {
-            let sub = sampling_box.subdivide(cols, rows, idx);
-            if sub.is_empty() {
-                continue;
-            }
-            let (pos_p, pos_q) = match tables {
-                Some((table_p, table_q)) => (
-                    cell_position(&sub, hover_p.get(idx), &pair.p.mbr(), table_p),
-                    cell_position(&sub, hover_q.get(idx), &pair.q.mbr(), table_q),
-                ),
-                None => (box_position(&sub, &pair.p), box_position(&sub, &pair.q)),
+        for row in 0..rows {
+            let Some((min_y, max_y)) = grid.row(row) else {
+                break;
             };
-            trace.box_tests += 2;
-            trace.box_edge_ops += edges.total();
+            // Every cell of the grid row has the row's band's centre row.
+            let band = Rect::new(sampling_box.min_x, min_y, sampling_box.max_x, max_y);
+            let centres = tables.map(|(table_p, table_q)| {
+                let (_, cy) = band.center_pixel();
+                (table_p.row_crossings(cy), table_q.row_crossings(cy))
+            });
+            for col in 0..cols {
+                let Some((min_x, max_x)) = grid.col(col) else {
+                    break;
+                };
+                let idx = row * cols + col;
+                let sub = Rect::new(min_x, min_y, max_x, max_y);
+                let (pos_p, pos_q) = match centres {
+                    Some((centre_p, centre_q)) => (
+                        cell_position(&sub, hover_p.get(idx), &pair.p.mbr(), centre_p),
+                        cell_position(&sub, hover_q.get(idx), &pair.q.mbr(), centre_q),
+                    ),
+                    None => (box_position(&sub, &pair.p), box_position(&sub, &pair.q)),
+                };
+                trace.box_tests += 2;
+                trace.box_edge_ops += edges.total();
 
-            let inter_c = intersection_contribution(pos_p, pos_q);
-            let union_c = union_contribution(pos_p, pos_q);
-            let resolved = inter_c != Contribution::Unknown
-                && (!track_union || union_c != Contribution::Unknown);
-            if resolved {
-                if inter_c == Contribution::All {
-                    intersection += sub.pixel_count();
+                let inter_c = intersection_contribution(pos_p, pos_q);
+                let union_c = union_contribution(pos_p, pos_q);
+                let resolved = inter_c != Contribution::Unknown
+                    && (!track_union || union_c != Contribution::Unknown);
+                if resolved {
+                    if inter_c == Contribution::All {
+                        intersection += sub.pixel_count();
+                    }
+                    if track_union && union_c == Contribution::All {
+                        union += sub.pixel_count();
+                    }
+                    trace.resolved_boxes += 1;
+                } else {
+                    stack.push(sub);
+                    trace.stack_pushes += 1;
                 }
-                if track_union && union_c == Contribution::All {
-                    union += sub.pixel_count();
-                }
-                trace.resolved_boxes += 1;
-            } else {
-                stack.push(sub);
-                trace.stack_pushes += 1;
             }
         }
     }

@@ -114,7 +114,13 @@ impl ComputeBackend for CpuBackend {
     }
 }
 
-/// PixelBox on the simulated SIMT GPU (§3) as a backend.
+/// PixelBox on the simulated SIMT GPU (§3) as a backend. The device is
+/// modelled, not executed: each pair's areas come from the same exact row
+/// sweep as [`CpuBackend`]'s ([`sweep_pair`]), and the launch is charged
+/// from the pair's [`Trace`](super::algorithm::Trace), which the count-only
+/// partition scan ([`trace_pair`](super::algorithm::trace_pair)) records at
+/// `block_size` exactly as the full scan would. Both run on the host's
+/// worker pool; see [`GpuPixelBox::compute_batch`].
 #[derive(Debug, Clone)]
 pub struct GpuBackend {
     engine: GpuPixelBox,
@@ -279,7 +285,8 @@ impl ComputeBackend for HybridBackend {
         if !pairs.is_empty() {
             // The GPU timing signal is the *larger* of the host wall-clock of
             // the GPU share and its simulated device seconds. The share's
-            // areas are computed on the host's worker pool, so its host
+            // areas (the row sweep) and traces (the count-only partition
+            // scan) are computed on the host's worker pool, so its host
             // seconds are a real cost, paid like the CPU share's; the simulated
             // half still lets a deliberately slowed device
             // (`DeviceConfig::slowed_down`, §5.6) push the split toward the

@@ -6,11 +6,15 @@
 //! (optionally) the polygon vertex data in shared memory. A batch is
 //! computed and costed in two separate steps:
 //!
-//! 1. **Compute.** Every pair's areas and execution [`Trace`] come from the
-//!    shared [`algorithm`](super::algorithm) core, run once per pair on the
-//!    process-wide [`WorkerPool`] at the GPU's partition fanout
-//!    (`block_size`), exactly as the paper's CPU port runs it at
-//!    [`CPU_FANOUT`](super::cpu::CPU_FANOUT).
+//! 1. **Compute.** Each pair runs once on the process-wide [`WorkerPool`]:
+//!    its areas come from [`sweep_pair`], the exact row sweep the CPU
+//!    substrate serves, and its execution [`Trace`] from [`trace_pair`], the
+//!    count-only partition scan at the GPU's partition fanout (`block_size`).
+//!    The trace is the one the full scan ([`compute_pair`](super::algorithm::compute_pair))
+//!    records, so the modelled device does exactly the paper's work; the
+//!    host skips the pixelized boxes' interval arithmetic, whose charges are
+//!    analytic anyway. Areas are exact integers, so they equal the scan's
+//!    bit for bit.
 //! 2. **Cost.** `charge_pair` converts one pair's vertex count and trace
 //!    into simulated cycles, shared-memory traffic, bank conflicts, global
 //!    transactions and barriers on its block's [`BlockCost`], honouring the
@@ -20,7 +24,8 @@
 //! The cost is a pure function of the traces and the configuration, so the
 //! device's numbers do not depend on how the host scheduled the compute.
 
-use super::algorithm::{compute_pair, Trace};
+use super::algorithm::{trace_pair, Trace};
+use super::cpu::sweep_pair;
 use super::{OptimizationFlags, PairAreas, PixelBoxConfig, PolygonPair};
 use crate::parallel::{default_workers, WorkerPool};
 use sccg_gpu_sim::{BlockCost, Device, LaunchConfig, LaunchStats, SharedPattern};
@@ -87,7 +92,8 @@ impl GpuPixelBox {
             };
         }
         let computed = WorkerPool::global().map(pairs, default_workers(), 64, |pair| {
-            compute_pair(pair, config.threshold, config.block_size, config.variant)
+            let trace = trace_pair(pair, config.threshold, config.block_size, config.variant);
+            (sweep_pair(pair), trace)
         });
 
         // Host → device: vertex arrays and MBRs of every pair; device → host:

@@ -30,8 +30,10 @@
 //! * [`cpu`] — the CPU substrate's exact row sweep of a pair's MBR overlap,
 //!   and `PixelBox-CPU`, the paper's multi-core CPU port (§4.2), which
 //!   Figure 7 times.
-//! * [`gpu`] — the CUDA-style kernel: its areas and traces are computed on
-//!   the shared worker pool like the CPU port's, and its cost is charged on
+//! * [`gpu`] — the CUDA-style kernel: its areas (the CPU's row sweep) and
+//!   traces (the count-only partition scan,
+//!   [`algorithm::trace_pair`]) are computed on the shared worker pool, and
+//!   its cost is charged on
 //!   the `sccg-gpu-sim` device by a pure function of each pair's trace,
 //!   including the implementation-optimization toggles evaluated in Figure 9.
 //! * [`backend`] — the [`ComputeBackend`] dispatch trait unifying the CPU,

@@ -1,6 +1,6 @@
 //! The sampling-box position predicate (Lemma 1 of the paper).
 
-use sccg_geometry::{EdgeTable, Rect, RectilinearPolygon};
+use sccg_geometry::{Rect, RectilinearPolygon};
 
 /// Position of a sampling box relative to one polygon (§3.2, Figure 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +92,54 @@ pub(super) fn grid_dims(fanout: u32) -> (u32, u32) {
     (cols, fanout.div_ceil(cols))
 }
 
+/// The cells of a sampling box's `cols × rows` partition grid, exactly as
+/// [`Rect::subdivide`] cuts them, with the cell size divided out once per
+/// grid instead of once per cell. Cells are addressed by grid row and
+/// column; a row or column that [`Rect::subdivide`] would leave empty (the
+/// ceiling-sized cells ran past the box) is `None`, and so is every one
+/// after it.
+pub(super) struct Grid {
+    sampling_box: Rect,
+    cols: u32,
+    rows: u32,
+    cell_w: i64,
+    cell_h: i64,
+}
+
+impl Grid {
+    /// The grid of a non-empty `sampling_box`.
+    pub(super) fn new(sampling_box: &Rect, cols: u32, rows: u32) -> Self {
+        Grid {
+            sampling_box: *sampling_box,
+            cols,
+            rows,
+            cell_w: (sampling_box.width() + i64::from(cols) - 1) / i64::from(cols),
+            cell_h: (sampling_box.height() + i64::from(rows) - 1) / i64::from(rows),
+        }
+    }
+
+    /// The y-extent `[min_y, max_y)` of grid row `row`.
+    #[inline]
+    pub(super) fn row(&self, row: u32) -> Option<(i32, i32)> {
+        let (min, max) = (self.sampling_box.min_y, self.sampling_box.max_y);
+        span(min, max, self.cell_h, row)
+    }
+
+    /// The x-extent `[min_x, max_x)` of grid column `col`.
+    #[inline]
+    pub(super) fn col(&self, col: u32) -> Option<(i32, i32)> {
+        let (min, max) = (self.sampling_box.min_x, self.sampling_box.max_x);
+        span(min, max, self.cell_w, col)
+    }
+}
+
+/// Cell `k` of `size` pixels along an axis `[min, max)`, clipped to `max`.
+#[inline]
+fn span(min: i32, max: i32, size: i64, k: u32) -> Option<(i32, i32)> {
+    let start = i64::from(min) + i64::from(k) * size;
+    (start < i64::from(max)).then(|| (start as i32, (start + size).min(i64::from(max)) as i32))
+}
+
 /// The hover marks of one partition grid for one polygon: bit `idx` is set
 /// when an edge of the polygon passes through the open interior of the
 /// row-major cell `idx`. Grids of up to 64 cells (every fanout up to the
@@ -122,43 +170,36 @@ impl HoverMarks {
         word >> (idx % 64) & 1 == 1
     }
 
-    /// Rasterises `poly`'s boundary onto the `cols × rows` partition grid of
-    /// `sampling_box` (the cells of [`Rect::subdivide`]): one walk along the
-    /// chain marks every cell for which [`boundary_intersects_interior`]
-    /// holds, in O(edges + cells the boundary passes) instead of
-    /// O(edges × cells).
+    /// Rasterises `poly`'s boundary onto the partition `grid`: one walk
+    /// along the chain marks every cell for which
+    /// [`boundary_intersects_interior`] holds, in O(edges + cells the
+    /// boundary passes) instead of O(edges × cells).
     ///
     /// A vertical edge passes through the open interior of the cells of one
     /// grid column — the one its x lies strictly inside — on the grid rows
     /// its y-span overlaps; a horizontal edge likewise with the axes
     /// swapped. An edge on a grid line, or outside the box, marks nothing.
-    pub(super) fn mark(
-        &mut self,
-        sampling_box: &Rect,
-        cols: u32,
-        rows: u32,
-        poly: &RectilinearPolygon,
-    ) {
+    pub(super) fn mark(&mut self, grid: &Grid, poly: &RectilinearPolygon) {
+        let sampling_box = &grid.sampling_box;
         self.first = 0;
         self.rest.clear();
         self.rest
-            .resize(((cols * rows) as usize).saturating_sub(1) / 64, 0);
+            .resize(((grid.cols * grid.rows) as usize).saturating_sub(1) / 64, 0);
         if !sampling_box.intersects(&poly.mbr()) {
             return;
         }
-        // Every cell but the clipped trailing ones has the first cell's size.
-        let first = sampling_box.subdivide(cols, rows, 0);
+        // Every cell but the clipped trailing ones has the grid's cell size.
         let x_axis = GridAxis {
             min: i64::from(sampling_box.min_x),
             max: i64::from(sampling_box.max_x),
-            size: first.width(),
+            size: grid.cell_w,
             stride: 1,
         };
         let y_axis = GridAxis {
             min: i64::from(sampling_box.min_y),
             max: i64::from(sampling_box.max_y),
-            size: first.height(),
-            stride: cols,
+            size: grid.cell_h,
+            stride: grid.cols,
         };
         // Closed chain: each vertex ends the edge its predecessor starts, and
         // an edge moves along one axis only.
@@ -299,13 +340,15 @@ impl GridAxis {
 /// [`HoverMarks`] and the polygon's edge table instead of two edge walks: a
 /// marked cell hovers, and an unmarked cell that meets the MBR is uniform, so
 /// its centre pixel's crossing parity — the number of the centre row's
-/// crossings to the right of the centre, read from `table` — decides it.
+/// crossings to the right of the centre — decides it. `crossings` is the
+/// polygon's crossing list of the cell's centre row, which every cell of a
+/// grid row shares.
 #[inline]
 pub(super) fn cell_position(
     cell: &Rect,
     hovers: bool,
     mbr: &Rect,
-    table: &EdgeTable,
+    crossings: &[i32],
 ) -> BoxPosition {
     if hovers {
         return BoxPosition::Hover;
@@ -313,8 +356,7 @@ pub(super) fn cell_position(
     if !cell.intersects(mbr) {
         return BoxPosition::Outside;
     }
-    let (cx, cy) = cell.center_pixel();
-    let crossings = table.row_crossings(cy);
+    let (cx, _) = cell.center_pixel();
     let to_the_right = crossings.len() - crossings.partition_point(|&x| x <= cx);
     if to_the_right % 2 == 1 {
         BoxPosition::Inside
@@ -369,14 +411,15 @@ mod tests {
     fn assert_grid_equals_per_cell(parent: &Rect, fanout: u32, poly: &RectilinearPolygon) -> u32 {
         let (cols, rows) = grid_dims(fanout);
         let mut marks = HoverMarks::default();
-        marks.mark(parent, cols, rows, poly);
+        marks.mark(&Grid::new(parent, cols, rows), poly);
         let mut compared = 0;
         for idx in 0..cols * rows {
             let cell = parent.subdivide(cols, rows, idx);
             if cell.is_empty() {
                 continue;
             }
-            let by_grid = cell_position(&cell, marks.get(idx), &poly.mbr(), poly.edge_table());
+            let centre = poly.edge_table().row_crossings(cell.center_pixel().1);
+            let by_grid = cell_position(&cell, marks.get(idx), &poly.mbr(), centre);
             let by_cell = box_position(&cell, poly);
             assert_eq!(
                 by_grid, by_cell,
@@ -388,6 +431,27 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn grid_cells_equal_subdivide(
+            origin in (-3000i32..3000, -3000i32..3000),
+            size in (1i32..300, 1i32..300),
+            fanout in 2u32..200,
+        ) {
+            let sampling_box = Rect::new(origin.0, origin.1, origin.0 + size.0, origin.1 + size.1);
+            let (cols, rows) = grid_dims(fanout);
+            let grid = Grid::new(&sampling_box, cols, rows);
+            for idx in 0..cols * rows {
+                let (row, col) = (idx / cols, idx % cols);
+                let cell = match (grid.row(row), grid.col(col)) {
+                    (Some((min_y, max_y)), Some((min_x, max_x))) => {
+                        Rect::new(min_x, min_y, max_x, max_y)
+                    }
+                    _ => Rect::EMPTY,
+                };
+                prop_assert_eq!(cell, sampling_box.subdivide(cols, rows, idx));
+            }
+        }
+
         #[test]
         fn grid_classification_equals_per_cell_box_position(
             seed in 0u64..1 << 40,

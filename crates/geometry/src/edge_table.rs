@@ -26,8 +26,11 @@
 //! lookup; crossings are counted per slab, the counts prefix-summed into
 //! offsets, each edge's x dealt into the slabs it spans, and each slab's
 //! handful of crossings sorted in place. No pass scans all edges per slab.
-//! A row query is a binary search over slabs plus a borrowed slice, and
-//! repeated queries for consecutive rows hit the same slab.
+//! The build's working storage is per-thread and reused from build to
+//! build, so the table's one heap block, sized exactly once the boundaries
+//! are known, is a warm build's only allocation. A row query is a binary
+//! search over slabs plus a borrowed slice, and repeated queries for
+//! consecutive rows hit the same slab.
 //!
 //! The interval helpers ([`span_len_in`], [`overlap_len_in`]) are the
 //! arithmetic core of the PixelBox pixelization fast path: per row, the
@@ -66,9 +69,13 @@
 //! within a slab: a [`RowRef`] resolves the slab once and reports the run of
 //! rows sharing it, so a sweep multiplies one row's interval arithmetic by
 //! the run length instead of re-deriving it row by row.
+//! [`intersection_len_in`] — the sweep behind the CPU substrate's areas —
+//! goes further: it searches each table's slabs once, at the window's first
+//! row, and then steps a cursor forward from run to run.
 
 use crate::point::Point;
 use crate::polygon::closed_edges;
+use std::cell::RefCell;
 
 /// Words of the slab-boundary bitmap [`EdgeTable::from_vertices`] keeps on
 /// its stack: one cache line.
@@ -86,15 +93,37 @@ const BITMAP_ROWS: usize = 64 * BITMAP_WORDS;
 /// Consecutive crossing pairs delimit the half-open x-intervals of pixels
 /// inside the polygon on that row; the crossing count per row is always even
 /// because the boundary is a closed chain.
+///
+/// The table is one heap block of `i32`s in three sections:
+///
+/// * `slab_ys` — the `boundaries` sorted distinct y endpoints of the vertical
+///   edges; slab `i` covers the pixel rows `[slab_ys[i], slab_ys[i+1])`;
+/// * `offsets` — `boundaries` entries: `offsets[i]..offsets[i+1]` indexes
+///   slab `i`'s crossings in `xs`;
+/// * `xs` — the concatenated sorted crossing x coordinates, slab by slab.
+///
+/// A chain without vertical edges has no boundaries and an empty block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeTable {
-    /// Sorted distinct y endpoints of the vertical edges. Slab `i` covers the
-    /// pixel rows `[slab_ys[i], slab_ys[i+1])`.
-    slab_ys: Vec<i32>,
-    /// `offsets[i]..offsets[i+1]` indexes slab `i`'s crossings in `xs`.
-    offsets: Vec<u32>,
-    /// Concatenated sorted crossing x coordinates, slab by slab.
-    xs: Vec<i32>,
+    /// Length of the `slab_ys` and `offsets` sections.
+    boundaries: usize,
+    /// `slab_ys`, then `offsets`, then `xs`.
+    data: Box<[i32]>,
+}
+
+/// A build's working storage, kept per thread and reused by every build on
+/// it, so that a warm thread's only allocation per table is the table's own
+/// block.
+#[derive(Default)]
+struct Scratch {
+    /// The chain's vertical edges as `(x, y_lo, y_hi)` spans.
+    spans: Vec<(i32, i32, i32)>,
+    /// The sorted distinct endpoints of a chain taller than the bitmap.
+    ends: Vec<i32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 impl EdgeTable {
@@ -102,78 +131,101 @@ impl EdgeTable {
     /// (`v0 → v1 → … → v(n-1) → v0`). Horizontal edges are ignored: a
     /// horizontal ray never crosses them (the same rule as
     /// [`crate::RectilinearPolygon::contains_pixel`]).
+    ///
+    /// The working storage is per-thread and reused, so on a thread that
+    /// has built a table of this size before the table's one block is the
+    /// build's only allocation.
     pub fn from_vertices(vertices: &[Point]) -> Self {
-        // Collect the vertical edges as (x, y_lo, y_hi) spans.
-        let mut edges: Vec<(i32, i32, i32)> = Vec::with_capacity(vertices.len() / 2 + 1);
-        closed_edges(vertices).for_each(|(a, b)| {
-            if a.x == b.x && a.y != b.y {
-                let (lo, hi) = if a.y < b.y { (a.y, b.y) } else { (b.y, a.y) };
-                edges.push((a.x, lo, hi));
-            }
-        });
-        if edges.is_empty() {
+        SCRATCH.with_borrow_mut(|scratch| {
+            let spans = &mut scratch.spans;
+            spans.clear();
+            spans.reserve(vertices.len() / 2 + 1);
+            closed_edges(vertices).for_each(|(a, b)| {
+                if a.x == b.x && a.y != b.y {
+                    let (lo, hi) = if a.y < b.y { (a.y, b.y) } else { (b.y, a.y) };
+                    spans.push((a.x, lo, hi));
+                }
+            });
+            Self::from_spans(spans, &mut scratch.ends)
+        })
+    }
+
+    /// [`EdgeTable::from_vertices`] over the chain's vertical spans; `ends`
+    /// is scratch for a chain taller than the bitmap.
+    fn from_spans(edges: &[(i32, i32, i32)], ends: &mut Vec<i32>) -> Self {
+        let Some(min_y) = edges.iter().map(|e| e.1).min() else {
             return EdgeTable {
-                slab_ys: Vec::new(),
-                offsets: vec![0],
-                xs: Vec::new(),
+                boundaries: 0,
+                data: Box::default(),
             };
-        }
+        };
+        let max_y = edges.iter().map(|e| e.2).max().expect("non-empty");
 
         // Slab boundaries are the distinct edge endpoints. Mark them in a
         // bitmap over the y-extent: the set bits in order are `slab_ys`, and
         // walking them once fills a row → slab map, so an endpoint's slab
         // index is one table lookup. The wrapping difference is exact
         // because the extent is below 2^32.
-        let min_y = edges.iter().map(|e| e.1).min().expect("non-empty");
-        let max_y = edges.iter().map(|e| e.2).max().expect("non-empty");
         let extent = max_y.wrapping_sub(min_y) as u32 as usize;
         let mut row_slab = [0u16; BITMAP_ROWS];
         let in_bitmap = extent < BITMAP_ROWS;
-        let mut slab_ys: Vec<i32>;
-        if in_bitmap {
-            let mut bitmap = [0u64; BITMAP_WORDS];
-            let words = &mut bitmap[..extent / 64 + 1];
-            for &(_, lo, hi) in &edges {
+        let mut bitmap = [0u64; BITMAP_WORDS];
+        let words = &mut bitmap[..if in_bitmap { extent / 64 + 1 } else { 0 }];
+        let boundaries = if in_bitmap {
+            for &(_, lo, hi) in edges {
                 for y in [lo, hi] {
                     let bit = y.wrapping_sub(min_y) as u32 as usize;
                     words[bit / 64] |= 1 << (bit % 64);
                 }
             }
-            let slabs: u32 = words.iter().map(|word| word.count_ones()).sum();
-            slab_ys = Vec::with_capacity(slabs as usize);
-            for (w, &word) in words.iter().enumerate() {
-                let mut rest = word;
-                while rest != 0 {
-                    let bit = w * 64 + rest.trailing_zeros() as usize;
-                    // At most BITMAP_ROWS boundaries, so the index fits u16.
-                    row_slab[bit] = slab_ys.len() as u16;
-                    slab_ys.push(min_y.wrapping_add(bit as i32));
-                    rest &= rest - 1;
-                }
-            }
+            let mut boundaries = 0;
+            for_each_set_bit(words, |bit| {
+                // At most BITMAP_ROWS boundaries, so the index fits u16.
+                row_slab[bit] = boundaries as u16;
+                boundaries += 1;
+            });
+            boundaries
         } else {
-            slab_ys = edges.iter().flat_map(|&(_, lo, hi)| [lo, hi]).collect();
-            slab_ys.sort_unstable();
-            slab_ys.dedup();
-        }
+            ends.clear();
+            ends.extend(edges.iter().flat_map(|&(_, lo, hi)| [lo, hi]));
+            ends.sort_unstable();
+            ends.dedup();
+            ends.len()
+        };
         let slab_of = |y: i32| -> usize {
             if in_bitmap {
                 usize::from(row_slab[y.wrapping_sub(min_y) as u32 as usize])
             } else {
-                slab_ys
-                    .binary_search(&y)
+                ends.binary_search(&y)
                     .expect("every endpoint is a boundary")
             }
         };
 
         // An edge spanning rows [lo, hi) crosses exactly the slabs between
         // its endpoints' indices: boundaries include every endpoint, so a
-        // span cannot start or end strictly inside a slab. Count the
-        // crossings per slab, prefix-sum the counts into `offsets`, then deal
-        // each edge's x into the slabs it spans.
-        let slabs = slab_ys.len() - 1;
-        let mut offsets = vec![0u32; slabs + 1];
-        for &(_, lo, hi) in &edges {
+        // span cannot start or end strictly inside a slab. That sizes the
+        // block exactly.
+        let crossings: usize = edges
+            .iter()
+            .map(|&(_, lo, hi)| slab_of(hi) - slab_of(lo))
+            .sum();
+        let mut data = vec![0i32; 2 * boundaries + crossings].into_boxed_slice();
+        let (slab_ys, rest) = data.split_at_mut(boundaries);
+        let (offsets, xs) = rest.split_at_mut(boundaries);
+        if in_bitmap {
+            let mut slab = 0;
+            for_each_set_bit(words, |bit| {
+                slab_ys[slab] = min_y.wrapping_add(bit as i32);
+                slab += 1;
+            });
+        } else {
+            slab_ys.copy_from_slice(ends);
+        }
+
+        // Count the crossings per slab, prefix-sum the counts into
+        // `offsets`, then deal each edge's x into the slabs it spans.
+        let slabs = boundaries - 1;
+        for &(_, lo, hi) in edges {
             for count in &mut offsets[slab_of(lo) + 1..=slab_of(hi)] {
                 *count += 1;
             }
@@ -184,8 +236,7 @@ impl EdgeTable {
         // Deal with `offsets[slab]` as the slab's cursor: it ends at the
         // slab's end, which is the next slab's start, so one shift restores
         // the offsets.
-        let mut xs = vec![0i32; offsets[slabs] as usize];
-        for &(x, lo, hi) in &edges {
+        for &(x, lo, hi) in edges {
             for next in &mut offsets[slab_of(lo)..slab_of(hi)] {
                 xs[*next as usize] = x;
                 *next += 1;
@@ -201,11 +252,43 @@ impl EdgeTable {
             );
             slab_xs.sort_unstable();
         }
-        EdgeTable {
-            slab_ys,
-            offsets,
-            xs,
+        EdgeTable { boundaries, data }
+    }
+
+    /// Assembles a table from its three sections (see [`EdgeTable`]).
+    #[cfg(test)]
+    fn from_sections(slab_ys: &[i32], offsets: &[u32], xs: &[i32]) -> Self {
+        if slab_ys.is_empty() {
+            return EdgeTable {
+                boundaries: 0,
+                data: Box::default(),
+            };
         }
+        assert_eq!(slab_ys.len(), offsets.len());
+        let data: Vec<i32> = slab_ys
+            .iter()
+            .copied()
+            .chain(offsets.iter().map(|&offset| offset as i32))
+            .chain(xs.iter().copied())
+            .collect();
+        EdgeTable {
+            boundaries: slab_ys.len(),
+            data: data.into_boxed_slice(),
+        }
+    }
+
+    /// The sorted distinct y endpoints of the vertical edges.
+    #[inline]
+    fn slab_ys(&self) -> &[i32] {
+        &self.data[..self.boundaries]
+    }
+
+    /// The crossing list of slab `slab` (`slab + 1 < boundaries`).
+    #[inline]
+    fn slab_xs(&self, slab: usize) -> &[i32] {
+        let offsets = &self.data[self.boundaries..2 * self.boundaries];
+        let xs = &self.data[2 * self.boundaries..];
+        &xs[offsets[slab] as usize..offsets[slab + 1] as usize]
     }
 
     /// The sorted x coordinates at which the boundary crosses pixel row `y`
@@ -215,17 +298,15 @@ impl EdgeTable {
     /// the half-open intervals `[xs[0], xs[1]), [xs[2], xs[3]), …`.
     #[inline]
     pub fn row_crossings(&self, y: i32) -> &[i32] {
-        let Some((&first, &last)) = self.slab_ys.first().zip(self.slab_ys.last()) else {
+        let slab_ys = self.slab_ys();
+        let Some((&first, &last)) = slab_ys.first().zip(slab_ys.last()) else {
             return &[];
         };
         if y < first || y >= last {
             return &[];
         }
         // Greatest slab whose first row is <= y.
-        let slab = self.slab_ys.partition_point(|&b| b <= y) - 1;
-        let lo = self.offsets[slab] as usize;
-        let hi = self.offsets[slab + 1] as usize;
-        &self.xs[lo..hi]
+        self.slab_xs(slab_ys.partition_point(|&b| b <= y) - 1)
     }
 
     /// The inside x-intervals of pixel row `y` as half-open `(start, end)`
@@ -249,7 +330,8 @@ impl EdgeTable {
     /// instead of paying the search per [`EdgeTable::row_span_len`] call.
     #[inline]
     pub fn row(&self, y: i32) -> RowRef<'_> {
-        let Some((&first, &last)) = self.slab_ys.first().zip(self.slab_ys.last()) else {
+        let slab_ys = self.slab_ys();
+        let Some((&first, &last)) = slab_ys.first().zip(slab_ys.last()) else {
             return RowRef {
                 xs: &[],
                 run_end: i32::MAX,
@@ -267,19 +349,30 @@ impl EdgeTable {
                 run_end: i32::MAX,
             };
         }
-        let slab = self.slab_ys.partition_point(|&b| b <= y) - 1;
-        let lo = self.offsets[slab] as usize;
-        let hi = self.offsets[slab + 1] as usize;
+        let slab = slab_ys.partition_point(|&b| b <= y) - 1;
         RowRef {
-            xs: &self.xs[lo..hi],
-            run_end: self.slab_ys[slab + 1],
+            xs: self.slab_xs(slab),
+            run_end: slab_ys[slab + 1],
         }
     }
 
     /// Number of y-slabs in the table (rows within one slab share a crossing
     /// list).
     pub fn slab_count(&self) -> usize {
-        self.offsets.len() - 1
+        self.boundaries.saturating_sub(1)
+    }
+}
+
+/// Calls `f` with the index of every set bit of `words`, in increasing
+/// order.
+#[inline]
+fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in words.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            f(w * 64 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
     }
 }
 
@@ -356,11 +449,39 @@ pub fn intersection_union_in(
 }
 
 /// Intersection pixel count only, over a window — one interval-overlap pass
-/// per *run* of rows sharing both crossing lists. The full PixelBox variant
-/// derives the union indirectly (`‖p∪q‖ = ‖p‖ + ‖q‖ − ‖p∩q‖`), so its
-/// pixelized tail boxes never need the two extra span passes of
-/// [`intersection_union_in`].
+/// per *run* of rows sharing both crossing lists. This is the sweep behind
+/// every substrate's areas (`sccg::pixelbox::cpu::sweep_pair`) and
+/// [`crate::raster::intersection_area`]: the union follows as
+/// `‖p∪q‖ = ‖p‖ + ‖q‖ − ‖p∩q‖`, so it never needs the two extra span passes
+/// of [`intersection_union_in`].
+///
+/// Each table is read through a slab cursor: one slab search per table
+/// at the window's first row, then the sweep steps each cursor forward when
+/// its run ends. The sweep stops early once either table has no rows left.
 pub fn intersection_len_in(p: &EdgeTable, q: &EdgeTable, window: &crate::rect::Rect) -> i64 {
+    let (lo, hi) = (window.min_x, window.max_x);
+    let mut y = window.min_y;
+    let mut cursor_p = SlabCursor::new(p, y);
+    let mut cursor_q = SlabCursor::new(q, y);
+    let mut inter = 0i64;
+    while y < window.max_y && !cursor_p.exhausted() && !cursor_q.exhausted() {
+        let run_end = cursor_p.run_end().min(cursor_q.run_end()).min(window.max_y);
+        let (xs_p, xs_q) = (cursor_p.crossings(), cursor_q.crossings());
+        if !xs_p.is_empty() && !xs_q.is_empty() {
+            let rows = i64::from(run_end) - i64::from(y);
+            inter += rows * overlap_len_in(xs_p, xs_q, lo, hi);
+        }
+        y = run_end;
+        cursor_p.advance_to(y);
+        cursor_q.advance_to(y);
+    }
+    inter
+}
+
+/// The binary-searching sweep [`intersection_len_in`] replaced: two slab
+/// searches per run. Kept as the cursor sweep's differential reference.
+#[cfg(test)]
+fn intersection_len_in_reference(p: &EdgeTable, q: &EdgeTable, window: &crate::rect::Rect) -> i64 {
     let mut inter = 0i64;
     let mut y = window.min_y;
     while y < window.max_y {
@@ -372,6 +493,65 @@ pub fn intersection_len_in(p: &EdgeTable, q: &EdgeTable, window: &crate::rect::R
         y = run_end;
     }
     inter
+}
+
+/// A forward-only position in an [`EdgeTable`]'s slabs: `next` is the index
+/// of the first slab boundary above the current row, so the row lies below
+/// the table (`next == 0`), in slab `next - 1`, or above the table
+/// (`next == boundaries`). A sweep that moves to a later row steps `next`
+/// past the boundaries it crossed instead of searching again.
+struct SlabCursor<'a> {
+    table: &'a EdgeTable,
+    next: usize,
+}
+
+impl<'a> SlabCursor<'a> {
+    /// The cursor at row `y`: one binary search over the slab boundaries.
+    #[inline]
+    fn new(table: &'a EdgeTable, y: i32) -> Self {
+        SlabCursor {
+            table,
+            next: table.slab_ys().partition_point(|&b| b <= y),
+        }
+    }
+
+    /// Whether the row lies above the table, where every later row's
+    /// crossing list is empty too.
+    #[inline]
+    fn exhausted(&self) -> bool {
+        self.next == self.table.boundaries
+    }
+
+    /// The current row's crossing list.
+    #[inline]
+    fn crossings(&self) -> &'a [i32] {
+        if self.next == 0 || self.exhausted() {
+            &[]
+        } else {
+            self.table.slab_xs(self.next - 1)
+        }
+    }
+
+    /// The first row after the current one whose crossing list may differ
+    /// (`i32::MAX` above the table).
+    #[inline]
+    fn run_end(&self) -> i32 {
+        self.table
+            .slab_ys()
+            .get(self.next)
+            .copied()
+            .unwrap_or(i32::MAX)
+    }
+
+    /// Moves the cursor forward to row `y`, which is not below the current
+    /// row.
+    #[inline]
+    fn advance_to(&mut self, y: i32) {
+        let slab_ys = self.table.slab_ys();
+        while self.next < slab_ys.len() && slab_ys[self.next] <= y {
+            self.next += 1;
+        }
+    }
 }
 
 /// Interval count per fixed-width chunk of the lane-chunked kernels: each
@@ -566,11 +746,7 @@ mod tests {
             xs.extend_from_slice(&slab_xs);
             offsets.push(xs.len() as u32);
         }
-        EdgeTable {
-            slab_ys,
-            offsets,
-            xs,
-        }
+        EdgeTable::from_sections(&slab_ys, &offsets, &xs)
     }
 
     /// A skyline: a flat base along `y = oy` with one column per
@@ -849,6 +1025,118 @@ mod tests {
             }
             assert_eq!(intersection_union_in(&tp, &tq, &window), (inter, union));
             assert_eq!(intersection_len_in(&tp, &tq, &window), inter);
+        }
+    }
+
+    /// The intersection over `window` row by row: every row's crossing
+    /// lists searched afresh and merged by the scalar two-pointer loop.
+    fn per_row_intersection(tp: &EdgeTable, tq: &EdgeTable, window: &Rect) -> i64 {
+        (window.min_y..window.max_y)
+            .map(|y| {
+                overlap_len_in_scalar(
+                    tp.row_crossings(y),
+                    tq.row_crossings(y),
+                    window.min_x,
+                    window.max_x,
+                )
+            })
+            .sum()
+    }
+
+    /// Windows over the pair `(p, q)`: the MBR overlap and union, single
+    /// rows at each table's first and last row, windows wholly below,
+    /// wholly above, or straddling either table's y-extent, empty and
+    /// inverted ones, and `extra`'s rows `y0..y1` measured from the union's
+    /// first row.
+    fn windows(p: &RectilinearPolygon, q: &RectilinearPolygon, extra: &[(i32, i32)]) -> Vec<Rect> {
+        let u = p.mbr().union(&q.mbr());
+        let rows = |min_y: i32, max_y: i32| Rect::new(u.min_x - 2, min_y, u.max_x + 2, max_y);
+        let mut windows = vec![p.mbr().intersection(&q.mbr()), u];
+        for m in [p.mbr(), q.mbr()] {
+            windows.extend([
+                rows(m.min_y, m.min_y + 1),
+                rows(m.max_y - 1, m.max_y),
+                rows(m.min_y - 9, m.min_y),
+                rows(m.max_y, m.max_y + 9),
+                rows(m.min_y - 5, m.min_y + 3),
+                rows(m.max_y - 3, m.max_y + 5),
+                rows(m.min_y + 2, m.min_y + 2),
+                rows(m.max_y, m.min_y),
+                // A column window narrower than the polygon.
+                Rect::new(m.min_x + 1, m.min_y - 1, m.min_x + 2, m.max_y + 1),
+            ]);
+        }
+        windows.extend(
+            extra
+                .iter()
+                .map(|&(y0, y1)| rows(u.min_y + y0, u.min_y + y1)),
+        );
+        windows
+    }
+
+    /// Checks the cursor sweep against its binary-searching reference and
+    /// the per-row scalar loop, both ways round, on every window.
+    fn check_cursor_sweep(
+        p: &RectilinearPolygon,
+        q: &RectilinearPolygon,
+        extra: &[(i32, i32)],
+    ) -> Result<(), proptest::TestCaseError> {
+        let (tp, tq) = (table(p), table(q));
+        for window in windows(p, q, extra) {
+            let swept = intersection_len_in(&tp, &tq, &window);
+            prop_assert_eq!(
+                (swept, window),
+                (per_row_intersection(&tp, &tq, &window), window)
+            );
+            prop_assert_eq!(swept, intersection_len_in_reference(&tp, &tq, &window));
+            prop_assert_eq!(swept, intersection_len_in(&tq, &tp, &window));
+        }
+        Ok(())
+    }
+
+    /// Row offsets `(y0, y1)` from a pair's first row: any order, so some
+    /// windows come out empty or inverted.
+    fn extra_rows(span: i32) -> impl Strategy<Value = Vec<(i32, i32)>> {
+        prop::collection::vec((-20i32..span, -20i32..span), 1usize..6)
+    }
+
+    proptest! {
+        #[test]
+        fn cursor_sweep_equals_references_within_the_bitmap(
+            p in skylines((-40i32..40, -40i32..40), 70),
+            q in skylines((-40i32..40, -40i32..40), 70),
+            extra in extra_rows(130),
+        ) {
+            check_cursor_sweep(&p, &q, &extra)?;
+        }
+
+        #[test]
+        fn cursor_sweep_equals_references_past_the_bitmap(
+            p in skylines((-40i32..40, -TALL..40), TALL),
+            q in skylines((-40i32..40, -TALL..40), TALL),
+            extra in extra_rows(2 * TALL),
+        ) {
+            check_cursor_sweep(&p, &q, &extra)?;
+        }
+
+        #[test]
+        fn cursor_sweep_equals_references_on_coincident_boundaries(
+            origin in (-40i32..40, -40i32..40),
+            columns in prop::collection::vec((1i32..5, 1i32..=6), 2usize..30),
+            widths in prop::collection::vec(1i32..5, 30usize),
+            shift in -12i32..12,
+            scale in (0usize..3).prop_map(|i| [1i32, 37, 150][i]),
+            extra in extra_rows(200),
+        ) {
+            // Both skylines stand on the same base with the same column
+            // heights, so every slab boundary of one is a boundary of the
+            // other; `scale` stretches them past the bitmap.
+            let heights: Vec<(i32, i32)> = columns.iter().map(|&(w, h)| (w, h * scale)).collect();
+            let p = skyline(origin.0, origin.1, &heights);
+            let moved: Vec<(i32, i32)> =
+                heights.iter().zip(&widths).map(|(&(_, h), &w)| (w, h)).collect();
+            let q = skyline(origin.0 + shift, origin.1, &moved);
+            check_cursor_sweep(&p, &q, &extra)?;
         }
     }
 }

@@ -4,9 +4,10 @@
 //! and two Tesla M2050 cards. No GPU hardware is available to this
 //! reproduction, so this crate provides the substitute: a *cost model* of
 //! the CUDA execution model. A kernel's results are computed on the host
-//! by ordinary code (PixelBox's GPU path runs the same `compute_pair` as
-//! the CPU port); this crate only charges what the kernel's warps would
-//! have executed. The model captures the effects the paper's evaluation
+//! by ordinary code (PixelBox's GPU path takes its areas from the CPU's
+//! row sweep and its execution trace from a count-only run of the CPU
+//! port's partition scan); this crate only charges what the kernel's warps
+//! would have executed. The model captures the effects the paper's evaluation
 //! depends on: SIMD lock-step execution within 32-lane warps,
 //! shared-memory bank conflicts, global-memory coalescing and latency,
 //! `__syncthreads()` barriers, occupancy limits (threads/blocks/shared

@@ -49,7 +49,7 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Mean allocations per query measured when the budget was set, on a
 /// 2-vCPU host.
-const MEASURED: f64 = 518.5;
+const MEASURED: f64 = 243.5;
 
 const TILES: usize = 8;
 const WARM_UP: usize = 200;

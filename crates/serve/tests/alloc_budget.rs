@@ -44,7 +44,7 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Mean allocations per query measured when the budget was set, on a
 /// 2-vCPU host.
-const MEASURED: f64 = 492.5;
+const MEASURED: f64 = 218.0;
 
 const TILES: usize = 8;
 const WARM_UP: usize = 200;
