@@ -42,6 +42,25 @@ pub fn pair_areas(
     let inter = intersection_area(p, q);
     PairAreas {
         intersection: inter,
-        union: p.area() + q.area() - inter,
+        union: st_area(p) + st_area(q) - inter,
     }
+}
+
+/// `ST_Area(p)` as GEOS computes it: the shoelace sum over the vertex
+/// chain, walked again on every call. A [`RectilinearPolygon`] keeps its
+/// shoelace sum, so [`RectilinearPolygon::area`] is a load; the baselines
+/// walk the chain so that they pay what the systems they stand for pay.
+///
+/// [`RectilinearPolygon`]: sccg_geometry::RectilinearPolygon
+/// [`RectilinearPolygon::area`]: sccg_geometry::RectilinearPolygon::area
+pub fn st_area(poly: &sccg_geometry::RectilinearPolygon) -> i64 {
+    let vertices = poly.vertices();
+    let closing = vertices.last().zip(vertices.first());
+    let area2: i64 = vertices
+        .iter()
+        .zip(&vertices[1..])
+        .chain(closing)
+        .map(|(a, b)| i64::from(a.x) * i64::from(b.y) - i64::from(b.x) * i64::from(a.y))
+        .sum();
+    area2.abs() / 2
 }

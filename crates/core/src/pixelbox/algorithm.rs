@@ -12,11 +12,26 @@
 //! same scan without the pixelized boxes' interval arithmetic and returns
 //! only the trace: the simulated GPU charges that trace and takes its areas
 //! from the CPU's exact row sweep.
+//!
+//! The scan's host work is kept small, since the served GPU engines run it
+//! for every pair:
+//! - `PolyArea` is the area each polygon stores, a load;
+//! - the sampling-box stack, the partition grid and the hover marks are
+//!   per-thread scratch, so a warm scan allocates nothing, as the paper's
+//!   kernel keeps its stack in fixed per-block shared memory (§3.3);
+//! - a partition classifies each grid row's cells as bit masks, from each
+//!   polygon's hover marks (one table-driven walk of its chain) and the
+//!   row's centre-row crossings (one forward cursor per edge table);
+//! - when every cell of a partition is below the threshold, its unresolved
+//!   cells are pixelized (or, in the count-only scan, charged) at once
+//!   rather than pushed and popped, with the same pushes and stack depth
+//!   charged.
 
-use super::position::{box_position, cell_position, grid_dims, BoxPosition, Grid, HoverMarks};
+use super::position::{below, box_position, grid_dims, Grid, HoverMarks, RowPositions};
 use super::{PairAreas, PolygonPair, Variant};
 use sccg_geometry::edge_table::{overlap_len_in, span_len_in};
 use sccg_geometry::{EdgeTable, Rect, RectilinearPolygon};
+use std::cell::RefCell;
 
 /// Execution statistics of one pair (or a batch, traces are additive).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -141,6 +156,8 @@ pub fn compute_pair_with(
 /// charges each pixelized box's counts without the box's interval
 /// arithmetic. The simulated GPU charges this trace and takes its areas
 /// from the exact row sweep ([`sweep_pair`](super::cpu::sweep_pair)).
+/// Once a thread has run one scan, a scan whose boxes partition at most
+/// once allocates nothing.
 pub fn trace_pair(pair: &PolygonPair, threshold: u32, fanout: u32, variant: Variant) -> Trace {
     scan_pair(pair, threshold, fanout, variant, Mode::Count).1
 }
@@ -298,10 +315,29 @@ impl PairEdges {
     }
 }
 
-/// Shoelace area with trace accounting (`PolyArea` in Algorithm 1).
+/// Shoelace area with trace accounting (`PolyArea` in Algorithm 1). The
+/// trace charges the device's walk of the chain; the host reads the area
+/// the polygon stores.
 fn shoelace(poly: &RectilinearPolygon, trace: &mut Trace) -> i64 {
     trace.shoelace_vertices += poly.vertex_count() as u64;
     poly.area()
+}
+
+/// Charges `boxes` pixelized regions of `pixels` pixels each: per region,
+/// [`pixelize_region`]'s per-pixel counts.
+fn charge_pixelization(trace: &mut Trace, pixels: i64, boxes: u64, lanes: u32, edges: &PairEdges) {
+    let pixels = pixels.max(0) as u64;
+    let lanes = u64::from(lanes.max(1));
+    // A power-of-two lane count, every GPU block size in use, rounds up by
+    // a shift instead of a division.
+    let rounds = if lanes.is_power_of_two() {
+        (pixels >> lanes.trailing_zeros()) + u64::from(pixels & (lanes - 1) != 0)
+    } else {
+        pixels.div_ceil(lanes)
+    };
+    trace.pixel_rounds += boxes * rounds;
+    trace.pixel_tests += boxes * 2 * pixels;
+    trace.pixel_edge_ops += boxes * pixels * edges.total();
 }
 
 /// Pixelization of a region: resolves the region's intersection/union pixel
@@ -331,10 +367,7 @@ fn pixelize_region(
     cache: &mut Option<RowCache<'_>>,
     trace: &mut Trace,
 ) -> PairAreas {
-    let pixels = region.pixel_count().max(0) as u64;
-    trace.pixel_rounds += pixels.div_ceil(u64::from(lanes.max(1)));
-    trace.pixel_tests += 2 * pixels;
-    trace.pixel_edge_ops += pixels * edges.total();
+    charge_pixelization(trace, region.pixel_count(), 1, lanes, edges);
 
     let mut intersection = 0i64;
     let mut union = 0i64;
@@ -382,33 +415,20 @@ fn pixelize_region(
     }
 }
 
-/// Contribution state of one sampling box to one accumulated quantity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Contribution {
-    /// The box contributes all of its pixels.
-    All,
-    /// The box contributes none of its pixels.
-    None,
-    /// Cannot be decided at this granularity.
-    Unknown,
+/// The sampling-box scan's working storage: the box stack, the partition
+/// grid and both polygons' hover marks. It is kept per thread and reused by
+/// every scan on the thread, as the paper's kernel keeps its stack in fixed
+/// per-block shared memory (§3.3), so a warm scan allocates nothing.
+#[derive(Default)]
+struct ScanScratch {
+    stack: Vec<Rect>,
+    grid: Grid,
+    hover_p: HoverMarks,
+    hover_q: HoverMarks,
 }
 
-fn intersection_contribution(p1: BoxPosition, p2: BoxPosition) -> Contribution {
-    use BoxPosition::*;
-    match (p1, p2) {
-        (Outside, _) | (_, Outside) => Contribution::None,
-        (Inside, Inside) => Contribution::All,
-        _ => Contribution::Unknown,
-    }
-}
-
-fn union_contribution(p1: BoxPosition, p2: BoxPosition) -> Contribution {
-    use BoxPosition::*;
-    match (p1, p2) {
-        (Inside, _) | (_, Inside) => Contribution::All,
-        (Outside, Outside) => Contribution::None,
-        _ => Contribution::Unknown,
-    }
+thread_local! {
+    static SCAN_SCRATCH: RefCell<ScanScratch> = RefCell::default();
 }
 
 /// The sampling-box phase: a depth-first scan over a stack of boxes,
@@ -430,117 +450,323 @@ fn sampling_box_scan(
     cache: &mut Option<RowCache<'_>>,
     trace: &mut Trace,
 ) -> PairAreas {
-    let mut intersection = 0i64;
-    let mut union = 0i64;
-    // The initial box rides in `next` so a scan that never partitions (the
-    // common case for large thresholds) performs zero heap allocations; the
-    // trace still charges it as a push like any other stacked box.
-    let mut stack: Vec<Rect> = Vec::new();
-    let mut next = Some(*initial);
-    trace.stack_pushes += 1;
+    SCAN_SCRATCH.with_borrow_mut(|scratch| {
+        let ScanScratch {
+            stack,
+            grid,
+            hover_p,
+            hover_q,
+        } = scratch;
+        stack.clear();
+        stack.push(*initial);
+        trace.stack_pushes += 1;
+        let mut intersection = 0i64;
+        let mut union = 0i64;
 
-    let (cols, rows) = grid_dims(fanout);
-    let (mut hover_p, mut hover_q) = (HoverMarks::default(), HoverMarks::default());
-    // The edge tables that classify partition cells; the per-pixel oracle
-    // walks the edges instead.
-    let tables = match mode {
-        Mode::Scanline | Mode::Count => Some((pair.p.edge_table(), pair.q.edge_table())),
-        Mode::PerPixel => None,
-    };
+        let (cols, rows) = grid_dims(fanout);
+        // The edge tables that classify partition cells; the per-pixel
+        // oracle walks the edges instead.
+        let tables = match mode {
+            Mode::Scanline | Mode::Count => Some((pair.p.edge_table(), pair.q.edge_table())),
+            Mode::PerPixel => None,
+        };
 
-    while let Some(sampling_box) = next.take().or_else(|| stack.pop()) {
-        trace.max_stack_depth = trace.max_stack_depth.max(stack.len() as u64 + 1);
-        if sampling_box.is_empty() {
-            continue;
-        }
-        if sampling_box.pixel_count() < threshold {
-            // Pixelization phase (Algorithm 1, lines 22–28).
-            let local = pixelize_region(
-                &sampling_box,
-                pair,
-                edges,
-                fanout,
-                mode,
-                track_union,
-                cache,
-                trace,
-            );
-            intersection += local.intersection;
-            if track_union {
-                union += local.union;
+        while let Some(sampling_box) = stack.pop() {
+            trace.max_stack_depth = trace.max_stack_depth.max(stack.len() as u64 + 1);
+            if sampling_box.is_empty() {
+                continue;
             }
-            trace.pixelized_boxes += 1;
-            continue;
-        }
-        // Partition phase (Algorithm 1, lines 30–39). The scanline kernel
-        // and the count-only scan rasterise each polygon's boundary onto the
-        // grid once and read uniform cells off the edge tables, one centre
-        // row per grid row; the per-pixel oracle keeps the per-cell edge
-        // walks. The trace charges the per-cell walks either way. Cells come
-        // in `Rect::subdivide`'s row-major order, and a grid row or column
-        // past the box ends its loop.
-        trace.partitions += 1;
-        let grid = Grid::new(&sampling_box, cols, rows);
-        if tables.is_some() {
-            hover_p.mark(&grid, &pair.p);
-            hover_q.mark(&grid, &pair.q);
-        }
-        for row in 0..rows {
-            let Some((min_y, max_y)) = grid.row(row) else {
-                break;
-            };
-            // Every cell of the grid row has the row's band's centre row.
-            let band = Rect::new(sampling_box.min_x, min_y, sampling_box.max_x, max_y);
-            let centres = tables.map(|(table_p, table_q)| {
-                let (_, cy) = band.center_pixel();
-                (table_p.row_crossings(cy), table_q.row_crossings(cy))
+            if sampling_box.pixel_count() < threshold {
+                // Pixelization phase (Algorithm 1, lines 22–28).
+                let local = pixelize_region(
+                    &sampling_box,
+                    pair,
+                    edges,
+                    fanout,
+                    mode,
+                    track_union,
+                    cache,
+                    trace,
+                );
+                intersection += local.intersection;
+                if track_union {
+                    union += local.union;
+                }
+                trace.pixelized_boxes += 1;
+                continue;
+            }
+            // Partition phase (Algorithm 1, lines 30–39). The scanline
+            // kernel and the count-only scan rasterise each polygon's
+            // boundary onto the grid once and read uniform cells off the
+            // edge tables, one centre row per grid row; the per-pixel oracle
+            // keeps the per-cell edge walks. The trace charges the per-cell
+            // walks either way. A grid row's cells are classified up to 64
+            // at a time, as bit masks, and pushed in `Rect::subdivide`'s
+            // row-major order; a grid row past the box ends the loop.
+            trace.partitions += 1;
+            grid.reset(&sampling_box, cols, rows);
+            // When even a full cell is below the threshold, every cell this
+            // partition pushes would be popped and pixelized next, in turn:
+            // the scan pixelizes them now, and charges the pushes and the
+            // deepest stack the pops would have seen. Otherwise it makes
+            // room for every cell, so a warm stack does not grow.
+            let pixelize_now = grid.full_cell_pixels() < threshold;
+            let mut pushed = 0;
+            if !pixelize_now {
+                stack.reserve(grid.cells());
+            }
+            if tables.is_some() {
+                hover_p.mark(grid, &pair.p);
+                hover_q.mark(grid, &pair.q);
+            }
+            let used_cols = grid.used_cols();
+            // The grid rows' centre rows increase, so each table is read
+            // through one forward cursor.
+            let mut cursors = tables.map(|(table_p, table_q)| {
+                let first = sampling_box.min_y;
+                (table_p.cursor(first), table_q.cursor(first))
             });
-            for col in 0..cols {
-                let Some((min_x, max_x)) = grid.col(col) else {
+            for row in 0..rows {
+                let Some((min_y, max_y)) = grid.row(row) else {
                     break;
                 };
-                let idx = row * cols + col;
-                let sub = Rect::new(min_x, min_y, max_x, max_y);
-                let (pos_p, pos_q) = match centres {
-                    Some((centre_p, centre_q)) => (
-                        cell_position(&sub, hover_p.get(idx), &pair.p.mbr(), centre_p),
-                        cell_position(&sub, hover_q.get(idx), &pair.q.mbr(), centre_q),
-                    ),
-                    None => (box_position(&sub, &pair.p), box_position(&sub, &pair.q)),
-                };
-                trace.box_tests += 2;
-                trace.box_edge_ops += edges.total();
+                // Every cell of the grid row has the row's band's centre row.
+                let band = Rect::new(sampling_box.min_x, min_y, sampling_box.max_x, max_y);
+                let (_, cy) = band.center_pixel();
+                let centres = cursors.as_mut().map(|(cursor_p, cursor_q)| {
+                    cursor_p.seek(cy);
+                    cursor_q.seek(cy);
+                    (cursor_p.crossings(), cursor_q.crossings())
+                });
+                for word in 0..used_cols.div_ceil(64) {
+                    let first = 64 * word;
+                    let count = (used_cols - first).min(64);
+                    let cell = |bit: u32| {
+                        let (min_x, max_x) = grid.col(first + bit).expect("a non-empty column");
+                        Rect::new(min_x, min_y, max_x, max_y)
+                    };
+                    let (p, q) = match centres {
+                        Some((centre_p, centre_q)) => (
+                            grid.row_positions(row, word, hover_p, centre_p),
+                            grid.row_positions(row, word, hover_q, centre_q),
+                        ),
+                        None => {
+                            let (mut p, mut q) = (RowPositions::default(), RowPositions::default());
+                            for bit in 0..count {
+                                p.set(bit, box_position(&cell(bit), &pair.p));
+                                q.set(bit, box_position(&cell(bit), &pair.q));
+                            }
+                            (p, q)
+                        }
+                    };
+                    trace.box_tests += 2 * u64::from(count);
+                    trace.box_edge_ops += edges.total() * u64::from(count);
 
-                let inter_c = intersection_contribution(pos_p, pos_q);
-                let union_c = union_contribution(pos_p, pos_q);
-                let resolved = inter_c != Contribution::Unknown
-                    && (!track_union || union_c != Contribution::Unknown);
-                if resolved {
-                    if inter_c == Contribution::All {
-                        intersection += sub.pixel_count();
+                    // Lemma 1's contributions, a bit per cell.
+                    let valid = below(count);
+                    let outside_p = valid & !(p.hover | p.inside);
+                    let outside_q = valid & !(q.hover | q.inside);
+                    let intersection_all = p.inside & q.inside;
+                    let union_all = p.inside | q.inside;
+                    let intersection_unknown = valid & !outside_p & !outside_q & !intersection_all;
+                    let union_unknown = valid & !union_all & !(outside_p & outside_q);
+                    let unresolved = if track_union {
+                        intersection_unknown | union_unknown
+                    } else {
+                        intersection_unknown
+                    };
+                    let resolved = valid & !unresolved;
+                    let height = i64::from(max_y) - i64::from(min_y);
+                    let pixels = |cells: u64| -> i64 {
+                        let widths = grid.widths(word, cells);
+                        widths
+                            .iter()
+                            .map(|&(width, count)| width * i64::from(count) * height)
+                            .sum()
+                    };
+                    intersection += pixels(resolved & intersection_all);
+                    if track_union {
+                        union += pixels(resolved & union_all);
                     }
-                    if track_union && union_c == Contribution::All {
-                        union += sub.pixel_count();
+                    trace.resolved_boxes += u64::from(resolved.count_ones());
+                    trace.stack_pushes += u64::from(unresolved.count_ones());
+                    if !pixelize_now {
+                        stack.extend(set_bits(unresolved).map(cell));
+                        continue;
                     }
-                    trace.resolved_boxes += 1;
-                } else {
-                    stack.push(sub);
-                    trace.stack_pushes += 1;
+                    pushed += u64::from(unresolved.count_ones());
+                    trace.pixelized_boxes += u64::from(unresolved.count_ones());
+                    if mode == Mode::Count {
+                        // Only the charges: the row's cells are alike but
+                        // for the last column's width.
+                        for (width, count) in grid.widths(word, unresolved) {
+                            charge_pixelization(trace, width * height, count.into(), fanout, edges);
+                        }
+                        continue;
+                    }
+                    for sub in set_bits(unresolved).map(cell) {
+                        let local = pixelize_region(
+                            &sub,
+                            pair,
+                            edges,
+                            fanout,
+                            mode,
+                            track_union,
+                            cache,
+                            trace,
+                        );
+                        intersection += local.intersection;
+                        if track_union {
+                            union += local.union;
+                        }
+                    }
                 }
             }
+            if pushed > 0 {
+                // The first of the pushed cells' pops.
+                let deepest = stack.len() as u64 + pushed;
+                trace.max_stack_depth = trace.max_stack_depth.max(deepest);
+            }
         }
-    }
 
-    PairAreas {
-        intersection,
-        union,
-    }
+        PairAreas {
+            intersection,
+            union,
+        }
+    })
+}
+
+/// The set bits of `bits`, lowest first.
+fn set_bits(mut bits: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        let bit = bits.trailing_zeros();
+        bits &= bits.wrapping_sub(1);
+        (bit < 64).then_some(bit)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pixelbox::position::BoxPosition;
     use sccg_geometry::{raster, Point};
+
+    /// The trace of Algorithm 1 as the paper states it, kept as the
+    /// reference for the scan that classifies cells as bit masks and
+    /// charges small cells without stacking them: every box is popped from
+    /// a stack, partitioned into `Rect::subdivide`'s cells, and each cell
+    /// is classified by `box_position` and pushed while its contribution is
+    /// unknown.
+    fn reference_trace(pair: &PolygonPair, threshold: u32, fanout: u32, variant: Variant) -> Trace {
+        let mut trace = Trace::default();
+        let edges = (pair.p.vertex_count() + pair.q.vertex_count()) as u64;
+        let (threshold, fanout) = (i64::from(threshold.max(1)), fanout.max(2));
+        let pixelize = |trace: &mut Trace, region: &Rect| {
+            let pixels = region.pixel_count().max(0) as u64;
+            trace.pixel_rounds += pixels.div_ceil(u64::from(fanout));
+            trace.pixel_tests += 2 * pixels;
+            trace.pixel_edge_ops += pixels * edges;
+        };
+        let joint = pair.joint_mbr();
+        match variant {
+            Variant::PixelOnly => {
+                pixelize(&mut trace, &joint);
+                return trace;
+            }
+            Variant::Full => trace.shoelace_vertices += edges,
+            Variant::NoSep => {}
+        }
+        let (cols, rows) = grid_dims(fanout);
+        let mut stack = vec![joint];
+        trace.stack_pushes += 1;
+        while let Some(sampling_box) = stack.pop() {
+            trace.max_stack_depth = trace.max_stack_depth.max(stack.len() as u64 + 1);
+            if sampling_box.is_empty() {
+                continue;
+            }
+            if sampling_box.pixel_count() < threshold {
+                pixelize(&mut trace, &sampling_box);
+                trace.pixelized_boxes += 1;
+                continue;
+            }
+            trace.partitions += 1;
+            for idx in 0..cols * rows {
+                let cell = sampling_box.subdivide(cols, rows, idx);
+                if cell.is_empty() {
+                    continue;
+                }
+                let (p, q) = (box_position(&cell, &pair.p), box_position(&cell, &pair.q));
+                trace.box_tests += 2;
+                trace.box_edge_ops += edges;
+                use BoxPosition::{Inside, Outside};
+                let intersection_known =
+                    p == Outside || q == Outside || (p == Inside && q == Inside);
+                let union_known = p == Inside || q == Inside || (p == Outside && q == Outside);
+                if intersection_known && (variant == Variant::Full || union_known) {
+                    trace.resolved_boxes += 1;
+                } else {
+                    stack.push(cell);
+                    trace.stack_pushes += 1;
+                }
+            }
+        }
+        trace
+    }
+
+    #[test]
+    fn every_scan_traces_as_algorithm_1() {
+        let nuclei = |radius: u32, seed: u64| {
+            let tile = sccg_datagen::generate_tile_pair(&sccg_datagen::TileSpec {
+                width: 8 * radius,
+                height: 8 * radius,
+                target_polygons: 1,
+                nucleus: sccg_datagen::NucleusParams {
+                    radius_x: radius,
+                    radius_y: radius,
+                    boundary_jitter: 1,
+                },
+                dropout: 0.0,
+                seed,
+                ..sccg_datagen::TileSpec::default()
+            });
+            pair(
+                tile.first[0].polygon.clone(),
+                tile.second[0].polygon.clone(),
+            )
+        };
+        let mut pairs = vec![
+            pair(l_shape(0, 96), l_shape(10, 96)),
+            pair(l_shape(0, 24), l_shape(6, 24)),
+            pair(rect_poly(0, 0, 40, 40), l_shape(8, 16)),
+            pair(rect_poly(0, 0, 8, 8), rect_poly(30, 30, 40, 40)),
+            pair(
+                l_shape(0, 20).scale(40).unwrap(),
+                l_shape(5, 20).scale(40).unwrap(),
+            ),
+            // Wider than the hover-mark tables reach.
+            pair(
+                l_shape(0, 20).scale(120).unwrap(),
+                l_shape(5, 20).scale(120).unwrap(),
+            ),
+        ];
+        for seed in 0..3 {
+            pairs.extend([nuclei(6, seed), nuclei(32, seed)]);
+        }
+        for pair in &pairs {
+            for variant in [Variant::PixelOnly, Variant::NoSep, Variant::Full] {
+                for fanout in [4u32, 6, 16, 64, 128] {
+                    for threshold in [1u32, 7, 64, 2048] {
+                        let setting = format!("{variant:?} T={threshold} fanout={fanout}");
+                        let reference = reference_trace(pair, threshold, fanout, variant);
+                        let traced = trace_pair(pair, threshold, fanout, variant);
+                        let computed = compute_pair(pair, threshold, fanout, variant).1;
+                        assert_eq!(traced, reference, "trace_pair, {setting}");
+                        assert_eq!(computed, reference, "compute_pair, {setting}");
+                    }
+                }
+            }
+        }
+    }
 
     fn pair(p: RectilinearPolygon, q: RectilinearPolygon) -> PolygonPair {
         PolygonPair::new(p, q)

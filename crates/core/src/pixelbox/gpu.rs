@@ -13,8 +13,10 @@
 //!    The trace is the one the full scan ([`compute_pair`](super::algorithm::compute_pair))
 //!    records, so the modelled device does exactly the paper's work; the
 //!    host skips the pixelized boxes' interval arithmetic, whose charges are
-//!    analytic anyway. Areas are exact integers, so they equal the scan's
-//!    bit for bit.
+//!    analytic anyway. It reads each polygon's stored area, and a warm
+//!    thread's scan allocates nothing, so at the serving defaults the host
+//!    spends about 1.5× the sweep per pair on the trace. Areas are exact
+//!    integers, so they equal the scan's bit for bit.
 //! 2. **Cost.** `charge_pair` converts one pair's vertex count and trace
 //!    into simulated cycles, shared-memory traffic, bank conflicts, global
 //!    transactions and barriers on its block's [`BlockCost`], honouring the

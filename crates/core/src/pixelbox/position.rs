@@ -98,271 +98,505 @@ pub(super) fn grid_dims(fanout: u32) -> (u32, u32) {
 /// column; a row or column that [`Rect::subdivide`] would leave empty (the
 /// ceiling-sized cells ran past the box) is `None`, and so is every one
 /// after it.
+///
+/// A grid of up to 8 × 8 cells over a box less than [`TABLE`] pixels a side
+/// also fills the lookup tables of [`HoverMarks::mark`]'s fast walk. A grid
+/// is reset in place for each partition, so a warm one allocates nothing.
 pub(super) struct Grid {
     sampling_box: Rect,
     cols: u32,
     rows: u32,
-    cell_w: i64,
-    cell_h: i64,
+    x: GridAxis,
+    y: GridAxis,
+    /// The fast walk's tables, allocated by the first grid that uses them.
+    tables: Option<Box<WalkTables>>,
+    /// Whether `tables` hold this grid's entries.
+    tabled: bool,
+}
+
+/// Entries of a [`WalkTables`] axis table: a power of two, so that an
+/// offset masked to it is in bounds without a check.
+const TABLE: usize = 2048;
+
+/// The most cells a side of a grid with [`WalkTables`]: 64 cells in all, and
+/// codes up to 16.
+const TABLE_CELLS: u32 = 8;
+
+/// Entries of a [`WalkTables`] span table: the span between codes `a` and
+/// `b` sits at `a × 32 + b`, a power of two for the same reason.
+const SPANS: usize = 1024;
+
+/// The fast walk's lookup tables for one grid.
+///
+/// For each offset from the box's lower border, an axis keeps its
+/// [`GridAxis::code`] and the cells a grid line through it marks along the
+/// other axis: for the x axis, column `col`'s bit in grid row 0; for the y
+/// axis, row `row`'s bit in grid column 0; or 0 when the line runs along a
+/// cell border. The span tables hold, for every two codes of an
+/// axis, the cells between them ([`cells_between`]) as a mask in grid
+/// column 0 (`down`, for vertical edges) or grid row 0 (`across`), so an
+/// edge's cells are its span times its line's cells.
+///
+/// `x_centres` serves [`Grid::row_positions`].
+struct WalkTables {
+    x_codes: [u8; TABLE],
+    x_lines: [u64; TABLE],
+    /// For each x offset, the number of grid columns whose centre pixel lies
+    /// left of it: the columns a boundary crossing there leaves unflipped.
+    x_centres: [u8; TABLE],
+    y_codes: [u8; TABLE],
+    y_lines: [u64; TABLE],
+    down: [u64; SPANS],
+    across: [u64; SPANS],
+    /// The `(cols, rows)` the span tables were filled for.
+    shape: (u32, u32),
+}
+
+impl Default for Grid {
+    /// An empty grid, for [`Grid::reset`] to fill.
+    fn default() -> Self {
+        Grid {
+            sampling_box: Rect::EMPTY,
+            cols: 0,
+            rows: 0,
+            x: GridAxis::default(),
+            y: GridAxis::default(),
+            tables: None,
+            tabled: false,
+        }
+    }
 }
 
 impl Grid {
     /// The grid of a non-empty `sampling_box`.
-    pub(super) fn new(sampling_box: &Rect, cols: u32, rows: u32) -> Self {
-        Grid {
-            sampling_box: *sampling_box,
-            cols,
-            rows,
-            cell_w: (sampling_box.width() + i64::from(cols) - 1) / i64::from(cols),
-            cell_h: (sampling_box.height() + i64::from(rows) - 1) / i64::from(rows),
+    #[cfg(test)]
+    fn new(sampling_box: &Rect, cols: u32, rows: u32) -> Self {
+        let mut grid = Grid::default();
+        grid.reset(sampling_box, cols, rows);
+        grid
+    }
+
+    /// Makes this the grid of a non-empty `sampling_box`, reusing the
+    /// tables' storage.
+    pub(super) fn reset(&mut self, sampling_box: &Rect, cols: u32, rows: u32) {
+        let b = sampling_box;
+        self.sampling_box = *b;
+        self.cols = cols;
+        self.rows = rows;
+        self.x = GridAxis::new(b.min_x, b.max_x, cols);
+        self.y = GridAxis::new(b.min_y, b.max_y, rows);
+        let fits = |extent: i64| extent < TABLE as i64;
+        self.tabled = cols.max(rows) <= TABLE_CELLS && fits(b.width()) && fits(b.height());
+        if !self.tabled {
+            return;
+        }
+        let tables = self.tables.get_or_insert_with(|| {
+            Box::new(WalkTables {
+                x_codes: [0; TABLE],
+                x_lines: [0; TABLE],
+                x_centres: [0; TABLE],
+                y_codes: [0; TABLE],
+                y_lines: [0; TABLE],
+                down: [0; SPANS],
+                across: [0; SPANS],
+                shape: (0, 0),
+            })
+        });
+        self.x.fill(&mut tables.x_codes, &mut tables.x_lines, 1);
+        self.x.fill_centres(&mut tables.x_centres);
+        self.y.fill(&mut tables.y_codes, &mut tables.y_lines, cols);
+        if tables.shape != (cols, rows) {
+            tables.shape = (cols, rows);
+            fill_spans(&mut tables.down, rows, |cell| 1 << (cell * cols));
+            fill_spans(&mut tables.across, cols, |cell| 1 << cell);
         }
     }
 
     /// The y-extent `[min_y, max_y)` of grid row `row`.
     #[inline]
     pub(super) fn row(&self, row: u32) -> Option<(i32, i32)> {
-        let (min, max) = (self.sampling_box.min_y, self.sampling_box.max_y);
-        span(min, max, self.cell_h, row)
+        self.y.span(row)
     }
 
     /// The x-extent `[min_x, max_x)` of grid column `col`.
     #[inline]
     pub(super) fn col(&self, col: u32) -> Option<(i32, i32)> {
-        let (min, max) = (self.sampling_box.min_x, self.sampling_box.max_x);
-        span(min, max, self.cell_w, col)
+        self.x.span(col)
+    }
+
+    /// The number of non-empty cells.
+    pub(super) fn cells(&self) -> usize {
+        self.x.used as usize * self.y.used as usize
+    }
+
+    /// The number of non-empty grid columns.
+    pub(super) fn used_cols(&self) -> u32 {
+        self.x.used
+    }
+
+    /// The pixels of a full-sized cell, the grid's largest.
+    pub(super) fn full_cell_pixels(&self) -> i64 {
+        (self.x.size * self.y.size) as i64
+    }
+
+    /// The columns `64 × word + bit`, for the set bits of `cells`, as
+    /// `(width, count)` groups: the full-width columns, then the last one,
+    /// which the box may clip.
+    pub(super) fn widths(&self, word: u32, cells: u64) -> [(i64, u32); 2] {
+        let last = self.x.used - 1;
+        let last_bit = if last / 64 == word {
+            1 << (last % 64)
+        } else {
+            0
+        };
+        let size = self.x.size as i64;
+        let last_width = self.x.max - (self.x.min + i64::from(last) * size);
+        [
+            (size, (cells & !last_bit).count_ones()),
+            (last_width, (cells & last_bit).count_ones()),
+        ]
+    }
+
+    /// The positions relative to one polygon of grid row `row`'s cells in
+    /// columns `64 × word..`, up to 64 of them (the row's non-empty ones):
+    /// a cell hovers when `marks` marked it, and is otherwise uniform, so
+    /// its centre pixel's crossing parity — the number of the centre row's
+    /// `crossings` up to the centre — decides it (this is [`box_position`]
+    /// from the marks and the edge table instead of two edge walks). Every
+    /// cell of a grid row has the same centre row.
+    ///
+    /// With the walk's tables, each crossing flips the parity of every
+    /// column whose centre lies at or right of it, all columns at once.
+    pub(super) fn row_positions(
+        &self,
+        row: u32,
+        word: u32,
+        marks: &HoverMarks,
+        crossings: &[i32],
+    ) -> RowPositions {
+        let first = 64 * word;
+        let valid = below((self.x.used - first).min(64));
+        let mut inside = 0;
+        match self.tables.as_deref().filter(|_| self.tabled) {
+            Some(tables) => {
+                let extent = self.x.max - self.x.min;
+                for &x in crossings {
+                    let offset = (i64::from(x) - self.x.min).max(0).min(extent);
+                    inside ^= !below(u32::from(tables.x_centres[offset as usize & (TABLE - 1)]));
+                }
+            }
+            None => {
+                for col in first..(first + 64).min(self.x.used) {
+                    let (min_x, max_x) = self.col(col).expect("a non-empty column");
+                    // The centre pixel's x, as `Rect::center_pixel` takes it.
+                    let (min_x, max_x) = (i64::from(min_x), i64::from(max_x));
+                    let cx = (min_x + (max_x - min_x) / 2) as i32;
+                    let up_to_centre = crossings.partition_point(|&x| x <= cx);
+                    inside |= ((up_to_centre % 2) as u64) << (col - first);
+                }
+            }
+        }
+        let hover = marks.word(row, word);
+        RowPositions {
+            hover,
+            inside: inside & valid & !hover,
+        }
     }
 }
 
-/// Cell `k` of `size` pixels along an axis `[min, max)`, clipped to `max`.
-#[inline]
-fn span(min: i32, max: i32, size: i64, k: u32) -> Option<(i32, i32)> {
-    let start = i64::from(min) + i64::from(k) * size;
-    (start < i64::from(max)).then(|| (start as i32, (start + size).min(i64::from(max)) as i32))
+/// The positions of up to 64 cells of one grid row relative to one polygon,
+/// a bit per cell: [`BoxPosition::Hover`] in `hover`, [`BoxPosition::Inside`]
+/// in `inside`, and [`BoxPosition::Outside`] in neither.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(super) struct RowPositions {
+    pub(super) hover: u64,
+    pub(super) inside: u64,
 }
 
-/// The hover marks of one partition grid for one polygon: bit `idx` is set
-/// when an edge of the polygon passes through the open interior of the
-/// row-major cell `idx`. Grids of up to 64 cells (every fanout up to the
-/// default GPU block size) live in one inline word, so marking them never
-/// allocates.
-#[derive(Debug, Default)]
-pub(super) struct HoverMarks {
-    first: u64,
-    rest: Vec<u64>,
+impl RowPositions {
+    /// Records `position` for the cell at bit `bit`.
+    pub(super) fn set(&mut self, bit: u32, position: BoxPosition) {
+        match position {
+            BoxPosition::Hover => self.hover |= 1 << bit,
+            BoxPosition::Inside => self.inside |= 1 << bit,
+            BoxPosition::Outside => {}
+        }
+    }
 }
 
-impl HoverMarks {
-    #[inline]
-    fn set(&mut self, idx: u32) {
-        match idx / 64 {
-            0 => self.first |= 1 << idx,
-            word => self.rest[word as usize - 1] |= 1 << (idx % 64),
+/// Fills `spans` with the cells between every two codes `a` and `b` of an
+/// axis of `cells` cells, at `a × 32 + b`, as the sum of `bit(cell)` over
+/// those cells.
+fn fill_spans(spans: &mut [u64; SPANS], cells: u32, bit: impl Fn(u32) -> u64) {
+    let codes = 2 * cells + 1;
+    for a in 0..codes {
+        for b in 0..codes {
+            let (first, end) = cells_between(a, b);
+            spans[(a << 5 | b) as usize] = (first..end).map(&bit).sum();
+        }
+    }
+}
+
+/// One axis of a partition grid: the box's extent `[min, max)` cut into
+/// `used` non-empty cells of `size` pixels, the last one clipped to `max`.
+#[derive(Default)]
+struct GridAxis {
+    min: i64,
+    max: i64,
+    size: u64,
+    used: u32,
+}
+
+impl GridAxis {
+    /// The axis `[min, max)` cut into `cells` cells of the ceiling size.
+    fn new(min: i32, max: i32, cells: u32) -> Self {
+        let (min, max) = (i64::from(min), i64::from(max));
+        // A box's extent fits a `u32`.
+        let extent = (max - min) as u32;
+        let size = extent.div_ceil(cells);
+        GridAxis {
+            min,
+            max,
+            size: u64::from(size),
+            used: extent.div_ceil(size),
         }
     }
 
-    /// Whether cell `idx` was marked.
+    /// Cell `k`'s extent, clipped to `max`; `None` past the last cell.
     #[inline]
-    pub(super) fn get(&self, idx: u32) -> bool {
-        let word = match idx / 64 {
-            0 => self.first,
-            word => self.rest[word as usize - 1],
-        };
-        word >> (idx % 64) & 1 == 1
+    fn span(&self, k: u32) -> Option<(i32, i32)> {
+        let start = self.min + i64::from(k) * self.size as i64;
+        (start < self.max).then(|| {
+            (
+                start as i32,
+                (start + self.size as i64).min(self.max) as i32,
+            )
+        })
+    }
+
+    /// Where coordinate `at`, clamped to the box, falls: `2k + 1` strictly
+    /// inside cell `k`, and `2k` on grid line `k`, the lower border of cell
+    /// `k`. The box's upper border is line `used`.
+    #[inline]
+    fn code(&self, at: i32) -> u32 {
+        let offset = (i64::from(at).max(self.min).min(self.max) - self.min) as u64;
+        if offset == (self.max - self.min) as u64 {
+            return 2 * self.used;
+        }
+        2 * (offset / self.size) as u32 + u32::from(!offset.is_multiple_of(self.size))
+    }
+
+    /// Fills the table entries of the offsets `0..=max - min`: each cell's
+    /// first offset lies on its lower grid line, the rest inside it, where a
+    /// line marks the cell bit `1 << (k × stride)` of cell `k`, and the last
+    /// offset on the box's upper border.
+    fn fill(&self, codes: &mut [u8; TABLE], lines: &mut [u64; TABLE], stride: u32) {
+        let (extent, size) = ((self.max - self.min) as usize, self.size as usize);
+        for cell in 0..self.used {
+            let start = cell as usize * size;
+            let end = (start + size).min(extent);
+            codes[start] = 2 * cell as u8;
+            lines[start] = 0;
+            codes[start + 1..end].fill(2 * cell as u8 + 1);
+            lines[start + 1..end].fill(1 << (cell * stride));
+        }
+        codes[extent] = 2 * self.used as u8;
+        lines[extent] = 0;
+    }
+
+    /// Fills `centres[offset]`, for the offsets `0..=max - min`, with the
+    /// number of cells whose centre pixel lies below the offset.
+    fn fill_centres(&self, centres: &mut [u8; TABLE]) {
+        let (extent, size) = ((self.max - self.min) as usize, self.size as usize);
+        let mut from = 0;
+        for cell in 0..self.used as usize {
+            let start = cell * size;
+            let centre = start + (size.min(extent - start)) / 2;
+            centres[from..=centre].fill(cell as u8);
+            from = centre + 1;
+        }
+        centres[from..=extent].fill(self.used as u8);
+    }
+}
+
+/// The low `bits` bits set, for `bits` up to 64, without a branch.
+#[inline]
+pub(super) fn below(bits: u32) -> u64 {
+    ((1u64 << (bits & 63)) - 1) | u64::from(bits >> 6).wrapping_neg()
+}
+
+/// The cells `first..end` whose open extent overlaps the span between two
+/// coded coordinates: from the lower end's cell (or the cell above its grid
+/// line) up to the upper end's cell (or the cell below its grid line). Two
+/// ends on one grid line span no cell.
+#[inline]
+fn cells_between(a: u32, b: u32) -> (u32, u32) {
+    (a.min(b) >> 1, (a.max(b) + 1) >> 1)
+}
+
+/// The hover marks of one partition grid for one polygon: cell `(row, col)`
+/// is marked when an edge of the polygon passes through its open interior.
+/// The marks are kept as one line of `cols` bits per grid row, in as many
+/// words as a row needs (one at every fanout up to 4096), and reused from
+/// mark to mark, so a warm `HoverMarks` marks without allocating.
+#[derive(Debug, Default)]
+pub(super) struct HoverMarks {
+    /// Row `row`'s line, words `row * words..`: bit `col` is set when cell
+    /// `(row, col)` is marked.
+    rows: Vec<u64>,
+    words: usize,
+    /// A grid of more than 64 cells marks its vertical edges here first,
+    /// one line of `rows` bits per column.
+    columns: Vec<u64>,
+}
+
+impl HoverMarks {
+    /// Whether cell `(row, col)` was marked.
+    #[cfg(test)]
+    fn get(&self, row: u32, col: u32) -> bool {
+        self.word(row, col / 64) >> (col % 64) & 1 == 1
+    }
+
+    /// The marks of grid row `row`'s columns `64 × word..`.
+    #[inline]
+    pub(super) fn word(&self, row: u32, word: u32) -> u64 {
+        self.rows[row as usize * self.words + word as usize]
     }
 
     /// Rasterises `poly`'s boundary onto the partition `grid`: one walk
     /// along the chain marks every cell for which
-    /// [`boundary_intersects_interior`] holds, in O(edges + cells the
-    /// boundary passes) instead of O(edges × cells).
+    /// [`boundary_intersects_interior`] holds, in O(edges + cells) instead
+    /// of O(edges × cells).
     ///
     /// A vertical edge passes through the open interior of the cells of one
     /// grid column — the one its x lies strictly inside — on the grid rows
     /// its y-span overlaps; a horizontal edge likewise with the axes
     /// swapped. An edge on a grid line, or outside the box, marks nothing.
+    /// A grid with tables (every partition at the default block size) runs
+    /// the table walk, [`packed_walk`]; any other grid codes each vertex by
+    /// division.
     pub(super) fn mark(&mut self, grid: &Grid, poly: &RectilinearPolygon) {
-        let sampling_box = &grid.sampling_box;
-        self.first = 0;
-        self.rest.clear();
-        self.rest
-            .resize(((grid.cols * grid.rows) as usize).saturating_sub(1) / 64, 0);
-        if !sampling_box.intersects(&poly.mbr()) {
+        let (cols, rows) = (grid.cols as usize, grid.rows as usize);
+        self.words = cols.div_ceil(64);
+        self.rows.clear();
+        self.rows.resize(rows * self.words, 0);
+        if !grid.sampling_box.intersects(&poly.mbr()) {
             return;
         }
-        // Every cell but the clipped trailing ones has the grid's cell size.
-        let x_axis = GridAxis {
-            min: i64::from(sampling_box.min_x),
-            max: i64::from(sampling_box.max_x),
-            size: grid.cell_w,
-            stride: 1,
+        let Some(tables) = grid.tables.as_deref().filter(|_| grid.tabled) else {
+            self.mark_lines(grid, poly);
+            return;
         };
-        let y_axis = GridAxis {
-            min: i64::from(sampling_box.min_y),
-            max: i64::from(sampling_box.max_y),
-            size: grid.cell_h,
-            stride: grid.cols,
+        // The walk needs no clamping when the box holds the polygon, as
+        // the first partition's box, the pair's joint MBR, holds both.
+        let first_vertical = poly.vertices()[0].x == poly.vertices()[1].x;
+        let bits = match (first_vertical, grid.sampling_box.contains_rect(&poly.mbr())) {
+            (true, true) => packed_walk::<true, false>(grid, tables, poly),
+            (true, false) => packed_walk::<true, true>(grid, tables, poly),
+            (false, true) => packed_walk::<false, false>(grid, tables, poly),
+            (false, false) => packed_walk::<false, true>(grid, tables, poly),
         };
-        // Closed chain: each vertex ends the edge its predecessor starts, and
-        // an edge moves along one axis only.
+        let row_bits = !(u64::MAX << cols);
+        for (row, line) in self.rows.iter_mut().enumerate() {
+            *line = bits >> (row * cols) & row_bits;
+        }
+    }
+
+    /// [`HoverMarks::mark`] on a grid without tables: every vertex coded by
+    /// division, and every edge's cells set bit by bit.
+    fn mark_lines(&mut self, grid: &Grid, poly: &RectilinearPolygon) {
+        let (cols, rows) = (grid.cols as usize, grid.rows as usize);
+        let col_words = rows.div_ceil(64);
+        self.columns.clear();
+        self.columns.resize(cols * col_words, 0);
+        // A coordinate on the box's upper border may name the line past the
+        // last cell; it is never strictly inside, so it needs no line.
         let vertices = poly.vertices();
         let mut a = vertices[vertices.len() - 1];
-        let mut x = x_axis.place(x_axis.origin(), a.x);
-        let mut y = y_axis.place(y_axis.origin(), a.y);
-        // Whether `a` lies strictly inside its cell on both axes *and* that
-        // cell is marked. The edge that brought the chain there marked it,
-        // so an edge that stays inside the cell has nothing to add: on big
-        // cells that is nearly every edge. False before the first edge, whose
-        // cell the chain only enters when it closes.
-        let mut settled = false;
         for &b in vertices {
-            if a.x == b.x {
-                let to = i64::from(b.y);
-                if settled && y.start < to && to < y.end {
-                    y.at = to;
-                } else {
-                    settled = self.cross(&y_axis, &mut y, b.y, &x_axis, x);
-                }
+            let (ax, ay) = (grid.x.code(a.x), grid.y.code(a.y));
+            let (bx, by) = (grid.x.code(b.x), grid.y.code(b.y));
+            let (line, words, (first, end), fixed) = if a.x == b.x {
+                (&mut self.columns, col_words, cells_between(ay, by), ax)
             } else {
-                let to = i64::from(b.x);
-                if settled && x.start < to && to < x.end {
-                    x.at = to;
-                } else {
-                    settled = self.cross(&x_axis, &mut x, b.x, &y_axis, y);
+                (&mut self.rows, self.words, cells_between(ax, bx), ay)
+            };
+            if fixed & 1 == 1 {
+                let start = (fixed >> 1) as usize * words;
+                for bit in first as usize..end as usize {
+                    line[start + bit / 64] |= 1 << (bit % 64);
                 }
             }
             a = b;
         }
-    }
-
-    /// Moves `moving` to coordinate `to` along its axis and marks the cells
-    /// the edge passes, on the grid line `fixed` of the other axis. Returns
-    /// whether the edge's end lies strictly inside a cell it marked.
-    #[inline]
-    fn cross(
-        &mut self,
-        along: &GridAxis,
-        moving: &mut AxisPlace,
-        to: i32,
-        across: &GridAxis,
-        fixed: AxisPlace,
-    ) -> bool {
-        let from = *moving;
-        *moving = along.place(from, to);
-        if !fixed.strictly_inside() {
-            return false;
-        }
-        for cell in GridAxis::cells_between(from, *moving) {
-            self.set(cell * along.stride + fixed.cell * across.stride);
-        }
-        moving.strictly_inside()
-    }
-}
-
-/// One axis of a partition grid: the box's extent `[min, max)` cut into
-/// cells of `size` pixels, the last one clipped to `max`; stepping one cell
-/// along the axis moves `stride` cells in row-major order.
-struct GridAxis {
-    min: i64,
-    max: i64,
-    size: i64,
-    stride: u32,
-}
-
-/// Where a coordinate, clamped to the box, falls on a [`GridAxis`]: in the
-/// cell `cell`, which extends over `[start, end)`. A chain's consecutive
-/// vertices lie in the same or a nearby cell, so a place is carried from
-/// vertex to vertex by stepping, without a division.
-#[derive(Clone, Copy)]
-struct AxisPlace {
-    at: i64,
-    cell: u32,
-    start: i64,
-    end: i64,
-}
-
-impl AxisPlace {
-    /// Whether the grid line at this place runs through its cell's open
-    /// extent: not along a cell border and not outside the box (a coordinate
-    /// clamped to the box's upper border sits on `end`).
-    #[inline]
-    fn strictly_inside(&self) -> bool {
-        self.start < self.at && self.at < self.end
-    }
-}
-
-impl GridAxis {
-    fn origin(&self) -> AxisPlace {
-        AxisPlace {
-            at: self.min,
-            cell: 0,
-            start: self.min,
-            end: (self.min + self.size).min(self.max),
+        for col in 0..cols {
+            for row in 0..rows {
+                if self.columns[col * col_words + row / 64] >> (row % 64) & 1 == 1 {
+                    self.rows[row * self.words + col / 64] |= 1 << (col % 64);
+                }
+            }
         }
     }
+}
 
-    /// The place of coordinate `to`, stepping cell by cell from `from`.
-    #[inline]
-    fn place(&self, from: AxisPlace, to: i32) -> AxisPlace {
-        let mut place = AxisPlace {
-            at: i64::from(to).clamp(self.min, self.max),
-            ..from
+/// The marks of a grid of up to 8 × 8 cells, row-major in one word, from the
+/// grid's tables. Edges alternate between the two orientations, so the
+/// walk takes them two at a time — the closing edge's kind, then
+/// `FIRST_VERTICAL`'s — and each vertex moves along one axis only: a vertex
+/// is looked up on that axis alone, and no edge takes a branch. `CLAMP`
+/// clamps vertices to the box first; a box that holds the polygon needs
+/// none.
+fn packed_walk<const FIRST_VERTICAL: bool, const CLAMP: bool>(
+    grid: &Grid,
+    tables: &WalkTables,
+    poly: &RectilinearPolygon,
+) -> u64 {
+    let offset = |at: i32, axis: &GridAxis| {
+        let offset = i64::from(at) - axis.min;
+        let offset = if CLAMP {
+            offset.max(0).min(axis.max - axis.min)
+        } else {
+            offset
         };
-        while place.at >= place.start + self.size {
-            place.cell += 1;
-            place.start += self.size;
+        offset as usize & (TABLE - 1)
+    };
+    // A coordinate's table offset and code.
+    let x_at = |x: i32| {
+        let at = offset(x, &grid.x);
+        (at, u32::from(tables.x_codes[at]))
+    };
+    let y_at = |y: i32| {
+        let at = offset(y, &grid.y);
+        (at, u32::from(tables.y_codes[at]))
+    };
+    // The cells of an edge running from code `a` to code `b` along one axis
+    // on the grid line at `line`'s offset along the other.
+    let down = |a: u32, b: u32, line: usize| {
+        tables.down[(a << 5 | b) as usize & (SPANS - 1)] * tables.x_lines[line]
+    };
+    let across = |a: u32, b: u32, line: usize| {
+        tables.across[(a << 5 | b) as usize & (SPANS - 1)] * tables.y_lines[line]
+    };
+    let vertices = poly.vertices();
+    let last = vertices[vertices.len() - 1];
+    let (mut x, mut y) = (x_at(last.x), y_at(last.y));
+    let mut bits = 0u64;
+    for chunk in vertices.chunks_exact(2) {
+        if FIRST_VERTICAL {
+            // Across to `chunk[0]`, then down to `chunk[1]`.
+            let to_x = x_at(chunk[0].x);
+            let to_y = y_at(chunk[1].y);
+            bits |= across(x.1, to_x.1, y.0) | down(y.1, to_y.1, to_x.0);
+            (x, y) = (to_x, to_y);
+        } else {
+            // Down to `chunk[0]`, then across to `chunk[1]`.
+            let to_y = y_at(chunk[0].y);
+            let to_x = x_at(chunk[1].x);
+            bits |= down(y.1, to_y.1, x.0) | across(x.1, to_x.1, to_y.0);
+            (x, y) = (to_x, to_y);
         }
-        while place.at < place.start {
-            place.cell -= 1;
-            place.start -= self.size;
-        }
-        place.end = (place.start + self.size).min(self.max);
-        place
     }
-
-    /// The cells whose open extent overlaps the span between two places:
-    /// none when clamping collapsed the span onto one border of the box.
-    /// Which end is the upper one is as good as random along a jittered
-    /// boundary, so it is taken by `min`/`max` and not by a branch: the span
-    /// ends in its upper end's cell, or the cell before when that end lies
-    /// on the cell's lower border, and the lower end's own count never
-    /// exceeds that.
-    #[inline]
-    fn cells_between(a: AxisPlace, b: AxisPlace) -> std::ops::Range<u32> {
-        let first = a.cell.min(b.cell);
-        if a.at == b.at {
-            return first..first;
-        }
-        let end = |place: AxisPlace| place.cell + u32::from(place.at > place.start);
-        first..end(a).max(end(b))
-    }
-}
-
-/// [`box_position`] of one partition-grid cell, from the grid's
-/// [`HoverMarks`] and the polygon's edge table instead of two edge walks: a
-/// marked cell hovers, and an unmarked cell that meets the MBR is uniform, so
-/// its centre pixel's crossing parity — the number of the centre row's
-/// crossings to the right of the centre — decides it. `crossings` is the
-/// polygon's crossing list of the cell's centre row, which every cell of a
-/// grid row shares.
-#[inline]
-pub(super) fn cell_position(
-    cell: &Rect,
-    hovers: bool,
-    mbr: &Rect,
-    crossings: &[i32],
-) -> BoxPosition {
-    if hovers {
-        return BoxPosition::Hover;
-    }
-    if !cell.intersects(mbr) {
-        return BoxPosition::Outside;
-    }
-    let (cx, _) = cell.center_pixel();
-    let to_the_right = crossings.len() - crossings.partition_point(|&x| x <= cx);
-    if to_the_right % 2 == 1 {
-        BoxPosition::Inside
-    } else {
-        BoxPosition::Outside
-    }
+    bits
 }
 
 #[cfg(test)]
@@ -382,6 +616,201 @@ mod tests {
             Point::new(0, 8),
         ])
         .unwrap()
+    }
+
+    /// The hover marks [`HoverMarks`] replaced, kept as its reference: bit
+    /// `idx` is set when an edge of the polygon passes through the open
+    /// interior of the row-major cell `idx`, found by stepping a place along
+    /// each axis from vertex to vertex.
+    #[derive(Debug, Default)]
+    struct ReferenceMarks {
+        first: u64,
+        rest: Vec<u64>,
+    }
+
+    impl ReferenceMarks {
+        #[inline]
+        fn set(&mut self, idx: u32) {
+            match idx / 64 {
+                0 => self.first |= 1 << idx,
+                word => self.rest[word as usize - 1] |= 1 << (idx % 64),
+            }
+        }
+
+        /// Whether cell `idx` was marked.
+        #[inline]
+        fn get(&self, idx: u32) -> bool {
+            let word = match idx / 64 {
+                0 => self.first,
+                word => self.rest[word as usize - 1],
+            };
+            word >> (idx % 64) & 1 == 1
+        }
+
+        /// Rasterises `poly`'s boundary onto the partition `grid`: one walk
+        /// along the chain marks every cell for which
+        /// [`boundary_intersects_interior`] holds, in O(edges + cells the
+        /// boundary passes) instead of O(edges × cells).
+        ///
+        /// A vertical edge passes through the open interior of the cells of one
+        /// grid column — the one its x lies strictly inside — on the grid rows
+        /// its y-span overlaps; a horizontal edge likewise with the axes
+        /// swapped. An edge on a grid line, or outside the box, marks nothing.
+        fn mark(&mut self, grid: &Grid, poly: &RectilinearPolygon) {
+            let sampling_box = &grid.sampling_box;
+            self.first = 0;
+            self.rest.clear();
+            self.rest
+                .resize(((grid.cols * grid.rows) as usize).saturating_sub(1) / 64, 0);
+            if !sampling_box.intersects(&poly.mbr()) {
+                return;
+            }
+            // Every cell but the clipped trailing ones has the grid's cell size.
+            let x_axis = ReferenceAxis {
+                min: i64::from(sampling_box.min_x),
+                max: i64::from(sampling_box.max_x),
+                size: grid.x.size as i64,
+                stride: 1,
+            };
+            let y_axis = ReferenceAxis {
+                min: i64::from(sampling_box.min_y),
+                max: i64::from(sampling_box.max_y),
+                size: grid.y.size as i64,
+                stride: grid.cols,
+            };
+            // Closed chain: each vertex ends the edge its predecessor starts, and
+            // an edge moves along one axis only.
+            let vertices = poly.vertices();
+            let mut a = vertices[vertices.len() - 1];
+            let mut x = x_axis.place(x_axis.origin(), a.x);
+            let mut y = y_axis.place(y_axis.origin(), a.y);
+            // Whether `a` lies strictly inside its cell on both axes *and* that
+            // cell is marked. The edge that brought the chain there marked it,
+            // so an edge that stays inside the cell has nothing to add: on big
+            // cells that is nearly every edge. False before the first edge, whose
+            // cell the chain only enters when it closes.
+            let mut settled = false;
+            for &b in vertices {
+                if a.x == b.x {
+                    let to = i64::from(b.y);
+                    if settled && y.start < to && to < y.end {
+                        y.at = to;
+                    } else {
+                        settled = self.cross(&y_axis, &mut y, b.y, &x_axis, x);
+                    }
+                } else {
+                    let to = i64::from(b.x);
+                    if settled && x.start < to && to < x.end {
+                        x.at = to;
+                    } else {
+                        settled = self.cross(&x_axis, &mut x, b.x, &y_axis, y);
+                    }
+                }
+                a = b;
+            }
+        }
+
+        /// Moves `moving` to coordinate `to` along its axis and marks the cells
+        /// the edge passes, on the grid line `fixed` of the other axis. Returns
+        /// whether the edge's end lies strictly inside a cell it marked.
+        #[inline]
+        fn cross(
+            &mut self,
+            along: &ReferenceAxis,
+            moving: &mut ReferencePlace,
+            to: i32,
+            across: &ReferenceAxis,
+            fixed: ReferencePlace,
+        ) -> bool {
+            let from = *moving;
+            *moving = along.place(from, to);
+            if !fixed.strictly_inside() {
+                return false;
+            }
+            for cell in ReferenceAxis::cells_between(from, *moving) {
+                self.set(cell * along.stride + fixed.cell * across.stride);
+            }
+            moving.strictly_inside()
+        }
+    }
+
+    /// One axis of a partition grid: the box's extent `[min, max)` cut into
+    /// cells of `size` pixels, the last one clipped to `max`; stepping one cell
+    /// along the axis moves `stride` cells in row-major order.
+    struct ReferenceAxis {
+        min: i64,
+        max: i64,
+        size: i64,
+        stride: u32,
+    }
+
+    /// Where a coordinate, clamped to the box, falls on a [`ReferenceAxis`]: in the
+    /// cell `cell`, which extends over `[start, end)`. A chain's consecutive
+    /// vertices lie in the same or a nearby cell, so a place is carried from
+    /// vertex to vertex by stepping, without a division.
+    #[derive(Clone, Copy)]
+    struct ReferencePlace {
+        at: i64,
+        cell: u32,
+        start: i64,
+        end: i64,
+    }
+
+    impl ReferencePlace {
+        /// Whether the grid line at this place runs through its cell's open
+        /// extent: not along a cell border and not outside the box (a coordinate
+        /// clamped to the box's upper border sits on `end`).
+        #[inline]
+        fn strictly_inside(&self) -> bool {
+            self.start < self.at && self.at < self.end
+        }
+    }
+
+    impl ReferenceAxis {
+        fn origin(&self) -> ReferencePlace {
+            ReferencePlace {
+                at: self.min,
+                cell: 0,
+                start: self.min,
+                end: (self.min + self.size).min(self.max),
+            }
+        }
+
+        /// The place of coordinate `to`, stepping cell by cell from `from`.
+        #[inline]
+        fn place(&self, from: ReferencePlace, to: i32) -> ReferencePlace {
+            let mut place = ReferencePlace {
+                at: i64::from(to).clamp(self.min, self.max),
+                ..from
+            };
+            while place.at >= place.start + self.size {
+                place.cell += 1;
+                place.start += self.size;
+            }
+            while place.at < place.start {
+                place.cell -= 1;
+                place.start -= self.size;
+            }
+            place.end = (place.start + self.size).min(self.max);
+            place
+        }
+
+        /// The cells whose open extent overlaps the span between two places:
+        /// none when clamping collapsed the span onto one border of the box.
+        /// Which end is the upper one is as good as random along a jittered
+        /// boundary, so it is taken by `min`/`max` and not by a branch: the span
+        /// ends in its upper end's cell, or the cell before when that end lies
+        /// on the cell's lower border, and the lower end's own count never
+        /// exceeds that.
+        #[inline]
+        fn cells_between(a: ReferencePlace, b: ReferencePlace) -> std::ops::Range<u32> {
+            let first = a.cell.min(b.cell);
+            if a.at == b.at {
+                return first..first;
+            }
+            let end = |place: ReferencePlace| place.cell + u32::from(place.at > place.start);
+            first..end(a).max(end(b))
+        }
     }
 
     /// A datagen nucleus and its re-segmentation, as the serving workloads
@@ -406,23 +835,58 @@ mod tests {
         ]
     }
 
+    const FANOUTS: [u32; 4] = [4, 16, 64, 128];
+
+    /// A nucleus pair of `radius` and the scan's own parents over it: the
+    /// joint MBR, then sub-boxes of sub-boxes, whose polygons stick out on
+    /// every side; and a box that only partly covers the pair.
+    fn scan_parents(
+        radius: u32,
+        seed: u64,
+        picks: &[u32],
+        shift: (i32, i32),
+    ) -> ([RectilinearPolygon; 2], Vec<Rect>) {
+        let [p, q] = nuclei(radius, seed);
+        let joint = p.mbr().union(&q.mbr());
+        let mut parents = vec![joint];
+        for (depth, fanout) in [(0, 16u32), (1, 4)] {
+            let (cols, rows) = grid_dims(fanout);
+            let sub = parents[depth].subdivide(cols, rows, picks[depth] % fanout);
+            if !sub.is_empty() {
+                parents.push(sub);
+            }
+        }
+        parents.push(Rect::new(
+            joint.min_x + shift.0,
+            joint.min_y + shift.1,
+            joint.max_x + shift.0 - (picks[2] % radius) as i32,
+            joint.max_y + shift.1 - (picks[3] % radius) as i32,
+        ));
+        ([p, q], parents)
+    }
+
     /// Classifies every non-empty cell of `parent`'s grid both ways and
     /// returns how many cells were compared.
     fn assert_grid_equals_per_cell(parent: &Rect, fanout: u32, poly: &RectilinearPolygon) -> u32 {
         let (cols, rows) = grid_dims(fanout);
+        let grid = Grid::new(parent, cols, rows);
         let mut marks = HoverMarks::default();
-        marks.mark(&Grid::new(parent, cols, rows), poly);
+        marks.mark(&grid, poly);
         let mut compared = 0;
         for idx in 0..cols * rows {
             let cell = parent.subdivide(cols, rows, idx);
             if cell.is_empty() {
                 continue;
             }
+            let (row, col) = (idx / cols, idx % cols);
             let centre = poly.edge_table().row_crossings(cell.center_pixel().1);
-            let by_grid = cell_position(&cell, marks.get(idx), &poly.mbr(), centre);
-            let by_cell = box_position(&cell, poly);
+            let mut by_cell = RowPositions::default();
+            by_cell.set(col % 64, box_position(&cell, poly));
+            let by_grid = grid.row_positions(row, col / 64, &marks, centre);
+            let bit = 1 << (col % 64);
             assert_eq!(
-                by_grid, by_cell,
+                (by_grid.hover & bit, by_grid.inside & bit),
+                (by_cell.hover, by_cell.inside),
                 "cell {idx} = {cell:?} of {parent:?} at fanout {fanout}"
             );
             compared += 1;
@@ -460,27 +924,9 @@ mod tests {
         ) {
             let mut compared = 0;
             for radius in [6u32, 32] {
-                let [p, q] = nuclei(radius, seed);
-                let joint = p.mbr().union(&q.mbr());
-                // The scan's own parents: the joint MBR, then sub-boxes of
-                // sub-boxes, whose polygons stick out on every side; and a
-                // box that only partly covers the pair.
-                let mut parents = vec![joint];
-                for (depth, fanout) in [(0, 16u32), (1, 4)] {
-                    let (cols, rows) = grid_dims(fanout);
-                    let sub = parents[depth].subdivide(cols, rows, picks[depth] % fanout);
-                    if !sub.is_empty() {
-                        parents.push(sub);
-                    }
-                }
-                parents.push(Rect::new(
-                    joint.min_x + shift.0,
-                    joint.min_y + shift.1,
-                    joint.max_x + shift.0 - (picks[2] % radius) as i32,
-                    joint.max_y + shift.1 - (picks[3] % radius) as i32,
-                ));
+                let ([p, q], parents) = scan_parents(radius, seed, &picks, shift);
                 for parent in &parents {
-                    for fanout in [4u32, 16, 64, 128] {
+                    for fanout in FANOUTS {
                         for poly in [&p, &q] {
                             compared += assert_grid_equals_per_cell(parent, fanout, poly);
                         }
@@ -488,6 +934,38 @@ mod tests {
                 }
             }
             prop_assert!(compared > 1500, "only {} cells compared", compared);
+        }
+
+        #[test]
+        fn marks_equal_the_chain_walk_reference(
+            seed in 0u64..1 << 40,
+            picks in prop::collection::vec(0u32..1 << 16, 4),
+            shift in (-9i32..10, -9i32..10),
+        ) {
+            // One `HoverMarks` marks every grid in turn, as the scan's
+            // reused scratch does.
+            let mut marks = HoverMarks::default();
+            for radius in [6u32, 32] {
+                let ([p, q], parents) = scan_parents(radius, seed, &picks, shift);
+                for parent in &parents {
+                    for fanout in FANOUTS {
+                        let (cols, rows) = grid_dims(fanout);
+                        let grid = Grid::new(parent, cols, rows);
+                        for poly in [&p, &q] {
+                            let mut reference = ReferenceMarks::default();
+                            reference.mark(&grid, poly);
+                            marks.mark(&grid, poly);
+                            for idx in 0..cols * rows {
+                                let at = (idx, fanout, *parent, poly.mbr());
+                                prop_assert_eq!(
+                                    (marks.get(idx / cols, idx % cols), at),
+                                    (reference.get(idx), at)
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

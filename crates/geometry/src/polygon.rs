@@ -104,11 +104,16 @@ impl Edge {
 /// containment rule, which remains well defined.
 ///
 /// The vertex chain is immutable and shared by reference count, so a clone
-/// costs a counter increment, not a copy of the chain.
+/// costs a counter increment, not a copy of the chain. The shoelace sum is
+/// a property of the chain, so it is kept beside it: `PolyArea` (Algorithm 1)
+/// is a load, not a walk of the chain.
 #[derive(Debug)]
 pub struct RectilinearPolygon {
     vertices: Arc<[Point]>,
     mbr: Rect,
+    /// Twice the signed shoelace area, summed by the constructor's one pass
+    /// over the chain.
+    area2: i64,
     /// Lazily built scanline [`EdgeTable`] (see [`RectilinearPolygon::edge_table`]).
     /// Shared through an `Arc` so cloning a polygon keeps the cache warm
     /// without duplicating it.
@@ -127,6 +132,7 @@ impl Clone for RectilinearPolygon {
         RectilinearPolygon {
             vertices: Arc::clone(&self.vertices),
             mbr: self.mbr,
+            area2: self.area2,
             edge_table,
         }
     }
@@ -221,7 +227,7 @@ fn ordered_checks(vertices: &[Point]) -> Result<()> {
 
 impl PartialEq for RectilinearPolygon {
     fn eq(&self, other: &Self) -> bool {
-        // The MBR and edge table are derived from the vertex chain; identity
+        // The MBR, area and edge table are derived from the vertex chain; identity
         // is the chain itself.
         self.vertices == other.vertices
     }
@@ -245,7 +251,8 @@ impl RectilinearPolygon {
     ///
     /// One loop over the closed chain checks that every edge is axis-aligned
     /// and non-degenerate and that edge orientations alternate, while it
-    /// accumulates the MBR and the shoelace sum. The only allocation is the
+    /// accumulates the MBR and the shoelace sum, which the polygon keeps for
+    /// [`RectilinearPolygon::area`]. The only allocation is the
     /// shared `Arc<[Point]>` the chain is copied into, so a caller that
     /// builds many polygons can fill one reused scratch buffer and hand it
     /// here.
@@ -290,6 +297,7 @@ impl RectilinearPolygon {
         Ok(RectilinearPolygon {
             vertices: Arc::from(vertices),
             mbr,
+            area2,
             edge_table: OnceLock::new(),
         })
     }
@@ -410,16 +418,17 @@ impl RectilinearPolygon {
     }
 
     /// Twice the signed shoelace area. Positive for counter-clockwise
-    /// boundaries in a y-up coordinate system.
+    /// boundaries in a y-up coordinate system. The constructor sums it in
+    /// its pass over the chain, so this is a load.
+    #[inline]
     pub fn signed_area2(&self) -> i64 {
-        closed_edges(&self.vertices)
-            .map(|(a, b)| i64::from(a.x) * i64::from(b.y) - i64::from(b.x) * i64::from(a.y))
-            .sum()
+        self.area2
     }
 
     /// Exact area in pixels. For a simple rectilinear polygon with integer
     /// vertices this equals the number of pixels whose centres lie inside the
-    /// boundary (paper §3.4).
+    /// boundary (paper §3.4). A load of the stored shoelace sum, not a walk
+    /// of the chain.
     #[inline]
     pub fn area(&self) -> i64 {
         // The shoelace sum of a rectilinear polygon is always even.
@@ -494,6 +503,7 @@ impl RectilinearPolygon {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
     use proptest::TestRng;
 
     /// A vertex chain of one of the shapes a constructor or the parser must
@@ -552,6 +562,88 @@ pub(crate) mod tests {
             .iter()
             .map(|&(x, y)| Point::new(x + dx, y + dy))
             .collect()
+    }
+
+    /// Twice the signed shoelace area, walked along the chain: what
+    /// [`RectilinearPolygon::signed_area2`] computed before the polygon kept
+    /// the sum.
+    pub(crate) fn walked_area2(vertices: &[Point]) -> i64 {
+        closed_edges(vertices)
+            .map(|(a, b)| i64::from(a.x) * i64::from(b.y) - i64::from(b.x) * i64::from(a.y))
+            .sum()
+    }
+
+    /// Checks a polygon's stored area against the walk of its chain.
+    fn assert_walked_area(
+        poly: &RectilinearPolygon,
+        how: &str,
+    ) -> std::result::Result<(), proptest::TestCaseError> {
+        let walked = walked_area2(poly.vertices());
+        prop_assert_eq!((poly.signed_area2(), how), (walked, how));
+        prop_assert_eq!((poly.area(), how), (walked.abs() / 2, how));
+        Ok(())
+    }
+
+    /// Every chain [`any_chain`] draws that makes a polygon, in its drawn
+    /// orientation and reversed.
+    struct ValidChains;
+
+    impl Strategy for ValidChains {
+        type Value = [Vec<Point>; 2];
+
+        fn generate(&self, rng: &mut TestRng) -> [Vec<Point>; 2] {
+            loop {
+                let chain = any_chain(rng);
+                if RectilinearPolygon::from_slice(&chain).is_ok() {
+                    let reversed = chain.iter().rev().copied().collect();
+                    return [chain, reversed];
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn stored_area_equals_the_chain_walk_for_every_constructor(
+            chains in ValidChains,
+            rect in (-5000i32..5000, -5000i32..5000, 1i32..300, 1i32..300),
+            k in 1i32..5,
+            shift in (-1000i32..1000, -1000i32..1000),
+        ) {
+            for chain in &chains {
+                let poly = RectilinearPolygon::from_slice(chain).unwrap();
+                assert_walked_area(&poly, "from_slice")?;
+                assert_walked_area(&RectilinearPolygon::new(chain.clone()).unwrap(), "new")?;
+                assert_walked_area(&poly.clone(), "clone")?;
+                // A redundant vertex on the first edge and a duplicated
+                // closing vertex, both removed by canonicalize.
+                let (a, b) = (chain[0], chain[1]);
+                let mut noisy = chain.clone();
+                if (a.x - b.x).abs() + (a.y - b.y).abs() > 1 {
+                    let step = |from: i32, to: i32| from + (to - from).signum();
+                    noisy.insert(1, Point::new(step(a.x, b.x), step(a.y, b.y)));
+                }
+                noisy.push(a);
+                let canonical = RectilinearPolygon::canonicalize(noisy).unwrap();
+                assert_walked_area(&canonical, "canonicalize")?;
+                if let Ok(scaled) = poly.scale(k) {
+                    assert_walked_area(&scaled, "scale")?;
+                }
+                if let Ok(moved) = poly.translate(shift.0, shift.1) {
+                    assert_walked_area(&moved, "translate")?;
+                }
+                let record = crate::text::PolygonRecord { id: 7, polygon: poly };
+                let text = crate::text::write_polygon_file(std::slice::from_ref(&record));
+                for parsed in crate::text::parse_polygon_file(&text).unwrap() {
+                    assert_walked_area(&parsed.polygon, "parse_polygon_file")?;
+                }
+            }
+            let (x, y, w, h) = rect;
+            let rectangle = RectilinearPolygon::rectangle(Rect::new(x, y, x + w, y + h)).unwrap();
+            assert_walked_area(&rectangle, "rectangle")?;
+        }
     }
 
     fn unit_square() -> RectilinearPolygon {

@@ -11,6 +11,8 @@
 //!    at read time and surfaces as a typed [`SccgError::Storage`], never as
 //!    silently wrong polygons.
 //!
+//! Decoded polygons also keep the area their chain's shoelace walk gives.
+//!
 //! A third property covers the file around the blocks: a slide file
 //! truncated anywhere, or with random bytes overwritten in its header,
 //! footer index or trailer, opens to a working file or a typed
@@ -77,6 +79,28 @@ proptest! {
         let block = encode_tile(&records);
         let decoded = decode_tile(&block).expect("encoded block decodes");
         prop_assert_eq!(decoded, records);
+    }
+
+    // A decoded polygon's stored area is its chain's shoelace sum, in
+    // either orientation.
+    #[test]
+    fn decoded_polygons_keep_the_walked_area(records in tile()) {
+        let reversed = records.iter().map(|record| PolygonRecord {
+            id: record.id,
+            polygon: RectilinearPolygon::new(record.polygon.vertices().iter().rev().copied().collect())
+                .expect("a reversed staircase is valid"),
+        });
+        let both: Vec<PolygonRecord> = records.iter().cloned().chain(reversed).collect();
+        for record in decode_tile(&encode_tile(&both)).expect("encoded block decodes") {
+            let vertices = record.polygon.vertices();
+            let walked: i64 = vertices
+                .iter()
+                .zip(vertices.iter().cycle().skip(1))
+                .map(|(a, b)| i64::from(a.x) * i64::from(b.y) - i64::from(b.x) * i64::from(a.y))
+                .sum();
+            prop_assert_eq!(record.polygon.signed_area2(), walked);
+            prop_assert_eq!(record.polygon.area(), walked.abs() / 2);
+        }
     }
 
     // Flipping any one byte of a block changes its FNV-1a digest: the
