@@ -72,12 +72,6 @@ impl EngineConfig {
         self
     }
 
-    /// Returns a copy with a different simulated GPU configuration.
-    pub fn with_gpu(mut self, gpu: DeviceConfig) -> Self {
-        self.gpu = gpu;
-        self
-    }
-
     /// Returns a copy with a different CPU worker count.
     pub fn with_cpu_workers(mut self, cpu_workers: usize) -> Self {
         self.cpu_workers = cpu_workers;

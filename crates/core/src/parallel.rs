@@ -41,7 +41,7 @@ use std::mem::MaybeUninit;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 /// Number of worker threads to use by default: one per available core.
@@ -150,7 +150,8 @@ impl std::fmt::Debug for WorkerPool {
 
 impl WorkerPool {
     /// Creates a pool with `threads` persistent worker threads (at least
-    /// one).
+    /// one). It returns once every worker has started, so no thread's
+    /// start-up runs beside the pool's first jobs.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
@@ -160,15 +161,21 @@ impl WorkerPool {
             }),
             work_available: Condvar::new(),
         });
+        let started = Arc::new(Barrier::new(threads + 1));
         let handles = (0..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
+                let started = Arc::clone(&started);
                 std::thread::Builder::new()
                     .name(format!("sccg-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || {
+                        started.wait();
+                        worker_loop(&shared)
+                    })
                     .expect("spawn pool worker")
             })
             .collect();
+        started.wait();
         WorkerPool {
             shared,
             threads,

@@ -8,10 +8,14 @@
 //! converts into simulated cycles and which tests use to verify algorithmic
 //! claims (e.g. that sampling boxes reduce per-pixel work, Figure 8).
 //!
-//! [`compute_pair`] returns a pair's areas and trace. [`trace_pair`] runs the
-//! same scan without the pixelized boxes' interval arithmetic and returns
-//! only the trace: the simulated GPU charges that trace and takes its areas
-//! from the CPU's exact row sweep.
+//! [`compute_pair`] returns a pair's areas and trace. Its pixelized boxes
+//! are counted by the same row sweep that gives every served area
+//! ([`intersection_len_in`], and [`inside_len_in`] when the variant needs a
+//! union): a box's pixel counts per row are §3.1's pixelized view.
+//! [`trace_pair`] runs the same scan without the pixelized boxes' sweeps and
+//! returns only the trace: the simulated GPU charges that trace and takes
+//! its areas from the CPU's exact row sweep. [`compute_pair_reference`] is
+//! the per-pixel oracle for both.
 //!
 //! The scan's host work is kept small, since the served GPU engines run it
 //! for every pair:
@@ -25,12 +29,14 @@
 //! - when every cell of a partition is below the threshold, its unresolved
 //!   cells are pixelized (or, in the count-only scan, charged) at once
 //!   rather than pushed and popped, with the same pushes and stack depth
-//!   charged.
+//!   charged; each cell is charged as a pixelized box, and a grid row's
+//!   adjacent cells are swept as one window, since areas add over disjoint
+//!   windows.
 
 use super::position::{below, box_position, grid_dims, Grid, HoverMarks, RowPositions};
 use super::{PairAreas, PolygonPair, Variant};
-use sccg_geometry::edge_table::{overlap_len_in, span_len_in};
-use sccg_geometry::{EdgeTable, Rect, RectilinearPolygon};
+use sccg_geometry::edge_table::{inside_len_in, intersection_len_in};
+use sccg_geometry::{Rect, RectilinearPolygon};
 use std::cell::RefCell;
 
 /// Execution statistics of one pair (or a batch, traces are additive).
@@ -81,34 +87,15 @@ impl Trace {
     }
 }
 
-/// Which kernel finishes sub-threshold sampling boxes (and the `PixelOnly`
-/// variant's whole-region scan).
-///
-/// Both kernels produce bit-identical areas *and* bit-identical [`Trace`]s:
-/// the trace counts what the per-pixel semantics of §3.1 *would* do, which
-/// the scanline kernel accounts for analytically (the GPU simulator's cost
-/// model and the Figure 8 claims are defined over those per-pixel counts,
-/// regardless of how the host computes the areas).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PixelizeKernel {
-    /// Interval-scanline fast path: per pixel row, intersect/merge the two
-    /// polygons' inside x-intervals (from their cached
-    /// [`EdgeTable`]s) with pure interval
-    /// arithmetic — O(rows × crossing edges), never touching individual
-    /// pixels.
-    #[default]
-    Scanline,
-    /// The seed per-pixel loop: classify every pixel of the region against
-    /// both polygons with the O(edges) even–odd ray cast. Retained as the
-    /// brute-force oracle for the equivalence suite and the
-    /// `pixelize_dense` benchmark baseline.
-    PerPixel,
-}
-
 /// Computes the areas of intersection and union for one polygon pair using
 /// the requested variant, recording an execution trace. Pixelized regions
-/// are finished with the interval-scanline fast path
-/// ([`PixelizeKernel::Scanline`]).
+/// are finished by the row sweeps of the edge tables
+/// ([`intersection_len_in`], and [`inside_len_in`] for a union).
+///
+/// The trace counts what the per-pixel semantics of §3.1 *would* do, which
+/// the sweeps account for analytically: the GPU simulator's cost model and
+/// the Figure 8 claims are defined over those per-pixel counts, however the
+/// host computes the areas.
 ///
 /// * `threshold` — pixelization threshold `T` (boxes with fewer pixels are
 ///   finished by pixelization).
@@ -120,34 +107,19 @@ pub fn compute_pair(
     fanout: u32,
     variant: Variant,
 ) -> (PairAreas, Trace) {
-    compute_pair_with(pair, threshold, fanout, variant, PixelizeKernel::Scanline)
+    scan_pair(pair, threshold, fanout, variant, Mode::Scanline)
 }
 
-/// [`compute_pair`] with the retained per-pixel pixelization loop
-/// ([`PixelizeKernel::PerPixel`]) — the pre-fast-path behaviour, kept as the
-/// independent oracle: areas and traces must match [`compute_pair`] exactly.
+/// [`compute_pair`] with per-cell edge walks and the per-pixel
+/// pixelization loop — the pre-fast-path behaviour, kept as the independent
+/// oracle: areas and traces must match [`compute_pair`] exactly.
 pub fn compute_pair_reference(
     pair: &PolygonPair,
     threshold: u32,
     fanout: u32,
     variant: Variant,
 ) -> (PairAreas, Trace) {
-    compute_pair_with(pair, threshold, fanout, variant, PixelizeKernel::PerPixel)
-}
-
-/// [`compute_pair`] with an explicit pixelization kernel.
-pub fn compute_pair_with(
-    pair: &PolygonPair,
-    threshold: u32,
-    fanout: u32,
-    variant: Variant,
-    kernel: PixelizeKernel,
-) -> (PairAreas, Trace) {
-    let mode = match kernel {
-        PixelizeKernel::Scanline => Mode::Scanline,
-        PixelizeKernel::PerPixel => Mode::PerPixel,
-    };
-    scan_pair(pair, threshold, fanout, variant, mode)
+    scan_pair(pair, threshold, fanout, variant, Mode::PerPixel)
 }
 
 /// The [`Trace`] of [`compute_pair`] without its areas: the count-only
@@ -165,10 +137,10 @@ pub fn trace_pair(pair: &PolygonPair, threshold: u32, fanout: u32, variant: Vari
 /// How a scan finishes pixelized boxes and classifies partition cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// [`PixelizeKernel::Scanline`]: cells from the grid's hover marks and
-    /// the edge tables, pixelized boxes by interval arithmetic.
+    /// [`compute_pair`]: cells from the grid's hover marks and the edge
+    /// tables, pixelized boxes by the tables' row sweeps.
     Scanline,
-    /// [`PixelizeKernel::PerPixel`]: cells by edge walks, pixelized boxes
+    /// [`compute_pair_reference`]: cells by edge walks, pixelized boxes
     /// pixel by pixel.
     PerPixel,
     /// Cells as in `Scanline`; pixelized boxes are only counted, so the
@@ -176,7 +148,8 @@ enum Mode {
     Count,
 }
 
-/// The scan behind [`compute_pair_with`] and [`trace_pair`].
+/// The scan behind [`compute_pair`], [`compute_pair_reference`] and
+/// [`trace_pair`].
 fn scan_pair(
     pair: &PolygonPair,
     threshold: u32,
@@ -192,22 +165,17 @@ fn scan_pair(
     // the whole scan, so it is resolved once here instead of once per
     // pixelized region (and once per sub-box in the partition loop).
     let edges = PairEdges::of(pair);
-    // The scanline kernel's row-reuse cache lives for exactly one scan; the
-    // per-pixel oracle and the count-only scan pixelize without it.
-    let mut cache = match mode {
-        Mode::Scanline => Some(RowCache::new(pair.p.edge_table(), pair.q.edge_table())),
-        Mode::PerPixel | Mode::Count => None,
-    };
 
     let areas = match variant {
-        Variant::PixelOnly => pixelize_region(
-            &joint, pair, &edges, fanout, mode, true, &mut cache, &mut trace,
-        ),
+        Variant::PixelOnly => {
+            charge_pixelization(&mut trace, joint.pixel_count(), 1, fanout, &edges);
+            pixel_areas(&joint, pair, mode, true)
+        }
         Variant::Full => {
             let area_p = shoelace(&pair.p, &mut trace);
             let area_q = shoelace(&pair.q, &mut trace);
             let intersection = sampling_box_scan(
-                pair, &edges, &joint, threshold, fanout, false, mode, &mut cache, &mut trace,
+                pair, &edges, &joint, threshold, fanout, false, mode, &mut trace,
             )
             .intersection;
             PairAreas {
@@ -216,81 +184,10 @@ fn scan_pair(
             }
         }
         Variant::NoSep => sampling_box_scan(
-            pair, &edges, &joint, threshold, fanout, true, mode, &mut cache, &mut trace,
+            pair, &edges, &joint, threshold, fanout, true, mode, &mut trace,
         ),
     };
     (areas, trace)
-}
-
-/// Number of direct-mapped slots in a [`RowCache`]. Sixteen rows cover the
-/// row overlap between the sub-boxes a partitioned sampling box produces
-/// (fanout grids are at most a few boxes tall) while keeping the cache small
-/// enough to initialise per pair without measurable cost.
-const ROW_CACHE_SLOTS: usize = 16;
-
-/// One cached pixel row of a pair: both polygons' resolved crossing lists
-/// and the first row at which either list may change.
-#[derive(Clone, Copy)]
-struct RowSlot<'t> {
-    y: i32,
-    /// `min` of the two tables' run ends: every row in `[y, run_end)` shares
-    /// both crossing lists.
-    run_end: i32,
-    p_xs: &'t [i32],
-    q_xs: &'t [i32],
-    valid: bool,
-}
-
-/// Per-scan row-interval reuse layer: a small direct-mapped cache keyed by
-/// row `y`, holding both polygons' resolved crossing lists. Adjacent sampling
-/// boxes of one scan share pixel rows (vertically-split siblings cover the
-/// same y-range), so the second and later boxes touching a row hit the cache
-/// and skip both slab binary searches instead of re-deriving the lists per
-/// box. The cache borrows the pair's [`EdgeTable`]s and lives for exactly one
-/// scan, so it can never serve rows from a previous pair.
-struct RowCache<'t> {
-    p: &'t EdgeTable,
-    q: &'t EdgeTable,
-    slots: [RowSlot<'t>; ROW_CACHE_SLOTS],
-}
-
-impl<'t> RowCache<'t> {
-    fn new(p: &'t EdgeTable, q: &'t EdgeTable) -> Self {
-        RowCache {
-            p,
-            q,
-            slots: [RowSlot {
-                y: 0,
-                run_end: 0,
-                p_xs: &[],
-                q_xs: &[],
-                valid: false,
-            }; ROW_CACHE_SLOTS],
-        }
-    }
-
-    /// The resolved crossing lists for row `y` (filled from the edge tables
-    /// on a miss). `run_end` is always `> y`, so run sweeps through the
-    /// cache advance.
-    #[inline]
-    fn row(&mut self, y: i32) -> RowSlot<'t> {
-        let idx = (y as u32 as usize) % ROW_CACHE_SLOTS;
-        let slot = self.slots[idx];
-        if slot.valid && slot.y == y {
-            return slot;
-        }
-        let rp = self.p.row(y);
-        let rq = self.q.row(y);
-        let fresh = RowSlot {
-            y,
-            run_end: rp.run_end().min(rq.run_end()),
-            p_xs: rp.crossings(),
-            q_xs: rq.crossings(),
-            valid: true,
-        };
-        self.slots[idx] = fresh;
-        fresh
-    }
 }
 
 /// Per-pair edge counts, computed once per scan and threaded through the hot
@@ -323,8 +220,14 @@ fn shoelace(poly: &RectilinearPolygon, trace: &mut Trace) -> i64 {
     poly.area()
 }
 
-/// Charges `boxes` pixelized regions of `pixels` pixels each: per region,
-/// [`pixelize_region`]'s per-pixel counts.
+/// Charges `boxes` pixelized regions of `pixels` pixels each.
+///
+/// The charges are identical in every mode — they count the §3.1
+/// per-pixel semantics (2 containment tests and one full edge walk per
+/// pixel), which the row sweeps account for analytically: a region of
+/// `n` pixels always contributes `2n` pixel tests, `n × (|p| + |q|)` edge
+/// operations and `⌈n / lanes⌉` SIMD rounds, exactly what the per-pixel loop
+/// accumulates one pixel at a time.
 fn charge_pixelization(trace: &mut Trace, pixels: i64, boxes: u64, lanes: u32, edges: &PairEdges) {
     let pixels = pixels.max(0) as u64;
     let lanes = u64::from(lanes.max(1));
@@ -340,60 +243,23 @@ fn charge_pixelization(trace: &mut Trace, pixels: i64, boxes: u64, lanes: u32, e
     trace.pixel_edge_ops += boxes * pixels * edges.total();
 }
 
-/// Pixelization of a region: resolves the region's intersection/union pixel
-/// counts (the `PixelOnly` path, and the tail phase of the full algorithm).
-///
-/// The trace charges are identical for both kernels — they count the §3.1
-/// per-pixel semantics (2 containment tests and one full edge walk per
-/// pixel), which the scanline kernel accounts for analytically: a region of
-/// `n` pixels always contributes `2n` pixel tests, `n × (|p| + |q|)` edge
-/// operations and `⌈n / lanes⌉` SIMD rounds, exactly what the per-pixel loop
-/// accumulates one pixel at a time.
-///
-/// When `need_union` is false (the full variant's tail phase, which derives
-/// the union indirectly and discards this function's union) the scanline
-/// kernel runs one overlap pass per row instead of three interval passes.
-/// The per-pixel oracle is kept verbatim — its (unused) union costs nothing
-/// extra to the comparison, since it is the baseline being measured. The
-/// count-only scan stops after the charges and returns zero areas.
-#[allow(clippy::too_many_arguments)]
-fn pixelize_region(
-    region: &Rect,
-    pair: &PolygonPair,
-    edges: &PairEdges,
-    lanes: u32,
-    mode: Mode,
-    need_union: bool,
-    cache: &mut Option<RowCache<'_>>,
-    trace: &mut Trace,
-) -> PairAreas {
-    charge_pixelization(trace, region.pixel_count(), 1, lanes, edges);
-
+/// The intersection and union pixel counts of a window, §3.1's pixelized
+/// view. The row sweeps compute the intersection, and the union only when
+/// `need_union` is set (`NoSep` and `PixelOnly`): the full variant's tail
+/// phase derives the union from the polygons' areas and discards this
+/// function's. The per-pixel oracle is kept verbatim. The count-only scan
+/// returns zero areas.
+fn pixel_areas(region: &Rect, pair: &PolygonPair, mode: Mode, need_union: bool) -> PairAreas {
     let mut intersection = 0i64;
     let mut union = 0i64;
     match mode {
         Mode::Count => {}
         Mode::Scanline => {
-            // Run sweep through the pair's row cache: each run of rows
-            // sharing both crossing lists is resolved once (or taken from
-            // the cache when an earlier sampling box already touched it)
-            // and its interval arithmetic multiplied by the run length.
-            let cache = cache
-                .as_mut()
-                .expect("scanline kernel runs with a row cache");
-            let mut y = region.min_y;
-            while y < region.max_y {
-                let row = cache.row(y);
-                let run_end = row.run_end.min(region.max_y);
-                let rows = i64::from(run_end) - i64::from(y);
-                let row_inter = overlap_len_in(row.p_xs, row.q_xs, region.min_x, region.max_x);
-                intersection += rows * row_inter;
-                if need_union {
-                    let row_sum = span_len_in(row.p_xs, region.min_x, region.max_x)
-                        + span_len_in(row.q_xs, region.min_x, region.max_x);
-                    union += rows * (row_sum - row_inter);
-                }
-                y = run_end;
+            let (table_p, table_q) = (pair.p.edge_table(), pair.q.edge_table());
+            intersection = intersection_len_in(table_p, table_q, region);
+            if need_union {
+                union =
+                    inside_len_in(table_p, region) + inside_len_in(table_q, region) - intersection;
             }
         }
         Mode::PerPixel => {
@@ -447,7 +313,6 @@ fn sampling_box_scan(
     fanout: u32,
     track_union: bool,
     mode: Mode,
-    cache: &mut Option<RowCache<'_>>,
     trace: &mut Trace,
 ) -> PairAreas {
     SCAN_SCRATCH.with_borrow_mut(|scratch| {
@@ -478,16 +343,8 @@ fn sampling_box_scan(
             }
             if sampling_box.pixel_count() < threshold {
                 // Pixelization phase (Algorithm 1, lines 22–28).
-                let local = pixelize_region(
-                    &sampling_box,
-                    pair,
-                    edges,
-                    fanout,
-                    mode,
-                    track_union,
-                    cache,
-                    trace,
-                );
+                charge_pixelization(trace, sampling_box.pixel_count(), 1, fanout, edges);
+                let local = pixel_areas(&sampling_box, pair, mode, track_union);
                 intersection += local.intersection;
                 if track_union {
                     union += local.union;
@@ -596,25 +453,20 @@ fn sampling_box_scan(
                     }
                     pushed += u64::from(unresolved.count_ones());
                     trace.pixelized_boxes += u64::from(unresolved.count_ones());
+                    // Each cell is charged as a pixelized box; the row's
+                    // cells are alike but for the last column's width.
+                    for (width, count) in grid.widths(word, unresolved) {
+                        charge_pixelization(trace, width * height, count.into(), fanout, edges);
+                    }
                     if mode == Mode::Count {
-                        // Only the charges: the row's cells are alike but
-                        // for the last column's width.
-                        for (width, count) in grid.widths(word, unresolved) {
-                            charge_pixelization(trace, width * height, count.into(), fanout, edges);
-                        }
                         continue;
                     }
-                    for sub in set_bits(unresolved).map(cell) {
-                        let local = pixelize_region(
-                            &sub,
-                            pair,
-                            edges,
-                            fanout,
-                            mode,
-                            track_union,
-                            cache,
-                            trace,
-                        );
+                    // Areas add over disjoint windows, so each run of
+                    // adjacent cells is counted as one window.
+                    for (start, end) in set_runs(unresolved) {
+                        let window =
+                            Rect::new(cell(start).min_x, min_y, cell(end - 1).max_x, max_y);
+                        let local = pixel_areas(&window, pair, mode, track_union);
                         intersection += local.intersection;
                         if track_union {
                             union += local.union;
@@ -642,6 +494,20 @@ fn set_bits(mut bits: u64) -> impl Iterator<Item = u32> {
         let bit = bits.trailing_zeros();
         bits &= bits.wrapping_sub(1);
         (bit < 64).then_some(bit)
+    })
+}
+
+/// The runs of consecutive set bits of `bits` as half-open `(start, end)`
+/// bit ranges, lowest first.
+fn set_runs(mut bits: u64) -> impl Iterator<Item = (u32, u32)> {
+    std::iter::from_fn(move || {
+        let start = bits.trailing_zeros();
+        if start == 64 {
+            return None;
+        }
+        let end = start + (!(bits >> start)).trailing_zeros();
+        bits &= u64::MAX.checked_shl(end).unwrap_or(0);
+        Some((start, end))
     })
 }
 
@@ -929,6 +795,32 @@ mod tests {
                     assert!(fast.1.partitions > 0, "T={threshold} fanout={fanout}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn set_runs_are_the_maximal_runs_of_set_bits() {
+        let words = [
+            0u64,
+            1,
+            0b1011_0110,
+            u64::MAX,
+            u64::MAX << 1,
+            1 << 63,
+            0x8000_0000_0000_0001,
+            0xF0F0_0000_0000_0FFF,
+        ];
+        for bits in words {
+            let mut rebuilt = 0u64;
+            let mut previous_end = None;
+            for (start, end) in set_runs(bits) {
+                assert!(start < end && end <= 64, "{bits:#x}: ({start}, {end})");
+                // A clear bit separates a run from the one before it.
+                assert!(previous_end.is_none_or(|e| start > e), "{bits:#x}");
+                rebuilt |= (u64::MAX >> (64 - (end - start))) << start;
+                previous_end = Some(end);
+            }
+            assert_eq!(rebuilt, bits);
         }
     }
 

@@ -22,9 +22,10 @@
 //! * [`position`] — the sampling-box position predicate of Lemma 1.
 //! * [`algorithm`] — the device-independent core of PixelBox, shared by the
 //!   CPU port and the GPU kernel, with an execution trace used for cost
-//!   accounting. Pixelized regions are finished by an interval-scanline fast
-//!   path over each polygon's cached [`sccg_geometry::EdgeTable`]
-//!   (O(rows × crossing edges) instead of O(pixels × edges)); the retained
+//!   accounting. Pixelized regions are finished by the row sweep that gives
+//!   every served area, over each polygon's cached
+//!   [`sccg_geometry::EdgeTable`] (O(row runs × crossing edges) instead of
+//!   O(pixels × edges)); the retained
 //!   per-pixel loop ([`algorithm::compute_pair_reference`]) is the oracle it
 //!   is verified bit-identical against — areas *and* traces.
 //! * [`cpu`] — the CPU substrate's exact row sweep of a pair's MBR overlap,

@@ -451,12 +451,6 @@ pub(super) struct HoverMarks {
 }
 
 impl HoverMarks {
-    /// Whether cell `(row, col)` was marked.
-    #[cfg(test)]
-    fn get(&self, row: u32, col: u32) -> bool {
-        self.word(row, col / 64) >> (col % 64) & 1 == 1
-    }
-
     /// The marks of grid row `row`'s columns `64 × word..`.
     #[inline]
     pub(super) fn word(&self, row: u32, word: u32) -> u64 {
@@ -618,201 +612,6 @@ mod tests {
         .unwrap()
     }
 
-    /// The hover marks [`HoverMarks`] replaced, kept as its reference: bit
-    /// `idx` is set when an edge of the polygon passes through the open
-    /// interior of the row-major cell `idx`, found by stepping a place along
-    /// each axis from vertex to vertex.
-    #[derive(Debug, Default)]
-    struct ReferenceMarks {
-        first: u64,
-        rest: Vec<u64>,
-    }
-
-    impl ReferenceMarks {
-        #[inline]
-        fn set(&mut self, idx: u32) {
-            match idx / 64 {
-                0 => self.first |= 1 << idx,
-                word => self.rest[word as usize - 1] |= 1 << (idx % 64),
-            }
-        }
-
-        /// Whether cell `idx` was marked.
-        #[inline]
-        fn get(&self, idx: u32) -> bool {
-            let word = match idx / 64 {
-                0 => self.first,
-                word => self.rest[word as usize - 1],
-            };
-            word >> (idx % 64) & 1 == 1
-        }
-
-        /// Rasterises `poly`'s boundary onto the partition `grid`: one walk
-        /// along the chain marks every cell for which
-        /// [`boundary_intersects_interior`] holds, in O(edges + cells the
-        /// boundary passes) instead of O(edges × cells).
-        ///
-        /// A vertical edge passes through the open interior of the cells of one
-        /// grid column — the one its x lies strictly inside — on the grid rows
-        /// its y-span overlaps; a horizontal edge likewise with the axes
-        /// swapped. An edge on a grid line, or outside the box, marks nothing.
-        fn mark(&mut self, grid: &Grid, poly: &RectilinearPolygon) {
-            let sampling_box = &grid.sampling_box;
-            self.first = 0;
-            self.rest.clear();
-            self.rest
-                .resize(((grid.cols * grid.rows) as usize).saturating_sub(1) / 64, 0);
-            if !sampling_box.intersects(&poly.mbr()) {
-                return;
-            }
-            // Every cell but the clipped trailing ones has the grid's cell size.
-            let x_axis = ReferenceAxis {
-                min: i64::from(sampling_box.min_x),
-                max: i64::from(sampling_box.max_x),
-                size: grid.x.size as i64,
-                stride: 1,
-            };
-            let y_axis = ReferenceAxis {
-                min: i64::from(sampling_box.min_y),
-                max: i64::from(sampling_box.max_y),
-                size: grid.y.size as i64,
-                stride: grid.cols,
-            };
-            // Closed chain: each vertex ends the edge its predecessor starts, and
-            // an edge moves along one axis only.
-            let vertices = poly.vertices();
-            let mut a = vertices[vertices.len() - 1];
-            let mut x = x_axis.place(x_axis.origin(), a.x);
-            let mut y = y_axis.place(y_axis.origin(), a.y);
-            // Whether `a` lies strictly inside its cell on both axes *and* that
-            // cell is marked. The edge that brought the chain there marked it,
-            // so an edge that stays inside the cell has nothing to add: on big
-            // cells that is nearly every edge. False before the first edge, whose
-            // cell the chain only enters when it closes.
-            let mut settled = false;
-            for &b in vertices {
-                if a.x == b.x {
-                    let to = i64::from(b.y);
-                    if settled && y.start < to && to < y.end {
-                        y.at = to;
-                    } else {
-                        settled = self.cross(&y_axis, &mut y, b.y, &x_axis, x);
-                    }
-                } else {
-                    let to = i64::from(b.x);
-                    if settled && x.start < to && to < x.end {
-                        x.at = to;
-                    } else {
-                        settled = self.cross(&x_axis, &mut x, b.x, &y_axis, y);
-                    }
-                }
-                a = b;
-            }
-        }
-
-        /// Moves `moving` to coordinate `to` along its axis and marks the cells
-        /// the edge passes, on the grid line `fixed` of the other axis. Returns
-        /// whether the edge's end lies strictly inside a cell it marked.
-        #[inline]
-        fn cross(
-            &mut self,
-            along: &ReferenceAxis,
-            moving: &mut ReferencePlace,
-            to: i32,
-            across: &ReferenceAxis,
-            fixed: ReferencePlace,
-        ) -> bool {
-            let from = *moving;
-            *moving = along.place(from, to);
-            if !fixed.strictly_inside() {
-                return false;
-            }
-            for cell in ReferenceAxis::cells_between(from, *moving) {
-                self.set(cell * along.stride + fixed.cell * across.stride);
-            }
-            moving.strictly_inside()
-        }
-    }
-
-    /// One axis of a partition grid: the box's extent `[min, max)` cut into
-    /// cells of `size` pixels, the last one clipped to `max`; stepping one cell
-    /// along the axis moves `stride` cells in row-major order.
-    struct ReferenceAxis {
-        min: i64,
-        max: i64,
-        size: i64,
-        stride: u32,
-    }
-
-    /// Where a coordinate, clamped to the box, falls on a [`ReferenceAxis`]: in the
-    /// cell `cell`, which extends over `[start, end)`. A chain's consecutive
-    /// vertices lie in the same or a nearby cell, so a place is carried from
-    /// vertex to vertex by stepping, without a division.
-    #[derive(Clone, Copy)]
-    struct ReferencePlace {
-        at: i64,
-        cell: u32,
-        start: i64,
-        end: i64,
-    }
-
-    impl ReferencePlace {
-        /// Whether the grid line at this place runs through its cell's open
-        /// extent: not along a cell border and not outside the box (a coordinate
-        /// clamped to the box's upper border sits on `end`).
-        #[inline]
-        fn strictly_inside(&self) -> bool {
-            self.start < self.at && self.at < self.end
-        }
-    }
-
-    impl ReferenceAxis {
-        fn origin(&self) -> ReferencePlace {
-            ReferencePlace {
-                at: self.min,
-                cell: 0,
-                start: self.min,
-                end: (self.min + self.size).min(self.max),
-            }
-        }
-
-        /// The place of coordinate `to`, stepping cell by cell from `from`.
-        #[inline]
-        fn place(&self, from: ReferencePlace, to: i32) -> ReferencePlace {
-            let mut place = ReferencePlace {
-                at: i64::from(to).clamp(self.min, self.max),
-                ..from
-            };
-            while place.at >= place.start + self.size {
-                place.cell += 1;
-                place.start += self.size;
-            }
-            while place.at < place.start {
-                place.cell -= 1;
-                place.start -= self.size;
-            }
-            place.end = (place.start + self.size).min(self.max);
-            place
-        }
-
-        /// The cells whose open extent overlaps the span between two places:
-        /// none when clamping collapsed the span onto one border of the box.
-        /// Which end is the upper one is as good as random along a jittered
-        /// boundary, so it is taken by `min`/`max` and not by a branch: the span
-        /// ends in its upper end's cell, or the cell before when that end lies
-        /// on the cell's lower border, and the lower end's own count never
-        /// exceeds that.
-        #[inline]
-        fn cells_between(a: ReferencePlace, b: ReferencePlace) -> std::ops::Range<u32> {
-            let first = a.cell.min(b.cell);
-            if a.at == b.at {
-                return first..first;
-            }
-            let end = |place: ReferencePlace| place.cell + u32::from(place.at > place.start);
-            first..end(a).max(end(b))
-        }
-    }
-
     /// A datagen nucleus and its re-segmentation, as the serving workloads
     /// pair them.
     fn nuclei(radius: u32, seed: u64) -> [RectilinearPolygon; 2] {
@@ -866,11 +665,16 @@ mod tests {
     }
 
     /// Classifies every non-empty cell of `parent`'s grid both ways and
-    /// returns how many cells were compared.
-    fn assert_grid_equals_per_cell(parent: &Rect, fanout: u32, poly: &RectilinearPolygon) -> u32 {
+    /// returns how many cells were compared. `marks` is reused from grid to
+    /// grid, as the scan's per-thread scratch is.
+    fn assert_grid_equals_per_cell(
+        parent: &Rect,
+        fanout: u32,
+        poly: &RectilinearPolygon,
+        marks: &mut HoverMarks,
+    ) -> u32 {
         let (cols, rows) = grid_dims(fanout);
         let grid = Grid::new(parent, cols, rows);
-        let mut marks = HoverMarks::default();
         marks.mark(&grid, poly);
         let mut compared = 0;
         for idx in 0..cols * rows {
@@ -882,7 +686,7 @@ mod tests {
             let centre = poly.edge_table().row_crossings(cell.center_pixel().1);
             let mut by_cell = RowPositions::default();
             by_cell.set(col % 64, box_position(&cell, poly));
-            let by_grid = grid.row_positions(row, col / 64, &marks, centre);
+            let by_grid = grid.row_positions(row, col / 64, marks, centre);
             let bit = 1 << (col % 64);
             assert_eq!(
                 (by_grid.hover & bit, by_grid.inside & bit),
@@ -922,50 +726,26 @@ mod tests {
             picks in prop::collection::vec(0u32..1 << 16, 4),
             shift in (-9i32..10, -9i32..10),
         ) {
+            let mut inputs = Vec::from([6u32, 32].map(|r| scan_parents(r, seed, &picks, shift)));
+            // A pair scaled past the walk tables, so every fanout marks by
+            // division.
+            let scaled = nuclei(32, seed).map(|poly| poly.scale(40).expect("scaled nucleus"));
+            let joint = scaled[0].mbr().union(&scaled[1].mbr());
+            prop_assert!(joint.width().min(joint.height()) >= TABLE as i64);
+            inputs.push((scaled, vec![joint]));
             let mut compared = 0;
-            for radius in [6u32, 32] {
-                let ([p, q], parents) = scan_parents(radius, seed, &picks, shift);
-                for parent in &parents {
-                    for fanout in FANOUTS {
-                        for poly in [&p, &q] {
-                            compared += assert_grid_equals_per_cell(parent, fanout, poly);
-                        }
+            let mut marks = HoverMarks::default();
+            let grids = inputs
+                .iter()
+                .flat_map(|(pair, parents)| parents.iter().map(move |parent| (pair, parent)));
+            for ([p, q], parent) in grids {
+                for fanout in FANOUTS {
+                    for poly in [p, q] {
+                        compared += assert_grid_equals_per_cell(parent, fanout, poly, &mut marks);
                     }
                 }
             }
             prop_assert!(compared > 1500, "only {} cells compared", compared);
-        }
-
-        #[test]
-        fn marks_equal_the_chain_walk_reference(
-            seed in 0u64..1 << 40,
-            picks in prop::collection::vec(0u32..1 << 16, 4),
-            shift in (-9i32..10, -9i32..10),
-        ) {
-            // One `HoverMarks` marks every grid in turn, as the scan's
-            // reused scratch does.
-            let mut marks = HoverMarks::default();
-            for radius in [6u32, 32] {
-                let ([p, q], parents) = scan_parents(radius, seed, &picks, shift);
-                for parent in &parents {
-                    for fanout in FANOUTS {
-                        let (cols, rows) = grid_dims(fanout);
-                        let grid = Grid::new(parent, cols, rows);
-                        for poly in [&p, &q] {
-                            let mut reference = ReferenceMarks::default();
-                            reference.mark(&grid, poly);
-                            marks.mark(&grid, poly);
-                            for idx in 0..cols * rows {
-                                let at = (idx, fanout, *parent, poly.mbr());
-                                prop_assert_eq!(
-                                    (marks.get(idx / cols, idx % cols), at),
-                                    (reference.get(idx), at)
-                                );
-                            }
-                        }
-                    }
-                }
-            }
         }
     }
 

@@ -84,13 +84,13 @@ pub fn generate_nucleus<R: Rng>(
 
     // Rows were generated from the bottom of the ellipse upward; anchor them
     // so the shape is vertically centred on `cy`.
-    trace_row_intervals(cy - ry as i32, &lefts, &rights)
+    trace_row_spans(cy - ry as i32, &lefts, &rights)
 }
 
 /// Traces the boundary of a "row-convex" region described by one horizontal
 /// interval `[lefts[r], rights[r])` per pixel row, starting at pixel row
 /// `base_y`. Adjacent intervals must overlap.
-fn trace_row_intervals(base_y: i32, lefts: &[i32], rights: &[i32]) -> RectilinearPolygon {
+fn trace_row_spans(base_y: i32, lefts: &[i32], rights: &[i32]) -> RectilinearPolygon {
     let rows = lefts.len();
     assert!(rows >= 1 && rights.len() == rows);
     let mut vertices: Vec<Point> = Vec::with_capacity(rows * 4 + 4);

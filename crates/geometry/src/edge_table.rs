@@ -64,14 +64,14 @@
 //! boundaries (list lengths `0..=4·LANES+3`), empty rows and degenerate
 //! single-column windows.
 //!
-//! Window sweeps ([`intersection_union_in`], [`intersection_len_in`],
-//! [`EdgeTable::row`]) additionally exploit that crossing lists are constant
-//! within a slab: a [`RowRef`] resolves the slab once and reports the run of
-//! rows sharing it, so a sweep multiplies one row's interval arithmetic by
-//! the run length instead of re-deriving it row by row.
-//! [`intersection_len_in`] — the sweep behind the CPU substrate's areas —
-//! goes further: it searches each table's slabs once, at the window's first
-//! row, and then steps a cursor forward from run to run.
+//! A [`SlabCursor`] is the one way to read a table's rows in order: one slab
+//! search at the first row, then a forward step per slab boundary passed.
+//! The window sweeps read each table through one: [`intersection_len_in`]
+//! over two tables and [`inside_len_in`] over one. Crossing lists are
+//! constant within a slab, so a sweep does one row's interval arithmetic per
+//! *run* of rows sharing them and multiplies it by the run's height.
+//! [`EdgeTable::row_crossings`] answers a single row, the per-row contract
+//! the sweeps are tested against.
 
 use crate::point::Point;
 use crate::polygon::closed_edges;
@@ -309,53 +309,6 @@ impl EdgeTable {
         self.slab_xs(slab_ys.partition_point(|&b| b <= y) - 1)
     }
 
-    /// The inside x-intervals of pixel row `y` as half-open `(start, end)`
-    /// pairs, in increasing order.
-    pub fn row_intervals(&self, y: i32) -> impl Iterator<Item = (i32, i32)> + '_ {
-        self.row_crossings(y)
-            .chunks_exact(2)
-            .map(|pair| (pair[0], pair[1]))
-    }
-
-    /// Number of pixels of row `y` inside the polygon with x in `[lo, hi)`.
-    #[inline]
-    pub fn row_span_len(&self, y: i32, lo: i32, hi: i32) -> i64 {
-        span_len_in(self.row_crossings(y), lo, hi)
-    }
-
-    /// Resolves row `y` to a [`RowRef`]: the slab lookup (binary search) is
-    /// done **once**, and the handle carries both the crossing list and the
-    /// end of the *run* of rows sharing it. Tight loops should call this
-    /// once per run and reuse the handle for every span/overlap query,
-    /// instead of paying the search per [`EdgeTable::row_span_len`] call.
-    #[inline]
-    pub fn row(&self, y: i32) -> RowRef<'_> {
-        let slab_ys = self.slab_ys();
-        let Some((&first, &last)) = slab_ys.first().zip(slab_ys.last()) else {
-            return RowRef {
-                xs: &[],
-                run_end: i32::MAX,
-            };
-        };
-        if y < first {
-            return RowRef {
-                xs: &[],
-                run_end: first,
-            };
-        }
-        if y >= last {
-            return RowRef {
-                xs: &[],
-                run_end: i32::MAX,
-            };
-        }
-        let slab = slab_ys.partition_point(|&b| b <= y) - 1;
-        RowRef {
-            xs: self.slab_xs(slab),
-            run_end: slab_ys[slab + 1],
-        }
-    }
-
     /// A [`SlabCursor`] at row `y`: one search now, then a forward step
     /// per slab boundary the rows it is moved to pass.
     #[inline]
@@ -383,84 +336,12 @@ fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
     }
 }
 
-/// One resolved pixel row of an [`EdgeTable`]: the row's crossing list plus
-/// the first row *after* it with a different list (the end of the row's
-/// *run*). Obtained from [`EdgeTable::row`]; the slab binary search happens
-/// there, once, and every query through the handle is search-free — so a
-/// window sweep resolves each run once and multiplies, instead of paying a
-/// lookup per row.
-#[derive(Debug, Clone, Copy)]
-pub struct RowRef<'a> {
-    xs: &'a [i32],
-    run_end: i32,
-}
-
-impl<'a> RowRef<'a> {
-    /// The row's sorted crossing list (see [`EdgeTable::row_crossings`]).
-    #[inline]
-    pub fn crossings(&self) -> &'a [i32] {
-        self.xs
-    }
-
-    /// First row strictly after the resolved one whose crossing list may
-    /// differ: every row in `[y, run_end)` shares [`RowRef::crossings`].
-    /// `i32::MAX` when the list stays empty for all higher rows.
-    #[inline]
-    pub fn run_end(&self) -> i32 {
-        self.run_end
-    }
-
-    /// Number of pixels of this row inside the polygon with x in `[lo, hi)`.
-    #[inline]
-    pub fn span_len(&self, lo: i32, hi: i32) -> i64 {
-        span_len_in(self.xs, lo, hi)
-    }
-
-    /// Number of pixels of this row, clipped to `[lo, hi)`, inside both this
-    /// row's polygon and `other`'s.
-    #[inline]
-    pub fn overlap_len(&self, other: &RowRef<'_>, lo: i32, hi: i32) -> i64 {
-        overlap_len_in(self.xs, other.xs, lo, hi)
-    }
-}
-
-/// Intersection and union pixel counts of two polygons over a window,
-/// computed row by row from their edge tables: the intersection is the
-/// overlap of the two crossing lists, the union follows by
-/// inclusion–exclusion. This is the one row-merge loop shared by the raster
-/// oracles and PixelBox's pixelization fast path, so the two can never
-/// silently diverge.
-pub fn intersection_union_in(
-    p: &EdgeTable,
-    q: &EdgeTable,
-    window: &crate::rect::Rect,
-) -> (i64, i64) {
-    let mut inter = 0i64;
-    let mut union = 0i64;
-    let mut y = window.min_y;
-    while y < window.max_y {
-        let row_p = p.row(y);
-        let row_q = q.row(y);
-        // Both crossing lists are constant over [y, run_end): compute the
-        // row's interval arithmetic once and multiply by the run length.
-        let run_end = row_p.run_end().min(row_q.run_end()).min(window.max_y);
-        let rows = i64::from(run_end) - i64::from(y);
-        let row_inter = row_p.overlap_len(&row_q, window.min_x, window.max_x);
-        let row_sum =
-            row_p.span_len(window.min_x, window.max_x) + row_q.span_len(window.min_x, window.max_x);
-        inter += rows * row_inter;
-        union += rows * (row_sum - row_inter);
-        y = run_end;
-    }
-    (inter, union)
-}
-
-/// Intersection pixel count only, over a window — one interval-overlap pass
-/// per *run* of rows sharing both crossing lists. This is the sweep behind
-/// every substrate's areas (`sccg::pixelbox::cpu::sweep_pair`) and
-/// [`crate::raster::intersection_area`]: the union follows as
-/// `‖p∪q‖ = ‖p‖ + ‖q‖ − ‖p∩q‖`, so it never needs the two extra span passes
-/// of [`intersection_union_in`].
+/// Intersection pixel count over a window — one interval-overlap pass per
+/// *run* of rows sharing both crossing lists. This is the sweep behind
+/// every substrate's areas (`sccg::pixelbox::cpu::sweep_pair`), PixelBox's
+/// pixelized boxes and [`crate::raster::intersection_area`]: a union
+/// follows as `‖p∪q‖ = ‖p‖ + ‖q‖ − ‖p∩q‖`, from stored polygon areas or,
+/// over a window, from [`inside_len_in`].
 ///
 /// Each table is read through a slab cursor: one slab search per table
 /// at the window's first row, then the sweep steps each cursor forward when
@@ -483,6 +364,27 @@ pub fn intersection_len_in(p: &EdgeTable, q: &EdgeTable, window: &crate::rect::R
         cursor_q.advance_to(y);
     }
     inter
+}
+
+/// Pixel count of `table`'s polygon over a window: [`intersection_len_in`]'s
+/// sweep over one table, one span pass per run of rows sharing its crossing
+/// list. It stops once the table has no rows left.
+pub fn inside_len_in(table: &EdgeTable, window: &crate::rect::Rect) -> i64 {
+    let (lo, hi) = (window.min_x, window.max_x);
+    let mut y = window.min_y;
+    let mut cursor = SlabCursor::new(table, y);
+    let mut inside = 0i64;
+    while y < window.max_y && !cursor.exhausted() {
+        let run_end = cursor.run_end().min(window.max_y);
+        let xs = cursor.crossings();
+        if !xs.is_empty() {
+            let rows = i64::from(run_end) - i64::from(y);
+            inside += rows * span_len_in(xs, lo, hi);
+        }
+        y = run_end;
+        cursor.advance_to(y);
+    }
+    inside
 }
 
 /// A forward-only position in an [`EdgeTable`]'s slabs: `next` is the index
@@ -882,11 +784,9 @@ mod tests {
     #[test]
     fn comb_rows_have_multiple_intervals() {
         let table = table(&comb());
-        let intervals: Vec<_> = table.row_intervals(2).collect();
-        assert_eq!(intervals, vec![(0, 1), (2, 3), (4, 5)]);
-        let base: Vec<_> = table.row_intervals(0).collect();
-        assert_eq!(base, vec![(0, 5)]);
-        assert!(table.row_intervals(3).next().is_none());
+        assert_eq!(table.row_crossings(2), &[0, 1, 2, 3, 4, 5]);
+        assert_eq!(table.row_crossings(0), &[0, 5]);
+        assert!(table.row_crossings(3).is_empty());
     }
 
     #[test]
@@ -930,9 +830,10 @@ mod tests {
             let table = table(&poly);
             let mbr: Rect = poly.mbr();
             let area: i64 = (mbr.min_y..mbr.max_y)
-                .map(|y| table.row_span_len(y, mbr.min_x, mbr.max_x))
+                .map(|y| span_len_in(table.row_crossings(y), mbr.min_x, mbr.max_x))
                 .sum();
             assert_eq!(area, poly.area());
+            assert_eq!(inside_len_in(&table, &mbr), poly.area());
         }
     }
 
@@ -980,35 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn row_ref_reports_runs_and_reuses_the_resolved_slab() {
-        let table = table(&comb());
-        // comb(): base slab rows [0, 1) with one interval, teeth slab
-        // rows [1, 3) with three intervals.
-        let base = table.row(0);
-        assert_eq!(base.crossings(), &[0, 5]);
-        assert_eq!(base.run_end(), 1);
-        let teeth = table.row(1);
-        assert_eq!(teeth.run_end(), 3);
-        assert_eq!(table.row(2).crossings(), teeth.crossings());
-        // Outside the y-extent: empty lists, with the run extending to the
-        // table's first slab (below) or forever (above).
-        assert_eq!(table.row(-7).crossings(), &[] as &[i32]);
-        assert_eq!(table.row(-7).run_end(), 0);
-        assert_eq!(table.row(3).run_end(), i32::MAX);
-        assert_eq!(table.row(99).crossings(), &[] as &[i32]);
-        // Queries through the handle match the per-row entry points.
-        assert_eq!(base.span_len(1, 4), table.row_span_len(0, 1, 4));
-        assert_eq!(
-            base.overlap_len(&teeth, 0, 5),
-            overlap_len_in(base.crossings(), teeth.crossings(), 0, 5)
-        );
-        // Empty table: everything is one infinite empty run.
-        let empty = EdgeTable::from_vertices(&[]);
-        assert_eq!(empty.row(0).run_end(), i32::MAX);
-        assert!(empty.row(0).crossings().is_empty());
-    }
-
-    #[test]
     fn run_aggregated_sweeps_match_per_row_loops() {
         for (p, q) in [
             (l_shape(), comb()),
@@ -1036,8 +908,12 @@ mod tests {
                     + span_len_in_scalar(xs_q, window.min_x, window.max_x)
                     - row_inter;
             }
-            assert_eq!(intersection_union_in(&tp, &tq, &window), (inter, union));
-            assert_eq!(intersection_len_in(&tp, &tq, &window), inter);
+            let swept = intersection_len_in(&tp, &tq, &window);
+            assert_eq!(swept, inter);
+            assert_eq!(
+                inside_len_in(&tp, &window) + inside_len_in(&tq, &window) - swept,
+                union
+            );
         }
     }
 
@@ -1053,6 +929,14 @@ mod tests {
                     window.max_x,
                 )
             })
+            .sum()
+    }
+
+    /// One polygon's pixels over `window` row by row, by the scalar pair
+    /// walk.
+    fn per_row_inside(table: &EdgeTable, window: &Rect) -> i64 {
+        (window.min_y..window.max_y)
+            .map(|y| span_len_in_scalar(table.row_crossings(y), window.min_x, window.max_x))
             .sum()
     }
 
@@ -1087,8 +971,8 @@ mod tests {
         windows
     }
 
-    /// Checks the cursor sweep against the per-row scalar loop, both ways
-    /// round, on every window.
+    /// Checks the cursor sweeps against the per-row scalar loops, the
+    /// intersection both ways round, on every window.
     fn check_cursor_sweep(
         p: &RectilinearPolygon,
         q: &RectilinearPolygon,
@@ -1102,6 +986,12 @@ mod tests {
                 (per_row_intersection(&tp, &tq, &window), window)
             );
             prop_assert_eq!(swept, intersection_len_in(&tq, &tp, &window));
+            for t in [&tp, &tq] {
+                prop_assert_eq!(
+                    (inside_len_in(t, &window), window),
+                    (per_row_inside(t, &window), window)
+                );
+            }
         }
         Ok(())
     }

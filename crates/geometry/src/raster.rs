@@ -9,12 +9,17 @@
 //!
 //! Two implementations coexist:
 //!
-//! * The top-level functions use each polygon's cached scanline
-//!   [`EdgeTable`](crate::EdgeTable): one pixel row at a time, the inside
-//!   x-intervals are intersected/merged with pure interval arithmetic, so a
-//!   window scan costs O(rows × crossing edges) instead of
-//!   O(pixels × edges). All quantities are exact integers, so the results
-//!   are bit-identical to per-pixel classification.
+//! * The top-level functions run the window sweeps of
+//!   [`edge_table`](crate::edge_table) over each polygon's cached scanline
+//!   [`EdgeTable`](crate::EdgeTable):
+//!   [`intersection_len_in`](crate::edge_table::intersection_len_in) for
+//!   intersections and
+//!   [`inside_len_in`](crate::edge_table::inside_len_in) for one polygon's
+//!   pixels, with a union by inclusion–exclusion. Each run of rows sharing
+//!   the crossing lists costs one pass of interval arithmetic, so a window
+//!   costs O(runs × crossing edges) instead of O(pixels × edges). All
+//!   quantities are exact integers, so the results are bit-identical to
+//!   per-pixel classification.
 //! * [`brute`] retains the original per-pixel loops
 //!   ([`RectilinearPolygon::contains_pixel`] on every pixel). They are the
 //!   independent oracle the interval fast path is verified against (unit
@@ -29,13 +34,17 @@ pub fn polygon_area(poly: &RectilinearPolygon) -> i64 {
     pixels_inside(poly, &poly.mbr())
 }
 
-/// Areas of the intersection and the union of two polygons, obtained by
-/// classifying every pixel row of the pair's combined MBR (Figure 4(a)):
-/// per row, the intersection is the overlap of the two polygons' inside
-/// intervals and the union follows by inclusion–exclusion.
+/// Areas of the intersection and the union of two polygons over the pair's
+/// combined MBR (Figure 4(a)): the intersection is the overlap of the two
+/// polygons' inside intervals, row run by row run, and the union follows by
+/// inclusion–exclusion.
 pub fn intersection_union_area(p: &RectilinearPolygon, q: &RectilinearPolygon) -> (i64, i64) {
     let joint = p.mbr().union(&q.mbr());
-    crate::edge_table::intersection_union_in(p.edge_table(), q.edge_table(), &joint)
+    let inter = crate::edge_table::intersection_len_in(p.edge_table(), q.edge_table(), &joint);
+    (
+        inter,
+        pixels_inside(p, &joint) + pixels_inside(q, &joint) - inter,
+    )
 }
 
 /// Area of the intersection only, scanning just the intersection of the two
@@ -51,22 +60,7 @@ pub fn intersection_area(p: &RectilinearPolygon, q: &RectilinearPolygon) -> i64 
 /// Number of pixels of `window` lying inside the polygon. Used to check the
 /// sampling-box classification logic against an exhaustive scan.
 pub fn pixels_inside(poly: &RectilinearPolygon, window: &Rect) -> i64 {
-    if window.is_empty() {
-        return 0;
-    }
-    let table = poly.edge_table();
-    let mut total = 0i64;
-    let mut y = window.min_y;
-    while y < window.max_y {
-        // One slab resolution per run of rows sharing the crossing list,
-        // instead of a binary search per row.
-        let row = table.row(y);
-        let run_end = row.run_end().min(window.max_y);
-        let rows = i64::from(run_end) - i64::from(y);
-        total += rows * row.span_len(window.min_x, window.max_x);
-        y = run_end;
-    }
-    total
+    crate::edge_table::inside_len_in(poly.edge_table(), window)
 }
 
 pub mod brute {

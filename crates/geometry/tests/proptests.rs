@@ -157,7 +157,7 @@ proptest! {
             let xs = table.row_crossings(y);
             prop_assert_eq!(xs.len() % 2, 0);
             for x in mbr.min_x - 1..mbr.max_x + 1 {
-                let in_intervals = table.row_intervals(y).any(|(a, b)| a <= x && x < b);
+                let in_intervals = xs.chunks_exact(2).any(|pair| pair[0] <= x && x < pair[1]);
                 prop_assert_eq!(in_intervals, poly.contains_pixel(x, y));
             }
         }

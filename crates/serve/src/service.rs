@@ -127,18 +127,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Returns a copy with a different simulated GPU configuration.
-    pub fn with_gpu(mut self, gpu: DeviceConfig) -> Self {
-        self.gpu = gpu;
-        self
-    }
-
-    /// Returns a copy with a different pooled split configuration.
-    pub fn with_split(mut self, split: SplitConfig) -> Self {
-        self.split = split;
-        self
-    }
-
     /// Returns a copy with a different admission bound.
     pub fn with_max_in_flight(mut self, max_in_flight: usize) -> Self {
         self.max_in_flight = max_in_flight;

@@ -174,13 +174,10 @@ fn pooled_controller_aggregates_observations_across_hybrid_engines() {
     let store = SlideStore::new();
     let (first, second) = register(&store, &data);
     let split = SplitConfig::adaptive(0.5).with_warmup_batches(2);
-    let service = ComparisonService::new(
-        store,
-        ServiceConfig::default()
-            .with_engines(vec![AggregationDevice::Hybrid, AggregationDevice::Hybrid])
-            .with_split(split),
-    )
-    .expect("service starts");
+    let mut config = ServiceConfig::default()
+        .with_engines(vec![AggregationDevice::Hybrid, AggregationDevice::Hybrid]);
+    config.split = split;
+    let service = ComparisonService::new(store, config).expect("service starts");
 
     let controller = service.split_controller().expect("hybrid pool").clone();
     assert_eq!(controller.batches_recorded(), 0);
